@@ -1,9 +1,8 @@
 """Exact engine for weighted perfect-matching generating functions."""
 
 from .rational import (BigRational, FactoredRF, MultiPoly, RationalFunction,
-                       divides, factor_integer, poly_factor, poly_gcd,
-                       poly_sqrt)
-from .exprs import ParseError, parse, to_str
+                       poly_factor, poly_gcd, poly_sqrt)
+from .exprs import ParseError, parse
 from .graphs import WeightedGraph, enumerate_matchings, oracle_mgf
 from .aztec import (AztecInstance, PeriodMatrix, ZeroCellFactor, evaluate,
                     evaluate_factored, reduce_step, shuffle, to_graph)
@@ -13,9 +12,9 @@ from .orbit import (OrbitReport, detect_proportional, detect_q_shift,
                     equivalence_reduce, recurrence_constant)
 
 __all__ = [
-    "BigRational", "FactoredRF", "MultiPoly", "RationalFunction", "divides",
-    "factor_integer", "poly_factor", "poly_gcd", "poly_sqrt",
-    "ParseError", "parse", "to_str",
+    "BigRational", "FactoredRF", "MultiPoly", "RationalFunction",
+    "poly_factor", "poly_gcd", "poly_sqrt",
+    "ParseError", "parse",
     "WeightedGraph", "enumerate_matchings", "oracle_mgf",
     "AztecInstance", "PeriodMatrix", "ZeroCellFactor", "evaluate",
     "evaluate_factored", "reduce_step", "shuffle", "to_graph",

@@ -12,11 +12,12 @@ the exact generating function with a full audit trail.
 from __future__ import annotations
 
 import json
-from typing import List, Tuple
+import math
+from typing import List, Optional, Tuple
 
 from .exprs import parse
 from .graphs import WeightedGraph
-from .rational import FactoredRF, FactoredValue, MultiPoly, RationalFunction
+from .rational import FactoredRF, RationalFunction
 
 RF = RationalFunction
 
@@ -104,15 +105,17 @@ def block_factor(a: RF, b: RF, c: RF, d: RF) -> RF:
     return a * d + b * c
 
 
-def shuffle(p: PeriodMatrix) -> PeriodMatrix:
-    """One weight-transformation round on the period matrix.
+def _block_round(p: PeriodMatrix, order: int = -1):
+    """Block factors of p and the shuffled period, in one pass over the blocks.
 
-    Each 2x2 block [[a,b],[c,d]] (top-left at even indices) becomes
-    [[d,c],[b,a]] / (a*d + b*c), then all columns are shifted up one row
-    and all rows one column left.
+    Returns (deltas, successor): deltas[bi][bj] is the factor a*d + b*c of
+    period block (bi, bj), computed once and reused to invert the block.
+    A zero factor raises ZeroCellFactor naming `order` and the block.
     """
+    deltas = []
     inv = [[None] * p.l for _ in range(p.k)]
     for bi in range(0, p.k, 2):
+        row = []
         for bj in range(0, p.l, 2):
             a = p.entries[bi][bj]
             b = p.entries[bi][bj + 1]
@@ -120,14 +123,38 @@ def shuffle(p: PeriodMatrix) -> PeriodMatrix:
             d = p.entries[bi + 1][bj + 1]
             delta = block_factor(a, b, c, d)
             if delta.is_zero():
-                raise ZeroCellFactor(-1, bi // 2, bj // 2)
+                raise ZeroCellFactor(order, bi // 2, bj // 2)
+            row.append(delta)
             inv[bi][bj] = d / delta
             inv[bi][bj + 1] = c / delta
             inv[bi + 1][bj] = b / delta
             inv[bi + 1][bj + 1] = a / delta
+        deltas.append(row)
     shifted = [[inv[(i + 1) % p.k][(j + 1) % p.l] for j in range(p.l)]
                for i in range(p.k)]
-    return PeriodMatrix(shifted)
+    return deltas, PeriodMatrix(shifted)
+
+
+def _block_product(deltas, row_mult: List[int],
+                   col_mult: List[int]) -> FactoredRF:
+    """Product of deltas[bi][bj] ** (row_mult[bi] * col_mult[bj]), factored."""
+    out = FactoredRF(1)
+    for bi, row in enumerate(deltas):
+        for bj, delta in enumerate(row):
+            e = row_mult[bi] * col_mult[bj]
+            if e:
+                out = out * FactoredRF._coerce(delta) ** e
+    return out
+
+
+def shuffle(p: PeriodMatrix) -> PeriodMatrix:
+    """One weight-transformation round on the period matrix.
+
+    Each 2x2 block [[a,b],[c,d]] (top-left at even indices) becomes
+    [[d,c],[b,a]] / (a*d + b*c), then all columns are shifted up one row
+    and all rows one column left.
+    """
+    return _block_round(p)[1]
 
 
 class AztecInstance:
@@ -208,7 +235,7 @@ def canonical_cells(inst: AztecInstance):
     return cells
 
 
-def _reduce_step_factored(inst: AztecInstance) -> Tuple[FactoredValue, AztecInstance]:
+def _reduce_step_factored(inst: AztecInstance) -> Tuple[FactoredRF, AztecInstance]:
     """One complementation round, factor kept in factored form."""
     n = inst.n
     if n < 1:
@@ -221,28 +248,8 @@ def _reduce_step_factored(inst: AztecInstance) -> Tuple[FactoredValue, AztecInst
     for i in range(n):
         row_mult[i % kb] += 1
         col_mult[i % lb] += 1
-    factor = FactoredValue()
-    for bi in range(kb):
-        if not row_mult[bi]:
-            continue
-        for bj in range(lb):
-            if not col_mult[bj]:
-                continue
-            a = p.entries[2 * bi][2 * bj]
-            b = p.entries[2 * bi][2 * bj + 1]
-            c = p.entries[2 * bi + 1][2 * bj]
-            d = p.entries[2 * bi + 1][2 * bj + 1]
-            delta = block_factor(a, b, c, d)
-            if delta.is_zero():
-                raise ZeroCellFactor(n, bi, bj)
-            factor.mul_rf(delta, row_mult[bi] * col_mult[bj])
-    try:
-        succ = shuffle(p)
-    except ZeroCellFactor as e:
-        # all blocks used at n >= kb, lb were checked above; a block can
-        # only fail here if the diamond was smaller than the period
-        raise ZeroCellFactor(n, *e.block) from None
-    return factor, AztecInstance(n - 1, succ)
+    deltas, succ = _block_round(p, n)
+    return _block_product(deltas, row_mult, col_mult), AztecInstance(n - 1, succ)
 
 
 def reduce_step(inst: AztecInstance) -> Tuple[RF, AztecInstance]:
@@ -254,7 +261,7 @@ def reduce_step(inst: AztecInstance) -> Tuple[RF, AztecInstance]:
     edge array, computed per distinct period block with multiplicities.
     """
     factored, succ = _reduce_step_factored(inst)
-    return factored.expand(), succ
+    return factored.to_rf(), succ
 
 
 class ReductionTrace:
@@ -264,40 +271,51 @@ class ReductionTrace:
     """
 
     def __init__(self):
-        self.steps: List[Tuple[int, FactoredValue, PeriodMatrix]] = []
+        self.steps: List[Tuple[int, FactoredRF, PeriodMatrix]] = []
 
-    def add(self, order: int, factor: FactoredValue,
+    def add(self, order: int, factor: FactoredRF,
             period_after: PeriodMatrix):
         self.steps.append((order, factor, period_after))
 
     def factors(self) -> List[RF]:
-        return [f.expand() for _, f, _ in self.steps]
+        return [f.to_rf() for _, f, _ in self.steps]
 
     def product(self) -> RF:
-        out = FactoredValue()
-        for _, f, _ in self.steps:
-            out.mul(f)
-        return out.expand()
+        return math.prod((f for _, f, _ in self.steps),
+                         start=FactoredRF(1)).to_rf()
 
     def to_json(self, value: RF) -> str:
         return json.dumps({
-            "steps": [{"order": o, "factor": str(f.expand())}
+            "steps": [{"order": o, "factor": str(f)}
                       for o, f, _ in self.steps],
             "value": str(value),
         })
 
 
+def _reduce_rounds(inst: AztecInstance, rounds: int,
+                   trace: Optional[ReductionTrace] = None
+                   ) -> Tuple[FactoredRF, AztecInstance]:
+    """Run `rounds` reduction rounds from inst.
+
+    Returns the product of the step factors and the instance reached, so
+    M(inst) = product * M(reached).  Period entries are kept factored,
+    which keeps the shuffled weights small along the whole run.
+    """
+    total = FactoredRF(1)
+    cur = AztecInstance(inst.n, inst.period.map(FactoredRF._coerce))
+    for _ in range(rounds):
+        factor, cur = _reduce_step_factored(cur)
+        total = total * factor
+        if trace is not None:
+            trace.add(cur.n + 1, factor, cur.period)
+    return total, cur
+
+
 def evaluate(inst: AztecInstance) -> Tuple[RF, ReductionTrace]:
     """Exact matching generating function via repeated reduction."""
     trace = ReductionTrace()
-    total = FactoredValue()
-    # factored entries keep the shuffled weights small along the whole run
-    cur = AztecInstance(inst.n, inst.period.map(FactoredRF._coerce))
-    while cur.n > 0:
-        factor, cur = _reduce_step_factored(cur)
-        total.mul(factor)
-        trace.add(cur.n + 1, factor, cur.period)
-    return total.expand(), trace
+    total, _ = _reduce_rounds(inst, inst.n, trace)
+    return total.to_rf(), trace
 
 
 def evaluate_factored(inst: AztecInstance) -> FactoredRF:
@@ -306,18 +324,7 @@ def evaluate_factored(inst: AztecInstance) -> FactoredRF:
     Same pipeline as evaluate, but the product of step factors is never
     expanded; useful when the value has small factors at high powers.
     """
-    total = FactoredValue()
-    cur = AztecInstance(inst.n, inst.period.map(FactoredRF._coerce))
-    while cur.n > 0:
-        factor, cur = _reduce_step_factored(cur)
-        total.mul(factor)
-    return FactoredRF(total.coeff, total.factors)
-
-
-def _array_as_period(inst: AztecInstance) -> PeriodMatrix:
-    if inst.n == 0:
-        return inst.period
-    return PeriodMatrix(edge_array(inst))
+    return _reduce_rounds(inst, inst.n)[0]
 
 
 def row_classes(n: int) -> List[List[int]]:

@@ -12,12 +12,14 @@ import json
 import sys
 from typing import Dict, Optional
 
+import sympy
+
 from .aztec import AztecInstance, PeriodMatrix, ZeroCellFactor, evaluate
 from .exprs import parse
 from .families import FAMILY_NAMES, family_value
 from .graphs import SizeCapExceeded, graph_from_json, oracle_mgf
 from .orbit import detect_proportional, detect_q_shift
-from .rational import RationalFunction, factor_integer
+from .rational import RationalFunction
 from .verify import SUITES
 
 RF = RationalFunction
@@ -44,15 +46,10 @@ def _parse_bindings(text: Optional[str]) -> Dict[str, RF]:
 
 def _integer_factorization(value: RF):
     """[[prime, exponent], ...] when the value is an integer, else None."""
-    if not (value.num.is_const() and value.den.is_const()):
+    if not value.is_integer() or value.is_zero():
         return None
-    q = value.num.as_const() / value.den.as_const()
-    if q.denominator != 1 or q == 0:
-        return None
-    n = int(q)
-    if abs(n) == 1:
-        return []
-    return [[p, e] for p, e in factor_integer(n)]
+    n = abs(int(value.as_const()))
+    return [[p, e] for p, e in sorted(sympy.factorint(n).items())]
 
 
 def _load_period(path: str) -> PeriodMatrix:
@@ -65,6 +62,9 @@ def _load_period(path: str) -> PeriodMatrix:
 
 def cmd_compute(args) -> int:
     bindings = _parse_bindings(args.bind)
+    if args.n > args.max_order:
+        raise ComputationError(
+            f"order {args.n} exceeds --max-order {args.max_order}")
     if args.family:
         if args.trace:
             raise ComputationError(
@@ -76,16 +76,13 @@ def cmd_compute(args) -> int:
         period = _load_period(args.period)
         if bindings:
             period = period.substitute(bindings)
-        if args.n > args.max_order:
-            raise ComputationError(
-                f"order {args.n} exceeds --max-order {args.max_order}")
         value, trace = evaluate(AztecInstance(args.n, period))
     out = {"value": str(value)}
     fact = _integer_factorization(value)
     if fact is not None:
         out["factorization"] = fact
     if args.trace and trace is not None:
-        out["trace"] = [{"order": o, "factor": str(f.expand())}
+        out["trace"] = [{"order": o, "factor": str(f)}
                         for o, f, _ in trace.steps]
     print(json.dumps(out))
     return 0

@@ -134,8 +134,3 @@ def parse(text: str) -> RationalFunction:
     if kind != "end":
         raise ParseError("trailing input", pos)
     return result
-
-
-def to_str(f: RationalFunction) -> str:
-    """Canonical printed form; parse(to_str(f)) == f."""
-    return str(f)

@@ -466,8 +466,3 @@ def family_value(family: str, n: int,
         period = period.substitute(bindings)
     value, _ = evaluate(AztecInstance(order, period))
     return value
-
-for _i in range(20):
-    for _j in range(20):
-        if (_CHECKERED_EXP[_i][_j] is None) != (_CHECKERED01[_i][_j] == 0):
-            raise AssertionError("exponent gaps disagree with 0-1 period")

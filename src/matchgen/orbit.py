@@ -16,10 +16,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .aztec import (AztecInstance, PeriodMatrix, ZeroCellFactor,
-                    _reduce_step_factored, block_factor, shuffle)
+from .aztec import (AztecInstance, PeriodMatrix, _block_product,
+                    _block_round, _reduce_rounds)
 from .exprs import parse
-from .rational import FactoredRF, FactoredValue, RationalFunction
+from .rational import FactoredRF, RationalFunction
 
 RF = RationalFunction
 
@@ -36,7 +36,7 @@ class OrbitReport:
     within the iteration budget.
 
     Per-step factors are kept in factored form because their expanded
-    degree grows quickly along an orbit; call .expand() on an entry for a
+    degree grows quickly along an orbit; call .to_rf() on an entry for a
     plain rational function.
     """
 
@@ -44,7 +44,7 @@ class OrbitReport:
     period_length: int = 0
     scalar: Optional[RF] = None
     sigma: Optional[Fraction] = None
-    per_step_factors: List[FactoredValue] = field(default_factory=list)
+    per_step_factors: List[FactoredRF] = field(default_factory=list)
 
     def to_json(self) -> str:
         data = {"kind": self.kind, "k": self.period_length}
@@ -52,8 +52,7 @@ class OrbitReport:
             data["scalar"] = str(self.scalar)
         if self.sigma is not None:
             data["sigma"] = str(self.sigma)
-        data["per_step_factors"] = [str(f.expand())
-                                    for f in self.per_step_factors]
+        data["per_step_factors"] = [str(f) for f in self.per_step_factors]
         return json.dumps(data)
 
 
@@ -63,22 +62,15 @@ def _as_plain(e) -> RF:
     return e
 
 
-def period_step_factor(p: PeriodMatrix) -> FactoredValue:
-    """Product of the block factors of one period, one per 2x2 block.
+def period_step_factor(p: PeriodMatrix) -> Tuple[FactoredRF, PeriodMatrix]:
+    """One shuffle of a period and the product of its block factors.
 
-    Returned in factored form; expanding late iterates of an orbit can be
-    far more expensive than computing them.
+    Returns (factor, shuffle(p)), the factor taking each 2x2 block once and
+    kept in factored form; expanding late iterates of an orbit can be far
+    more expensive than computing them.
     """
-    out = FactoredValue()
-    for bi in range(0, p.k, 2):
-        for bj in range(0, p.l, 2):
-            delta = block_factor(p.entries[bi][bj], p.entries[bi][bj + 1],
-                                 p.entries[bi + 1][bj],
-                                 p.entries[bi + 1][bj + 1])
-            if delta.is_zero():
-                raise ZeroCellFactor(-1, bi // 2, bj // 2)
-            out.mul_rf(delta)
-    return out
+    deltas, succ = _block_round(p)
+    return _block_product(deltas, [1] * (p.k // 2), [1] * (p.l // 2)), succ
 
 
 def proportionality_scalar(a: PeriodMatrix, b: PeriodMatrix) -> Optional[RF]:
@@ -109,10 +101,10 @@ def detect_proportional(a: PeriodMatrix,
                         max_iter: int = DEFAULT_MAX_ITER) -> OrbitReport:
     """Smallest k with shuffle^k(a) = c * a, searched up to max_iter."""
     cur = a.map(FactoredRF._coerce)
-    factors: List[FactoredValue] = []
+    factors: List[FactoredRF] = []
     for k in range(1, max_iter + 1):
-        factors.append(period_step_factor(cur))
-        cur = shuffle(cur)
+        factor, cur = period_step_factor(cur)
+        factors.append(factor)
         c = proportionality_scalar(a, cur)
         if c is not None:
             return OrbitReport("proportional", k, scalar=c,
@@ -120,7 +112,7 @@ def detect_proportional(a: PeriodMatrix,
     return OrbitReport("none", per_step_factors=factors)
 
 
-def _square_candidates(factors: List[FactoredValue]) -> List[Fraction]:
+def _square_candidates(factors: List[FactoredRF]) -> List[Fraction]:
     """Integer squares up to 100 plus squares of constant step factors."""
     cands = [Fraction(i * i) for i in range(1, 11)]
     for f in factors:
@@ -145,7 +137,7 @@ def detect_q_shift(aq: PeriodMatrix, var: str = "q",
     since substitution is then the identity (sigma = 1).
     """
     cur = aq.map(FactoredRF._coerce)
-    factors: List[FactoredValue] = []
+    factors: List[FactoredRF] = []
     targets = {}
 
     def target(sigma: Fraction) -> PeriodMatrix:
@@ -156,8 +148,8 @@ def detect_q_shift(aq: PeriodMatrix, var: str = "q",
         return targets[sigma]
 
     for k in range(1, max_iter + 1):
-        factors.append(period_step_factor(cur))
-        cur = shuffle(cur)
+        factor, cur = period_step_factor(cur)
+        factors.append(factor)
         cands = candidates if candidates is not None \
             else _square_candidates(factors)
         for sigma in cands:
@@ -184,20 +176,14 @@ def recurrence_constant(a: PeriodMatrix, n: int, k: int,
     """
     if k < 1 or n < k:
         raise ValueError("need n >= k >= 1")
-    inst = AztecInstance(n, a.map(FactoredRF._coerce))
-    total = FactoredValue()
-    for _ in range(k):
-        factor, inst = _reduce_step_factored(inst)
-        total.mul(factor)
+    total, inst = _reduce_rounds(AztecInstance(n, a), k)
     c = proportionality_scalar(a, inst.period)
     if c is None:
         raise ValueError(f"shuffle^{k} of the matrix is not a scalar "
                          "multiple of it")
     m = n - k
-    total.mul_rf(c, m * (m + 1))
-    if factored:
-        return FactoredRF(total.coeff, total.factors)
-    return total.expand()
+    total = total * FactoredRF.from_rf(c) ** (m * (m + 1))
+    return total if factored else total.to_rf()
 
 
 def line_edge_count(line: int, n: int) -> int:

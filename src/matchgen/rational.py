@@ -8,9 +8,10 @@ immutable after construction.
 from __future__ import annotations
 
 import math
-import random
 from fractions import Fraction
 from typing import Dict, Iterable, Mapping, Optional, Tuple
+
+import sympy as _sympy
 
 # Arbitrary-precision rational coefficients.  Invariants (reduced form,
 # positive denominator, 0 == 0/1) are maintained by Fraction itself.
@@ -138,7 +139,7 @@ class MultiPoly:
         if other.is_const():
             return other * self
         vs, ta, tb = _align(self, other)
-        if _sympy is not None and len(ta) * len(tb) > 4000:
+        if len(ta) * len(tb) > 4000:
             gens = _sympy.symbols(vs)
             prod = _to_sympy(MultiPoly(vs, ta), vs, gens) \
                 * _to_sympy(MultiPoly(vs, tb), vs, gens)
@@ -163,7 +164,7 @@ class MultiPoly:
     def __pow__(self, n: int) -> "MultiPoly":
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        if _sympy is not None and n > 2 and len(self.terms) ** 2 > 4000:
+        if n > 2 and len(self.terms) ** 2 > 4000:
             gens = _sympy.symbols(self.variables)
             return _from_sympy(_to_sympy(self, self.variables, gens) ** n,
                                self.variables)
@@ -188,29 +189,6 @@ class MultiPoly:
                     v *= point[name] ** exp
             total += v
         return total
-
-    # -- structure helpers --------------------------------------------
-
-    def as_univariate(self, name: str):
-        """Coefficients of powers of `name`, as a dict deg -> MultiPoly."""
-        if name not in self.variables:
-            return {0: self}
-        i = self.variables.index(name)
-        rest = self.variables[:i] + self.variables[i + 1:]
-        coeffs: Dict[int, Dict[ExpVec, Fraction]] = {}
-        for e, c in self.terms.items():
-            d = e[i]
-            re = e[:i] + e[i + 1:]
-            coeffs.setdefault(d, {})[re] = c
-        return {d: MultiPoly(rest, t) for d, t in coeffs.items()}
-
-    @staticmethod
-    def from_univariate(coeffs: Mapping[int, "MultiPoly"], name: str) -> "MultiPoly":
-        out = MultiPoly.const(0)
-        xn = MultiPoly.var(name)
-        for d, c in coeffs.items():
-            out = out + c * xn ** d
-        return out
 
     # -- printing -----------------------------------------------------
 
@@ -282,7 +260,7 @@ def _align(a: MultiPoly, b: MultiPoly):
 
 
 def div_exact(f: MultiPoly, d: MultiPoly) -> Optional[MultiPoly]:
-    """Return f/d if d divides f exactly, else None."""
+    """Return f/d when the division is exact, else None."""
     if d.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     if f.is_zero():
@@ -311,126 +289,10 @@ def div_exact(f: MultiPoly, d: MultiPoly) -> Optional[MultiPoly]:
     return MultiPoly(vs, quo)
 
 
-def _content(coeffs) -> MultiPoly:
-    """GCD of a collection of polynomials."""
-    g = MultiPoly.const(0)
-    for c in coeffs:
-        g = poly_gcd(g, c)
-        if g.is_const() and not g.is_zero():
-            return MultiPoly.const(1)
-    return g
-
-
 def _make_monic(p: MultiPoly) -> MultiPoly:
     if p.is_zero():
         return p
     return p.scale(Fraction(1) / p.leading_coeff())
-
-
-def _univ_gcd(f: MultiPoly, g: MultiPoly, name: str) -> MultiPoly:
-    """Euclid for univariate polynomials over Q."""
-    fa = {d: c.as_const() for d, c in f.as_univariate(name).items()}
-    ga = {d: c.as_const() for d, c in g.as_univariate(name).items()}
-
-    def deg(p):
-        return max(p) if p else -1
-
-    while ga:
-        df, dg = deg(fa), deg(ga)
-        if df < dg:
-            fa, ga = ga, fa
-            continue
-        # one elimination step of long division
-        rem = dict(fa)
-        lg = ga[dg]
-        while rem and deg(rem) >= dg:
-            dr = deg(rem)
-            c = rem[dr] / lg
-            for d, k in ga.items():
-                t = dr - dg + d
-                s = rem.get(t, Fraction(0)) - c * k
-                if s:
-                    rem[t] = s
-                else:
-                    rem.pop(t, None)
-        fa, ga = ga, rem
-    if not fa:
-        return MultiPoly.const(0)
-    lead = fa[deg(fa)]
-    x = MultiPoly.var(name)
-    out = MultiPoly.const(0)
-    for d, c in fa.items():
-        out = out + x ** d * MultiPoly.const(c / lead)
-    return out
-
-
-_rng = random.Random(0x5EED)
-
-
-def _coprime_by_evaluation(f: MultiPoly, g: MultiPoly, name: str) -> bool:
-    """Fast probabilistic-but-sound coprimality certificate.
-
-    Substitute random integers for every variable except `name`.  If both
-    leading coefficients (in `name`) survive and the univariate images have
-    gcd 1, the polynomials have no common factor involving `name`.
-    """
-    others = sorted((set(f.variables) | set(g.variables)) - {name})
-    if not others:
-        return _univ_gcd(f, g, name).total_degree() == 0
-    for _ in range(3):
-        point = {v: Fraction(_rng.randint(-50, 50)) for v in others}
-        fu = _eval_partial(f, name, point)
-        gu = _eval_partial(g, name, point)
-        if max(fu, default=-1) != f.degree_in(name):
-            continue
-        if max(gu, default=-1) != g.degree_in(name):
-            continue
-        if _univ_dict_gcd_deg(fu, gu) == 0:
-            return True
-        return False
-    return False
-
-
-def _eval_partial(p: MultiPoly, name: str, point) -> Dict[int, Fraction]:
-    out: Dict[int, Fraction] = {}
-    for d, c in p.as_univariate(name).items():
-        v = c.eval_rationals(point)
-        if v:
-            out[d] = v
-    return out
-
-
-def _univ_dict_gcd_deg(fa: Dict[int, Fraction], ga: Dict[int, Fraction]) -> int:
-    fa, ga = dict(fa), dict(ga)
-
-    def deg(p):
-        return max(p) if p else -1
-
-    while ga:
-        if deg(fa) < deg(ga):
-            fa, ga = ga, fa
-            continue
-        dg = deg(ga)
-        lg = ga[dg]
-        rem = dict(fa)
-        while rem and deg(rem) >= dg:
-            dr = deg(rem)
-            c = rem[dr] / lg
-            for d, k in ga.items():
-                t = dr - dg + d
-                s = rem.get(t, Fraction(0)) - c * k
-                if s:
-                    rem[t] = s
-                else:
-                    rem.pop(t, None)
-        fa, ga = ga, rem
-    return deg(fa)
-
-
-try:
-    import sympy as _sympy
-except ImportError:  # pragma: no cover - sympy is a hard dependency
-    _sympy = None
 
 
 def _to_sympy(p: MultiPoly, variables, gens):
@@ -452,19 +314,10 @@ def _from_sympy(poly, variables) -> MultiPoly:
     return MultiPoly(variables, terms)
 
 
-def _sympy_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
-    variables = tuple(sorted(set(f.variables) | set(g.variables)))
-    gens = _sympy.symbols(variables)
-    h = _to_sympy(f, variables, gens).gcd(_to_sympy(g, variables, gens))
-    return _make_monic(_from_sympy(h, variables))
-
-
 def poly_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     """Monic GCD of two polynomials (1 for coprime nonzero inputs).
 
-    Delegates to sympy's multivariate gcd when available; otherwise a
-    primitive-PRS recursion over a main variable, with a random-evaluation
-    shortcut that certifies coprimality early.
+    Polynomials that share a variable go to sympy's multivariate gcd.
     """
     if f.is_zero():
         return _make_monic(g)
@@ -472,79 +325,18 @@ def poly_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
         return _make_monic(f)
     if f.is_const() or g.is_const():
         return MultiPoly.const(1)
-    shared = set(f.variables) & set(g.variables)
-    if not shared:
+    if not set(f.variables) & set(g.variables):
         return MultiPoly.const(1)
-    if _sympy is not None:
-        return _sympy_gcd(f, g)
-    # main variable: smallest combined degree keeps the PRS short
-    name = min(shared, key=lambda v: f.degree_in(v) + g.degree_in(v))
-    fu = f.as_univariate(name)
-    gu = g.as_univariate(name)
-    fc = _content(fu.values())
-    gc = _content(gu.values())
-    cont = poly_gcd(fc, gc)
-    fp = {d: _must_div(c, fc) for d, c in fu.items()}
-    gp = {d: _must_div(c, gc) for d, c in gu.items()}
-    fpp = MultiPoly.from_univariate(fp, name)
-    gpp = MultiPoly.from_univariate(gp, name)
-    if _coprime_by_evaluation(fpp, gpp, name):
-        return _make_monic(cont)
-    prim = _primitive_prs(fpp, gpp, name)
-    return _make_monic(cont * prim)
+    variables = tuple(sorted(set(f.variables) | set(g.variables)))
+    gens = _sympy.symbols(variables)
+    h = _to_sympy(f, variables, gens).gcd(_to_sympy(g, variables, gens))
+    return _make_monic(_from_sympy(h, variables))
 
 
 def _must_div(f: MultiPoly, d: MultiPoly) -> MultiPoly:
     q = div_exact(f, d)
     assert q is not None, "internal: exact division failed"
     return q
-
-
-def _primitive_prs(f: MultiPoly, g: MultiPoly, name: str) -> MultiPoly:
-    """Primitive pseudo-remainder sequence in the main variable."""
-    a, b = f, g
-    if a.degree_in(name) < b.degree_in(name):
-        a, b = b, a
-    while True:
-        r = _pseudo_rem(a, b, name)
-        if r.is_zero():
-            bu = b.as_univariate(name)
-            bc = _content(bu.values())
-            return MultiPoly.from_univariate(
-                {d: _must_div(c, bc) for d, c in bu.items()}, name)
-        if r.degree_in(name) == 0 and name not in r.variables:
-            return MultiPoly.const(1)
-        ru = r.as_univariate(name)
-        rc = _content(ru.values())
-        r = MultiPoly.from_univariate(
-            {d: _must_div(c, rc) for d, c in ru.items()}, name)
-        a, b = b, r
-
-
-def _pseudo_rem(f: MultiPoly, g: MultiPoly, name: str) -> MultiPoly:
-    fu = f.as_univariate(name)
-    gu = g.as_univariate(name)
-    dg = max(gu)
-    lg = gu[dg]
-    rem = dict(fu)
-
-    def deg(p):
-        return max(p) if p else -1
-
-    while rem and deg(rem) >= dg:
-        dr = deg(rem)
-        lead = rem[dr]
-        # multiply through by lg to avoid fractions of polynomials
-        rem = {d: c * lg for d, c in rem.items()}
-        for d, k in gu.items():
-            t = dr - dg + d
-            s = rem.get(t, MultiPoly.const(0)) - lead * k
-            if s.is_zero():
-                rem.pop(t, None)
-            else:
-                rem[t] = s
-        rem = {d: c for d, c in rem.items() if not c.is_zero()}
-    return MultiPoly.from_univariate(rem, name)
 
 
 def poly_sqrt(p: MultiPoly) -> Optional[MultiPoly]:
@@ -829,8 +621,8 @@ _factor_cache: Dict[MultiPoly, Tuple[Fraction, Tuple[Tuple[MultiPoly, int], ...]
 def poly_factor(p: MultiPoly):
     """Factor into monic irreducibles: (coeff, ((factor, exponent), ...)).
 
-    The product coeff * prod(f^e) reproduces p exactly.  Falls back to the
-    trivial factorization (monic p itself) without sympy.
+    The product coeff * prod(f^e) reproduces p exactly; sympy finds the
+    irreducibles.
     """
     if p.is_zero():
         raise ValueError("cannot factor the zero polynomial")
@@ -839,103 +631,23 @@ def poly_factor(p: MultiPoly):
     cached = _factor_cache.get(p)
     if cached is not None:
         return cached
-    if _sympy is None:
-        lc = p.leading_coeff()
-        result = (lc, ((_make_monic(p), 1),))
-    else:
-        variables = p.variables
-        gens = _sympy.symbols(variables)
-        coeff, parts = _to_sympy(p, variables, gens).factor_list()
-        c = Fraction(int(coeff.p), int(coeff.q))
-        out = []
-        for fac, e in parts:
-            mp = _from_sympy(fac, tuple(str(g) for g in fac.gens))
-            lc = mp.leading_coeff()
-            if lc != 1:
-                c *= lc ** e
-                mp = _make_monic(mp)
-            out.append((mp, int(e)))
-        out.sort(key=lambda fe: (fe[0].total_degree(), str(fe[0])))
-        result = (c, tuple(out))
+    gens = _sympy.symbols(p.variables)
+    coeff, parts = _to_sympy(p, p.variables, gens).factor_list()
+    c = Fraction(int(coeff.p), int(coeff.q))
+    out = []
+    for fac, e in parts:
+        mp = _from_sympy(fac, tuple(str(g) for g in fac.gens))
+        lc = mp.leading_coeff()
+        if lc != 1:
+            c *= lc ** e
+            mp = _make_monic(mp)
+        out.append((mp, int(e)))
+    out.sort(key=lambda fe: (fe[0].total_degree(), str(fe[0])))
+    result = (c, tuple(out))
     if len(_factor_cache) > 4096:
         _factor_cache.clear()
     _factor_cache[p] = result
     return result
-
-
-class FactoredValue:
-    """A nonzero rational function kept as coeff * prod(irreducible^exp).
-
-    Multiplication just adds exponents, so long products cancel without
-    ever expanding intermediate polynomials; expand() builds the canonical
-    RationalFunction at the end.
-    """
-
-    def __init__(self, coeff=Fraction(1), factors=None):
-        self.coeff = Fraction(coeff)
-        if self.coeff == 0:
-            raise ValueError("FactoredValue must be nonzero")
-        self.factors: Dict[MultiPoly, int] = dict(factors or {})
-
-    def copy(self) -> "FactoredValue":
-        return FactoredValue(self.coeff, self.factors)
-
-    def _mul_poly(self, p: MultiPoly, e: int):
-        c, parts = poly_factor(p)
-        self.coeff *= Fraction(c) ** e
-        for f, k in parts:
-            new = self.factors.get(f, 0) + k * e
-            if new:
-                self.factors[f] = new
-            else:
-                del self.factors[f]
-
-    def mul_rf(self, rf, exponent: int = 1) -> "FactoredValue":
-        if rf.is_zero():
-            raise ValueError("cannot multiply a FactoredValue by zero")
-        if not exponent:
-            return self
-        if isinstance(rf, FactoredRF):
-            self.coeff *= rf.coeff ** exponent
-            for f, k in rf.factors.items():
-                new = self.factors.get(f, 0) + k * exponent
-                if new:
-                    self.factors[f] = new
-                else:
-                    del self.factors[f]
-            return self
-        self._mul_poly(rf.num, exponent)
-        if not rf.den.is_const() or rf.den.as_const() != 1:
-            self._mul_poly(rf.den, -exponent)
-        return self
-
-    def mul(self, other: "FactoredValue") -> "FactoredValue":
-        self.coeff *= other.coeff
-        for f, e in other.factors.items():
-            new = self.factors.get(f, 0) + e
-            if new:
-                self.factors[f] = new
-            else:
-                del self.factors[f]
-        return self
-
-    def expand(self) -> "RationalFunction":
-        num = MultiPoly.const(self.coeff.numerator)
-        den = MultiPoly.const(self.coeff.denominator)
-        # small factors first keeps intermediate products lean
-        order = sorted(self.factors.items(),
-                       key=lambda fe: (fe[0].total_degree(), str(fe[0])))
-        for f, e in order:
-            if e > 0:
-                num = num * f ** e
-            else:
-                den = den * f ** (-e)
-        lc = den.leading_coeff()
-        if lc != 1:
-            inv = Fraction(1) / lc
-            num, den = num.scale(inv), den.scale(inv)
-        return RationalFunction(num, den,
-                                _normalized=_sympy is not None)
 
 
 class FactoredRF:
@@ -996,7 +708,7 @@ class FactoredRF:
         if lc != 1:
             inv = Fraction(1) / lc
             num, den = num.scale(inv), den.scale(inv)
-        return RationalFunction(num, den, _normalized=_sympy is not None)
+        return RationalFunction(num, den, _normalized=True)
 
     def is_zero(self) -> bool:
         return not self.coeff
@@ -1102,89 +814,3 @@ class FactoredRF:
 
     def __repr__(self):
         return f"FactoredRF({self})"
-
-
-def divides(d: MultiPoly, f: MultiPoly) -> Tuple[bool, Optional[MultiPoly]]:
-    """Whether d divides f exactly; returns the quotient when it does."""
-    if d.is_zero():
-        raise ZeroDivisionError("division by the zero polynomial")
-    q = div_exact(f, d)
-    return (q is not None), q
-
-
-# ---------------------------------------------------------------------------
-# Integer factorization (display helper for count tables)
-# ---------------------------------------------------------------------------
-
-
-def factor_integer(n: int):
-    """Prime factorization of |n| as [(prime, exponent), ...], ascending."""
-    if n == 0:
-        raise ValueError("cannot factor zero")
-    n = abs(n)
-    out = []
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            out.append((p, e))
-    if n > 1:
-        rest = sorted(_factor_rho(n).items())
-        out.extend(rest)
-    return out
-
-
-def _factor_rho(n: int) -> Dict[int, int]:
-    if n == 1:
-        return {}
-    if _is_prime(n):
-        return {n: 1}
-    d = n
-    while d == n:
-        d = _pollard_rho(n)
-    left = _factor_rho(d)
-    for p, e in _factor_rho(n // d).items():
-        left[p] = left.get(p, 0) + e
-    return left
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _pollard_rho(n: int) -> int:
-    if n % 2 == 0:
-        return 2
-    rng = random.Random(n)
-    while True:
-        c = rng.randrange(1, n)
-        x = y = rng.randrange(2, n)
-        d = 1
-        while d == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = math.gcd(abs(x - y), n)
-        if d != n:
-            return d

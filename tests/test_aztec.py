@@ -83,6 +83,14 @@ def test_shuffle_zero_block_raises():
         shuffle(PeriodMatrix.from_strings([["1", "0"], ["0", "0"]]))
 
 
+def test_reduce_step_zero_block_raises():
+    p = PeriodMatrix.from_strings([["1", "0"], ["0", "0"]])
+    with pytest.raises(ZeroCellFactor) as exc:
+        reduce_step(AztecInstance(1, p))
+    assert exc.value.order == 1
+    assert exc.value.block == (0, 0)
+
+
 def test_reduce_step_identity():
     p = PeriodMatrix.from_strings([["2", "3"], ["5", "7"]])
     inst = AztecInstance(3, p)

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from matchgen.aztec import PeriodMatrix
-from matchgen.cli import main
+from matchgen.cli import _integer_factorization, main
 from matchgen.exprs import parse
 from matchgen.graphs import WeightedGraph, graph_to_json
 
@@ -64,9 +64,13 @@ def test_compute_trace_requires_period(capsys):
     assert data["error"]["kind"] == "ComputationError"
 
 
-def test_compute_max_order_budget(capsys, tmp_path):
-    path = period_file(tmp_path, [["1", "1"], ["1", "1"]])
-    code, data = run_json(capsys, "compute", "--period", path,
+@pytest.mark.parametrize("source", ["period", "family"])
+def test_compute_max_order_budget(capsys, tmp_path, source):
+    if source == "period":
+        args = ["--period", period_file(tmp_path, [["1", "1"], ["1", "1"]])]
+    else:
+        args = ["--family", "checkered"]
+    code, data = run_json(capsys, "compute", *args,
                           "--n", "9", "--max-order", "8")
     assert code == 1
     assert "max-order" in data["error"]["message"]
@@ -128,6 +132,13 @@ def test_oracle(capsys, tmp_path):
     code, data = run_json(capsys, "oracle", str(path))
     assert code == 0
     assert parse(data["value"]) == parse("w*y+x*z")
+
+
+def test_integer_factorization():
+    assert _integer_factorization(parse("360")) == [[2, 3], [3, 2], [5, 1]]
+    assert _integer_factorization(parse("-7")) == [[7, 1]]
+    assert _integer_factorization(parse("0")) is None
+    assert _integer_factorization(parse("1")) == []
 
 
 def test_usage_error_exit_code():

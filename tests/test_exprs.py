@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matchgen.exprs import ParseError, parse, to_str
+from matchgen.exprs import ParseError, parse
 from matchgen.rational import RationalFunction as RF
 
 
@@ -66,5 +66,4 @@ def expr_strings(draw, depth=0):
 @settings(max_examples=80, deadline=None)
 def test_print_parse_round_trip(s):
     v = parse(s)
-    assert parse(to_str(v)) == v
     assert parse(str(v)) == v

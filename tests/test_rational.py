@@ -2,13 +2,11 @@
 
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matchgen.rational import (FactoredRF, FactoredValue, MultiPoly,
-                               RationalFunction, divides, factor_integer,
-                               poly_factor, poly_gcd, poly_sqrt)
+from matchgen.rational import (FactoredRF, MultiPoly, RationalFunction,
+                               div_exact, poly_factor, poly_gcd, poly_sqrt)
 
 RF = RationalFunction
 
@@ -90,8 +88,7 @@ class TestGcdAndFactor:
             assert a.is_zero() and b.is_zero()
             return
         for p in (a, b):
-            ok, _ = divides(g, p)
-            assert ok
+            assert div_exact(p, g) is not None
 
     @given(polys())
     @settings(max_examples=40, deadline=None)
@@ -108,12 +105,6 @@ class TestGcdAndFactor:
         s = mp("xy", {(1, 0): 1, (0, 1): 2})
         assert poly_sqrt(s * s) == s
         assert poly_sqrt(mp("xy", {(1, 0): 1})) is None
-
-    def test_factor_integer(self):
-        assert factor_integer(360) == [(2, 3), (3, 2), (5, 1)]
-        assert factor_integer(-7) == [(7, 1)]
-        with pytest.raises(ValueError):
-            factor_integer(0)
 
 
 class TestRationalFunction:
@@ -163,12 +154,6 @@ class TestFactoredForms:
         assert left == right
 
     def test_factored_value_accumulates(self):
-        v = FactoredValue()
         x = RF(mp("xy", {(1, 0): 1}), MultiPoly.const(1))
-        v.mul_rf(x, 3)
-        v.mul_rf(x, -1)
-        assert v.expand() == x * x
-
-    def test_factored_value_rejects_zero(self):
-        with pytest.raises(ValueError):
-            FactoredValue().mul_rf(RF.const(0))
+        v = FactoredRF.from_rf(x) ** 3 / FactoredRF.from_rf(x)
+        assert v.to_rf() == x * x
