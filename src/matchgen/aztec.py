@@ -23,13 +23,25 @@ RF = RationalFunction
 
 
 class ZeroCellFactor(ArithmeticError):
-    """A 2x2 block has x*z + y*w = 0, so the reduction step is undefined."""
+    """A 2x2 block has x*z + y*w = 0, so the reduction step is undefined.
 
-    def __init__(self, order: int, block_row: int, block_col: int):
+    `order` is the diamond order of a failing reduction step and `step` the
+    1-based step of a failing orbit shuffle; each is None when it does not
+    apply.
+    """
+
+    def __init__(self, order: Optional[int], block_row: int, block_col: int,
+                 step: Optional[int] = None):
+        if step is not None:
+            where = f" at orbit step {step}"
+        elif order is not None:
+            where = f" at order {order}"
+        else:
+            where = ""
         super().__init__(
-            f"zero cell-factor at order {order}, block "
-            f"({block_row},{block_col})")
+            f"zero cell-factor{where}, block ({block_row},{block_col})")
         self.order = order
+        self.step = step
         self.block = (block_row, block_col)
 
 
@@ -105,12 +117,14 @@ def block_factor(a: RF, b: RF, c: RF, d: RF) -> RF:
     return a * d + b * c
 
 
-def _block_round(p: PeriodMatrix, order: int = -1):
+def _block_round(p: PeriodMatrix, order: Optional[int] = None,
+                 step: Optional[int] = None):
     """Block factors of p and the shuffled period, in one pass over the blocks.
 
     Returns (deltas, successor): deltas[bi][bj] is the factor a*d + b*c of
     period block (bi, bj), computed once and reused to invert the block.
-    A zero factor raises ZeroCellFactor naming `order` and the block.
+    A zero factor raises ZeroCellFactor naming `order` or `step` and the
+    block.
     """
     deltas = []
     inv = [[None] * p.l for _ in range(p.k)]
@@ -123,7 +137,7 @@ def _block_round(p: PeriodMatrix, order: int = -1):
             d = p.entries[bi + 1][bj + 1]
             delta = block_factor(a, b, c, d)
             if delta.is_zero():
-                raise ZeroCellFactor(order, bi // 2, bj // 2)
+                raise ZeroCellFactor(order, bi // 2, bj // 2, step)
             row.append(delta)
             inv[bi][bj] = d / delta
             inv[bi][bj + 1] = c / delta

@@ -11,9 +11,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .aztec import AztecInstance, PeriodMatrix, evaluate
+from .aztec import AztecInstance, PeriodMatrix, evaluate, evaluate_factored
 from .exprs import parse
-from .rational import RationalFunction
+from .rational import FactoredRF, RationalFunction
 
 RF = RationalFunction
 
@@ -84,12 +84,17 @@ def dungeon_value(spec: DungeonSpec) -> RF:
     """
     n = spec.n
     if spec.variant == "D":
-        if n == 0:
-            return RF.const(1)
-        value, _ = evaluate(AztecInstance(2 * n - 2, dungeon_period_N()))
-        return parse("x^2+y^2") ** (n * n) * value
+        return _dungeon_d_factored(n).to_rf()
     value, _ = evaluate(AztecInstance(2 * n + 1, halfweight_period_B()))
     return RF.const(2) ** ((n + 1) * (n + 1)) * value
+
+
+def _dungeon_d_factored(n: int) -> FactoredRF:
+    """Variant D's value at order n, kept in factored form."""
+    if n == 0:
+        return FactoredRF(1)
+    value = evaluate_factored(AztecInstance(2 * n - 2, dungeon_period_N()))
+    return value * FactoredRF.from_rf(parse("x^2+y^2")) ** (n * n)
 
 
 # ---------------------------------------------------------------------------
@@ -445,10 +450,9 @@ def family_value(family: str, n: int,
     Bindings substitute values for the pattern's free variables.
     """
     if family == "dungeon-D":
-        value = dungeon_value(DungeonSpec("D", n))
-        if bindings:
-            value = value.substitute(bindings)
-        return value
+        value = _dungeon_d_factored(n)
+        # substituting factor by factor never expands the symbolic value
+        return value.substitute(bindings) if bindings else value.to_rf()
     if family == "dungeon-E":
         return dungeon_value(DungeonSpec("E", n))
     if family == "hexsquare":

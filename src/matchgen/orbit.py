@@ -62,14 +62,16 @@ def _as_plain(e) -> RF:
     return e
 
 
-def period_step_factor(p: PeriodMatrix) -> Tuple[FactoredRF, PeriodMatrix]:
+def period_step_factor(p: PeriodMatrix, step: Optional[int] = None
+                       ) -> Tuple[FactoredRF, PeriodMatrix]:
     """One shuffle of a period and the product of its block factors.
 
     Returns (factor, shuffle(p)), the factor taking each 2x2 block once and
     kept in factored form; expanding late iterates of an orbit can be far
-    more expensive than computing them.
+    more expensive than computing them.  `step`, the shuffle's place in an
+    orbit, is named by the ZeroCellFactor a zero block factor raises.
     """
-    deltas, succ = _block_round(p)
+    deltas, succ = _block_round(p, step=step)
     return _block_product(deltas, [1] * (p.k // 2), [1] * (p.l // 2)), succ
 
 
@@ -103,7 +105,7 @@ def detect_proportional(a: PeriodMatrix,
     cur = a.map(FactoredRF._coerce)
     factors: List[FactoredRF] = []
     for k in range(1, max_iter + 1):
-        factor, cur = period_step_factor(cur)
+        factor, cur = period_step_factor(cur, k)
         factors.append(factor)
         c = proportionality_scalar(a, cur)
         if c is not None:
@@ -148,7 +150,7 @@ def detect_q_shift(aq: PeriodMatrix, var: str = "q",
         return targets[sigma]
 
     for k in range(1, max_iter + 1):
-        factor, cur = period_step_factor(cur)
+        factor, cur = period_step_factor(cur, k)
         factors.append(factor)
         cands = candidates if candidates is not None \
             else _square_candidates(factors)

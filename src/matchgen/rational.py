@@ -141,9 +141,9 @@ class MultiPoly:
         vs, ta, tb = _align(self, other)
         if len(ta) * len(tb) > 4000:
             gens = _sympy.symbols(vs)
-            prod = _to_sympy(MultiPoly(vs, ta), vs, gens) \
-                * _to_sympy(MultiPoly(vs, tb), vs, gens)
-            return _from_sympy(prod, vs)
+            pa, da = _to_sympy(MultiPoly(vs, ta), vs, gens)
+            pb, db = _to_sympy(MultiPoly(vs, tb), vs, gens)
+            return _from_sympy(pa * pb, vs, da * db)
         out: Dict[ExpVec, Fraction] = {}
         for ea, ca in ta.items():
             for eb, cb in tb.items():
@@ -166,8 +166,8 @@ class MultiPoly:
             raise ValueError("negative power of a polynomial")
         if n > 2 and len(self.terms) ** 2 > 4000:
             gens = _sympy.symbols(self.variables)
-            return _from_sympy(_to_sympy(self, self.variables, gens) ** n,
-                               self.variables)
+            poly, den = _to_sympy(self, self.variables, gens)
+            return _from_sympy(poly ** n, self.variables, den ** n)
         result = MultiPoly.const(1)
         base = self
         while n:
@@ -296,28 +296,36 @@ def _make_monic(p: MultiPoly) -> MultiPoly:
 
 
 def _to_sympy(p: MultiPoly, variables, gens):
+    """p as (poly, den) with p = poly / den and poly a sympy Poly over ZZ.
+
+    den is the lcm of p's coefficient denominators.  Integer coefficients
+    keep sympy's arithmetic on plain ints; over QQ every coefficient
+    operation would build and reduce a rational.
+    """
     idx = [variables.index(v) for v in p.variables]
+    den = math.lcm(*(c.denominator for c in p.terms.values()))
     d = {}
     for e, c in p.terms.items():
         key = [0] * len(variables)
         for pos, ex in zip(idx, e):
             key[pos] = ex
-        d[tuple(key)] = _sympy.Rational(c.numerator, c.denominator)
-    return _sympy.Poly.from_dict(d, *gens, domain="QQ")
+        d[tuple(key)] = c.numerator * (den // c.denominator)
+    return _sympy.Poly.from_dict(d, *gens, domain="ZZ"), den
 
 
-def _from_sympy(poly, variables) -> MultiPoly:
-    terms = {}
-    for mono, coeff in poly.terms():
-        terms[tuple(int(e) for e in mono)] = Fraction(int(coeff.p),
-                                                      int(coeff.q))
+def _from_sympy(poly, variables, den: int = 1) -> MultiPoly:
+    """The MultiPoly poly / den, for an integer-coefficient sympy Poly."""
+    terms = {tuple(int(e) for e in mono): Fraction(int(c), den)
+             for mono, c in poly.as_dict(native=True).items()}
     return MultiPoly(variables, terms)
 
 
 def poly_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     """Monic GCD of two polynomials (1 for coprime nonzero inputs).
 
-    Polynomials that share a variable go to sympy's multivariate gcd.
+    Polynomials that share a variable go to sympy's multivariate gcd over
+    ZZ, after clearing denominators; the gcd is only defined up to a unit,
+    so the denominators are dropped and the result made monic.
     """
     if f.is_zero():
         return _make_monic(g)
@@ -329,7 +337,7 @@ def poly_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
         return MultiPoly.const(1)
     variables = tuple(sorted(set(f.variables) | set(g.variables)))
     gens = _sympy.symbols(variables)
-    h = _to_sympy(f, variables, gens).gcd(_to_sympy(g, variables, gens))
+    h = _to_sympy(f, variables, gens)[0].gcd(_to_sympy(g, variables, gens)[0])
     return _make_monic(_from_sympy(h, variables))
 
 
@@ -594,6 +602,21 @@ class RationalFunction:
 
 
 def _poly_substitute(p: MultiPoly, bindings) -> "RationalFunction":
+    # Constant bindings go straight into the coefficients in one pass; only
+    # the rest need rational-function arithmetic.
+    consts = {v: bindings[v].as_const() for v in p.variables
+              if v in bindings and bindings[v].is_const()}
+    if consts:
+        keep = [i for i, v in enumerate(p.variables) if v not in consts]
+        vals = [(i, consts[v]) for i, v in enumerate(p.variables)
+                if v in consts]
+        p = MultiPoly(tuple(p.variables[i] for i in keep), _merge_terms(
+            (tuple(e[i] for i in keep),
+             math.prod((val ** e[i] for i, val in vals), start=c))
+            for e, c in p.terms.items()))
+    if not any(v in bindings for v in p.variables):
+        return RationalFunction.from_poly(p)
+
     cache: Dict[Tuple[str, int], RationalFunction] = {}
 
     def power(name, e):
@@ -622,7 +645,7 @@ def poly_factor(p: MultiPoly):
     """Factor into monic irreducibles: (coeff, ((factor, exponent), ...)).
 
     The product coeff * prod(f^e) reproduces p exactly; sympy finds the
-    irreducibles.
+    irreducibles of p's integer-coefficient multiple over ZZ.
     """
     if p.is_zero():
         raise ValueError("cannot factor the zero polynomial")
@@ -632,8 +655,9 @@ def poly_factor(p: MultiPoly):
     if cached is not None:
         return cached
     gens = _sympy.symbols(p.variables)
-    coeff, parts = _to_sympy(p, p.variables, gens).factor_list()
-    c = Fraction(int(coeff.p), int(coeff.q))
+    poly, den = _to_sympy(p, p.variables, gens)
+    coeff, parts = poly.factor_list()
+    c = Fraction(int(coeff), den)
     out = []
     for fac, e in parts:
         mp = _from_sympy(fac, tuple(str(g) for g in fac.gens))
@@ -709,6 +733,22 @@ class FactoredRF:
             inv = Fraction(1) / lc
             num, den = num.scale(inv), den.scale(inv)
         return RationalFunction(num, den, _normalized=True)
+
+    def substitute(self, bindings: Mapping[str, "RationalFunction"]
+                   ) -> "RationalFunction":
+        """Equal to self.to_rf().substitute(bindings), without expanding self.
+
+        Each irreducible factor is substituted and then raised to its
+        exponent.  Exponents are net, so a vanishing factor with a negative
+        exponent raises ZeroDivisionError exactly where the expanded
+        denominator would vanish.
+        """
+        bindings = {k: RationalFunction._coerce(v)
+                    for k, v in bindings.items()}
+        out = RationalFunction.const(self.coeff)
+        for f, e in self.factors.items():
+            out = out * _poly_substitute(f, bindings) ** e
+        return out
 
     def is_zero(self) -> bool:
         return not self.coeff

@@ -75,9 +75,9 @@ class SuiteResult:
 
 def _timed(fn: Callable[[SuiteResult], None], name: str) -> SuiteResult:
     out = SuiteResult(name)
-    t0 = time.time()
+    t0 = time.perf_counter()
     fn(out)
-    out.wall_time = time.time() - t0
+    out.wall_time = time.perf_counter() - t0
     return out
 
 

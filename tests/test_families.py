@@ -27,6 +27,9 @@ def test_dungeon_d_symbolic_values():
 def test_dungeon_d_counts():
     ones = {"x": RF.const(1), "y": RF.const(1)}
     counts = [1, 2, 13, 13 ** 3, 2 * 13 ** 5, 13 ** 8]
+    # two periods of the 6-step recurrence T(n) = 13^(4n-12) * T(n-6)
+    for n in range(6, 13):
+        counts.append(13 ** (4 * n - 12) * counts[n - 6])
     for n, c in enumerate(counts):
         assert family_value("dungeon-D", n, ones) == RF.const(c)
 

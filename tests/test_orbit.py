@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from matchgen.aztec import (AztecInstance, PeriodMatrix, evaluate,
-                            evaluate_factored, to_graph)
+from matchgen.aztec import (AztecInstance, PeriodMatrix, ZeroCellFactor,
+                            evaluate, evaluate_factored, to_graph)
 from matchgen.exprs import parse
 from matchgen.families import checkered_period, dungeon_period_N
 from matchgen.graphs import oracle_mgf
@@ -63,6 +63,21 @@ def test_q_shift_detection():
     # on a constant matrix the substitution is trivial; sigma must be 1
     crep = detect_q_shift(PeriodMatrix.constant(2), var="q")
     assert crep.kind == "q_shift" and crep.sigma == 1
+
+
+@pytest.mark.parametrize("rows, step", [
+    ([[1, 1], [1, -1]], 1),
+    ([[1, -1, -1, -1], [-1, 1, 2, -1]], 2),
+])
+def test_zero_block_names_orbit_step(rows, step):
+    for detect in (detect_proportional, detect_q_shift):
+        with pytest.raises(ZeroCellFactor) as exc:
+            detect(PeriodMatrix(rows))
+        assert exc.value.step == step
+        assert exc.value.order is None
+        assert exc.value.block == (0, 0)
+        assert str(exc.value) == \
+            f"zero cell-factor at orbit step {step}, block (0,0)"
 
 
 def test_proportionality_scalar():

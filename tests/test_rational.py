@@ -2,9 +2,11 @@
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from matchgen.exprs import parse
 from matchgen.rational import (FactoredRF, MultiPoly, RationalFunction,
                                div_exact, poly_factor, poly_gcd, poly_sqrt)
 
@@ -29,6 +31,26 @@ def polys(draw, max_terms=4):
         if c:
             terms[e] = Fraction(c)
     return MultiPoly(("x", "y"), terms)
+
+
+def schoolbook(a, b):
+    """Term-by-term product, independent of MultiPoly.__mul__."""
+    vs = tuple(sorted(set(a.variables) | set(b.variables)))
+    out = {}
+    for ea, ca in a.terms.items():
+        ma = dict(zip(a.variables, ea))
+        for eb, cb in b.terms.items():
+            mb = dict(zip(b.variables, eb))
+            e = tuple(ma.get(v, 0) + mb.get(v, 0) for v in vs)
+            out[e] = out.get(e, 0) + ca * cb
+    return MultiPoly(vs, out)
+
+
+def grid_poly(variables, size, seed):
+    """A dense size x size polynomial with coefficients c/6, none zero."""
+    return MultiPoly(tuple(variables), {
+        (i, j): Fraction((seed * i + 3 * j + 1) % 11 - 5 or 7, 6)
+        for i in range(size) for j in range(size)})
 
 
 @st.composite
@@ -59,6 +81,21 @@ class TestMultiPoly:
     def test_pow_matches_repeated_mul(self):
         a = mp("xy", {(1, 0): 1, (0, 0): 1})
         assert a ** 3 == a * a * a
+
+    def test_large_product_with_fractions(self):
+        # 81 x 81 term pairs, above the 4000 pairs that route to sympy
+        a = grid_poly("xy", 9, 5)
+        b = grid_poly("xy", 9, 7)
+        assert a * b == schoolbook(a, b)
+        c = grid_poly("yz", 9, 2)
+        assert a * c == schoolbook(a, c)
+
+    def test_large_power_with_fractions(self):
+        # 64 terms: 64^2 > 4000, so powers above 2 go to sympy
+        p = grid_poly("xy", 8, 3)
+        p2 = schoolbook(p, p)
+        assert p ** 3 == schoolbook(p2, p)
+        assert p ** 4 == schoolbook(p2, p2)
 
     def test_eval(self):
         p = mp("xy", {(2, 1): 3})
@@ -98,6 +135,23 @@ class TestGcdAndFactor:
         coeff, factors = poly_factor(p)
         prod = MultiPoly.const(coeff)
         for f, e in factors:
+            prod = prod * f ** e
+        assert prod == p
+
+    def test_gcd_and_factor_with_fractional_content(self):
+        x, y = parse("x").num, parse("y").num
+        half = MultiPoly.const(Fraction(1, 2))
+        u = x + half * y
+        v = x - y
+        p = MultiPoly.const(Fraction(1, 3)) * u * u * v
+        assert poly_gcd(p, u * (x + y).scale(Fraction(2, 5))) == u
+        assert poly_gcd(p.scale(7), u * v.scale(Fraction(-3, 4))) == u * v
+        coeff, factors = poly_factor(p)
+        assert coeff == Fraction(1, 3)
+        assert dict(factors) == {u: 2, v: 1}
+        prod = MultiPoly.const(coeff)
+        for f, e in factors:
+            assert f.leading_coeff() == 1
             prod = prod * f ** e
         assert prod == p
 
@@ -157,3 +211,48 @@ class TestFactoredForms:
         x = RF(mp("xy", {(1, 0): 1}), MultiPoly.const(1))
         v = FactoredRF.from_rf(x) ** 3 / FactoredRF.from_rf(x)
         assert v.to_rf() == x * x
+
+
+bound_values = st.one_of(
+    st.fractions(min_value=-2, max_value=2, max_denominator=3).map(RF.const),
+    st.sampled_from(["y+1", "1/y", "x^2-1", "x*y", "x-y"]).map(parse))
+
+
+@st.composite
+def factored(draw):
+    f = FactoredRF(draw(st.fractions(min_value=-3, max_value=3,
+                                     max_denominator=4)))
+    for _ in range(draw(st.integers(1, 3))):
+        p = draw(polys(max_terms=3))
+        if not p.is_zero():
+            f = f * FactoredRF.from_rf(RF.from_poly(p)) ** draw(
+                st.integers(-3, 3))
+    return f
+
+
+class TestFactoredSubstitute:
+    @given(factored(), st.dictionaries(st.sampled_from("xy"), bound_values,
+                                       max_size=2))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_expanded_substitution(self, f, bindings):
+        try:
+            expected = f.to_rf().substitute(bindings)
+        except ZeroDivisionError:
+            with pytest.raises(ZeroDivisionError):
+                f.substitute(bindings)
+            return
+        assert f.substitute(bindings) == expected
+
+    def test_vanishing_denominator_factor_raises(self):
+        f = FactoredRF.from_rf(parse("(x+y)/(x-1)^2"))
+        with pytest.raises(ZeroDivisionError):
+            f.substitute({"x": RF.const(1)})
+        # a vanishing numerator factor does not hide it
+        g = FactoredRF.from_rf(parse("(y-2)^3/(x-1)"))
+        with pytest.raises(ZeroDivisionError):
+            g.substitute({"x": RF.const(1), "y": RF.const(2)})
+
+    def test_vanishing_numerator_factor_gives_zero(self):
+        f = FactoredRF.from_rf(parse("3*(x-y)^2*(x+1)/(y^2+1)"))
+        assert f.substitute({"x": parse("y")}) == RF.const(0)
+        assert f.substitute({"x": RF.const(2), "y": RF.const(2)}) == 0
