@@ -23,11 +23,13 @@ RF = RationalFunction
 
 
 class ZeroCellFactor(ArithmeticError):
-    """A 2x2 block has x*z + y*w = 0, so the reduction step is undefined.
+    """A 2x2 block has x*z + y*w = 0, so the shuffle step is undefined.
 
-    `order` is the diamond order of a failing reduction step and `step` the
-    1-based step of a failing orbit shuffle; each is None when it does not
-    apply.
+    Raised before anything is divided.  `order` is the diamond order of a
+    failing reduction round and `step` the 1-based step of a failing orbit
+    search (detect_proportional, detect_q_shift); each is None when it does
+    not apply, so a direct `shuffle` names only the block.  A reduction
+    only inverts the blocks its edge array uses.
     """
 
     def __init__(self, order: Optional[int], block_row: int, block_col: int,
@@ -124,7 +126,8 @@ def _block_round(p: PeriodMatrix, order: Optional[int] = None,
     Returns (deltas, successor): deltas[bi][bj] is the factor a*d + b*c of
     period block (bi, bj), computed once and reused to invert the block.
     A zero factor raises ZeroCellFactor naming `order` or `step` and the
-    block.
+    block.  The reduction rounds and the orbit search call this on a
+    period with FactoredRF entries, which keeps the shuffled weights small.
     """
     deltas = []
     inv = [[None] * p.l for _ in range(p.k)]
@@ -157,7 +160,7 @@ def _block_product(deltas, row_mult: List[int],
         for bj, delta in enumerate(row):
             e = row_mult[bi] * col_mult[bj]
             if e:
-                out = out * FactoredRF._coerce(delta) ** e
+                out = out * delta ** e
     return out
 
 
@@ -249,61 +252,37 @@ def canonical_cells(inst: AztecInstance):
     return cells
 
 
-def _reduce_step_factored(inst: AztecInstance) -> Tuple[FactoredRF, AztecInstance]:
-    """One complementation round, factor kept in factored form."""
-    n = inst.n
-    if n < 1:
-        raise ValueError("cannot reduce order 0")
-    p = inst.period
-    kb, lb = p.k // 2, p.l // 2
-    # block (i, j) of the array uses period block (i mod kb, j mod lb)
-    row_mult = [0] * kb
-    col_mult = [0] * lb
-    for i in range(n):
-        row_mult[i % kb] += 1
-        col_mult[i % lb] += 1
-    deltas, succ = _block_round(p, n)
-    return _block_product(deltas, row_mult, col_mult), AztecInstance(n - 1, succ)
-
-
 def reduce_step(inst: AztecInstance) -> Tuple[RF, AztecInstance]:
     """One complementation round: order n to n-1.
 
     Returns (factor, successor) with
-    M(order n; weights) = factor * M(order n-1; shuffled weights).
+    M(order n; weights) = factor * M(order n-1; successor weights).
     The factor is the product of the block factors of all n^2 blocks of the
     edge array, computed per distinct period block with multiplicities.
+    The successor period is the shuffle of the period's top-left
+    min(k, 2n) x min(l, 2n) part, the only part the order-n array reads;
+    when that cuts the period, its last row and column wrap around the cut
+    and differ from shuffle(inst.period), but the order n-1 array never
+    reads them.
     """
-    factored, succ = _reduce_step_factored(inst)
-    return factored.to_rf(), succ
+    factor, succ = _reduce_rounds(inst, 1)
+    return factor.to_rf(), AztecInstance(succ.n,
+                                         succ.period.map(FactoredRF.to_rf))
 
 
 class ReductionTrace:
-    """Ordered factors and periods from running the pipeline to order 0.
+    """The step factors of one run of the pipeline to order 0.
 
-    Factors are held in factored form and expanded on demand.
+    `steps` holds one (order, factor) pair per reduction round, in the
+    order the rounds ran, each factor in factored form.
     """
 
     def __init__(self):
-        self.steps: List[Tuple[int, FactoredRF, PeriodMatrix]] = []
-
-    def add(self, order: int, factor: FactoredRF,
-            period_after: PeriodMatrix):
-        self.steps.append((order, factor, period_after))
-
-    def factors(self) -> List[RF]:
-        return [f.to_rf() for _, f, _ in self.steps]
+        self.steps: List[Tuple[int, FactoredRF]] = []
 
     def product(self) -> RF:
-        return math.prod((f for _, f, _ in self.steps),
+        return math.prod((f for _, f in self.steps),
                          start=FactoredRF(1)).to_rf()
-
-    def to_json(self, value: RF) -> str:
-        return json.dumps({
-            "steps": [{"order": o, "factor": str(f)}
-                      for o, f, _ in self.steps],
-            "value": str(value),
-        })
 
 
 def _reduce_rounds(inst: AztecInstance, rounds: int,
@@ -312,17 +291,33 @@ def _reduce_rounds(inst: AztecInstance, rounds: int,
     """Run `rounds` reduction rounds from inst.
 
     Returns the product of the step factors and the instance reached, so
-    M(inst) = product * M(reached).  Period entries are kept factored,
-    which keeps the shuffled weights small along the whole run.
+    M(inst) = product * M(reached).  Block (i, j) of the order-n edge
+    array uses period block (i mod kb, j mod lb), so each round raises a
+    block factor to the number of array blocks that use it.  A round at
+    order n first cuts the period to its top-left min(k, 2n) x min(l, 2n)
+    part, the only entries the order-n array reads, so that no unused
+    block is inverted.
     """
+    if rounds > inst.n:
+        raise ValueError("cannot reduce order 0")
     total = FactoredRF(1)
-    cur = AztecInstance(inst.n, inst.period.map(FactoredRF._coerce))
+    n, period = inst.n, inst.period.map(FactoredRF._coerce)
     for _ in range(rounds):
-        factor, cur = _reduce_step_factored(cur)
+        if 2 * n < max(period.k, period.l):
+            period = PeriodMatrix([row[:2 * n]
+                                   for row in period.entries[:2 * n]])
+        deltas, period = _block_round(period, n)
+        row_mult = [0] * len(deltas)
+        col_mult = [0] * len(deltas[0])
+        for i in range(n):
+            row_mult[i % len(row_mult)] += 1
+            col_mult[i % len(col_mult)] += 1
+        factor = _block_product(deltas, row_mult, col_mult)
         total = total * factor
         if trace is not None:
-            trace.add(cur.n + 1, factor, cur.period)
-    return total, cur
+            trace.steps.append((n, factor))
+        n -= 1
+    return total, AztecInstance(n, period)
 
 
 def evaluate(inst: AztecInstance) -> Tuple[RF, ReductionTrace]:

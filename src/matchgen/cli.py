@@ -83,7 +83,7 @@ def cmd_compute(args) -> int:
         out["factorization"] = fact
     if args.trace and trace is not None:
         out["trace"] = [{"order": o, "factor": str(f)}
-                        for o, f, _ in trace.steps]
+                        for o, f in trace.steps]
     print(json.dumps(out))
     return 0
 

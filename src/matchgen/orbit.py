@@ -18,7 +18,6 @@ from typing import List, Optional, Tuple
 
 from .aztec import (AztecInstance, PeriodMatrix, _block_product,
                     _block_round, _reduce_rounds)
-from .exprs import parse
 from .rational import FactoredRF, RationalFunction
 
 RF = RationalFunction
@@ -62,19 +61,6 @@ def _as_plain(e) -> RF:
     return e
 
 
-def period_step_factor(p: PeriodMatrix, step: Optional[int] = None
-                       ) -> Tuple[FactoredRF, PeriodMatrix]:
-    """One shuffle of a period and the product of its block factors.
-
-    Returns (factor, shuffle(p)), the factor taking each 2x2 block once and
-    kept in factored form; expanding late iterates of an orbit can be far
-    more expensive than computing them.  `step`, the shuffle's place in an
-    orbit, is named by the ZeroCellFactor a zero block factor raises.
-    """
-    deltas, succ = _block_round(p, step=step)
-    return _block_product(deltas, [1] * (p.k // 2), [1] * (p.l // 2)), succ
-
-
 def proportionality_scalar(a: PeriodMatrix, b: PeriodMatrix) -> Optional[RF]:
     """The scalar c with b = c * a entrywise, or None.
 
@@ -99,19 +85,32 @@ def proportionality_scalar(a: PeriodMatrix, b: PeriodMatrix) -> Optional[RF]:
     return None if c is None else c.to_rf()
 
 
+def _search(a: PeriodMatrix, max_iter: int, kind: str, match) -> OrbitReport:
+    """Walk the shuffle orbit of a for up to max_iter steps.
+
+    After each step, match(successor, per-step factors so far) returns the
+    report fields of a hit or None; the first hit ends the search.
+    """
+    factors: List[FactoredRF] = []
+    cur = a.map(FactoredRF._coerce)
+    for k in range(1, max_iter + 1):
+        deltas, cur = _block_round(cur, step=k)
+        factors.append(_block_product(deltas, [1] * len(deltas),
+                                      [1] * len(deltas[0])))
+        found = match(cur, factors)
+        if found is not None:
+            return OrbitReport(kind, k, per_step_factors=factors, **found)
+    return OrbitReport("none", per_step_factors=factors)
+
+
 def detect_proportional(a: PeriodMatrix,
                         max_iter: int = DEFAULT_MAX_ITER) -> OrbitReport:
     """Smallest k with shuffle^k(a) = c * a, searched up to max_iter."""
-    cur = a.map(FactoredRF._coerce)
-    factors: List[FactoredRF] = []
-    for k in range(1, max_iter + 1):
-        factor, cur = period_step_factor(cur, k)
-        factors.append(factor)
+    def match(cur, factors):
         c = proportionality_scalar(a, cur)
-        if c is not None:
-            return OrbitReport("proportional", k, scalar=c,
-                               per_step_factors=factors)
-    return OrbitReport("none", per_step_factors=factors)
+        return None if c is None else {"scalar": c}
+
+    return _search(a, max_iter, "proportional", match)
 
 
 def _square_candidates(factors: List[FactoredRF]) -> List[Fraction]:
@@ -129,38 +128,35 @@ def _square_candidates(factors: List[FactoredRF]) -> List[Fraction]:
 
 
 def detect_q_shift(aq: PeriodMatrix, var: str = "q",
-                   max_iter: int = DEFAULT_MAX_ITER,
-                   candidates: Optional[List[Fraction]] = None) -> OrbitReport:
+                   max_iter: int = DEFAULT_MAX_ITER) -> OrbitReport:
     """Smallest k with shuffle^k(A(q)) = A(sigma * q) for a candidate sigma.
 
-    Candidate multipliers default to the integer squares up to 100 together
-    with squares of any constant per-step factors encountered along the
-    orbit.  A matrix without the parameter is handled by the same loop,
-    since substitution is then the identity (sigma = 1).
+    Candidate multipliers are the integer squares up to 100 together with
+    squares of any constant per-step factors encountered along the orbit.
+    Each candidate is compared entry by entry in factored form, and sigma*q
+    is substituted into an entry of A only when a comparison reaches it;
+    the first entry that differs settles a candidate, so no shifted copy
+    of A is built.  A matrix without the parameter is handled by the same
+    loop, since substitution is then the identity (sigma = 1).
     """
-    cur = aq.map(FactoredRF._coerce)
-    factors: List[FactoredRF] = []
-    targets = {}
+    q = RF.var(var)
+    shifted = {}
 
-    def target(sigma: Fraction) -> PeriodMatrix:
-        if sigma not in targets:
-            shift = RF.const(sigma) * parse(var)
-            targets[sigma] = aq.map(
-                lambda e: _as_plain(e).substitute({var: shift}))
-        return targets[sigma]
+    def entry(sigma: Fraction, i: int, j: int) -> FactoredRF:
+        key = (sigma, i, j)
+        if key not in shifted:
+            shifted[key] = FactoredRF.from_rf(_as_plain(
+                aq.entries[i][j]).substitute({var: RF.const(sigma) * q}))
+        return shifted[key]
 
-    for k in range(1, max_iter + 1):
-        factor, cur = period_step_factor(cur, k)
-        factors.append(factor)
-        cands = candidates if candidates is not None \
-            else _square_candidates(factors)
-        for sigma in cands:
-            t = target(sigma)
-            if all(_as_plain(cur.entries[i][j]) == t.entries[i][j]
+    def match(cur, factors):
+        for sigma in _square_candidates(factors):
+            if all(cur.entries[i][j] == entry(sigma, i, j)
                    for i in range(aq.k) for j in range(aq.l)):
-                return OrbitReport("q_shift", k, sigma=sigma,
-                                   per_step_factors=factors)
-    return OrbitReport("none", per_step_factors=factors)
+                return {"sigma": sigma}
+        return None
+
+    return _search(aq, max_iter, "q_shift", match)
 
 
 def recurrence_constant(a: PeriodMatrix, n: int, k: int,
@@ -170,7 +166,11 @@ def recurrence_constant(a: PeriodMatrix, n: int, k: int,
     Runs k reduction rounds from order n, multiplies their step factors,
     and absorbs the proportionality scalar c of shuffle^k(a) = c * a: the
     order n - k diamond has (n - k)(n - k + 1) matched edges, so scaling
-    every weight by c scales its value by c to that power.
+    every weight by c scales its value by c to that power.  Only the part
+    the order n - k array reads is compared, the top-left
+    min(k', 2(n - k)) x min(l', 2(n - k)) part of a and of the reached
+    period (k' x l'); at n = k nothing is compared, since c enters to the
+    power 0.
 
     With factored=True the constant comes back as a FactoredRF; its
     expanded form can be enormous (high powers of the block factors) even
@@ -179,12 +179,17 @@ def recurrence_constant(a: PeriodMatrix, n: int, k: int,
     if k < 1 or n < k:
         raise ValueError("need n >= k >= 1")
     total, inst = _reduce_rounds(AztecInstance(n, a), k)
-    c = proportionality_scalar(a, inst.period)
-    if c is None:
-        raise ValueError(f"shuffle^{k} of the matrix is not a scalar "
-                         "multiple of it")
     m = n - k
-    total = total * FactoredRF.from_rf(c) ** (m * (m + 1))
+    if m:
+        p = inst.period
+        rows, cols = min(p.k, 2 * m), min(p.l, 2 * m)
+        c = proportionality_scalar(
+            PeriodMatrix([row[:cols] for row in a.entries[:rows]]),
+            PeriodMatrix([row[:cols] for row in p.entries[:rows]]))
+        if c is None:
+            raise ValueError(f"shuffle^{k} of the matrix is not a scalar "
+                             "multiple of it")
+        total = total * FactoredRF.from_rf(c) ** (m * (m + 1))
     return total if factored else total.to_rf()
 
 

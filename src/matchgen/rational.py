@@ -348,46 +348,20 @@ def _must_div(f: MultiPoly, d: MultiPoly) -> MultiPoly:
 
 
 def poly_sqrt(p: MultiPoly) -> Optional[MultiPoly]:
-    """Exact square root of a perfect-square polynomial, else None."""
+    """Exact square root of a perfect-square polynomial, else None.
+
+    p is a square exactly when its rational content is a square and every
+    irreducible factor has an even exponent; the root returned is
+    sqrt(content) * prod(f^(e/2)), with a positive leading coefficient.
+    """
     if p.is_zero():
         return MultiPoly.const(0)
-    le, lc = p.leading()
-    if any(x % 2 for x in le):
+    coeff, parts = poly_factor(p)
+    root = _frac_sqrt(coeff)
+    if root is None or any(e % 2 for _, e in parts):
         return None
-    cr = _frac_sqrt(lc)
-    if cr is None:
-        return None
-    half = MultiPoly(p.variables, {tuple(x // 2 for x in le): cr})
-    s = half
-    twice_lead = half.scale(2)
-    r = p - s * s
-    # each accepted term strictly decreases LT(r); bound the loop defensively
-    for _ in range(4 * (len(p.terms) + 2) ** 2):
-        if r.is_zero():
-            return s
-        re, rc = r.leading()
-        he, hc = twice_lead.leading()
-        te = tuple(x - y for x, y in zip(*_pad(re, r.variables, he,
-                                               twice_lead.variables)))
-        if any(x < 0 for x in te):
-            return None
-        vs = tuple(sorted(set(r.variables) | set(twice_lead.variables)))
-        t = MultiPoly(vs, {te: rc / hc})
-        s = s + t
-        r = p - s * s
-    return None
-
-
-def _pad(ea, va, eb, vb):
-    vs = tuple(sorted(set(va) | set(vb)))
-
-    def remap(e, v):
-        out = [0] * len(vs)
-        for name, k in zip(v, e):
-            out[vs.index(name)] = k
-        return tuple(out)
-
-    return remap(ea, va), remap(eb, vb)
+    return math.prod((f ** (e // 2) for f, e in parts),
+                     start=MultiPoly.const(root))
 
 
 def _frac_sqrt(c: Fraction) -> Optional[Fraction]:
@@ -580,17 +554,17 @@ class RationalFunction:
         return num / den
 
     def sqrt(self) -> "RationalFunction":
-        """Exact square root; raises ValueError if not a perfect square."""
-        n = poly_sqrt(self.num)
-        d = poly_sqrt(self.den)
-        if d is None and n is not None:
-            # monic den may hide a square behind a content factor; retry scaled
-            n2 = poly_sqrt(self.num * self.den)
-            if n2 is not None:
-                return RationalFunction(n2, self.den)
-        if n is None or d is None:
+        """Exact square root; raises ValueError if not a perfect square.
+
+        The root is read off the factored form: the rational coefficient
+        must be a square and every irreducible exponent even.
+        """
+        f = FactoredRF.from_rf(self)
+        root = _frac_sqrt(f.coeff)
+        if root is None or any(e % 2 for e in f.factors.values()):
             raise ValueError(f"not a perfect square: {self}")
-        return RationalFunction(n, d)
+        return FactoredRF(root, {g: e // 2
+                                 for g, e in f.factors.items()}).to_rf()
 
     def __str__(self) -> str:
         if self.den == MultiPoly.const(1):

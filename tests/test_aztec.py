@@ -1,5 +1,6 @@
 """The reduction pipeline on diamond graphs with periodic weights."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -89,6 +90,32 @@ def test_reduce_step_zero_block_raises():
         reduce_step(AztecInstance(1, p))
     assert exc.value.order == 1
     assert exc.value.block == (0, 0)
+
+
+def test_unused_degenerate_block_is_not_inverted():
+    # block (1,0) has a*d + b*c = 0; the order-1 array never reads it
+    p = PeriodMatrix([[1, 1, 1, 1], [1, 1, 1, 1], [0, 0, 1, 1], [1, 1, 1, 1]])
+    inst = AztecInstance(1, p)
+    assert evaluate(inst)[0] == oracle_mgf(to_graph(inst)) == RF.const(2)
+    with pytest.raises(ZeroCellFactor) as exc:
+        evaluate(AztecInstance(2, p))
+    assert str(exc.value) == "zero cell-factor at order 2, block (1,0)"
+
+
+def test_zero_weight_periods_match_oracle_or_raise():
+    rng = random.Random(4)
+    weights = [Fraction(w, 2) for w in (0, 1, 2, 3, 4, 6)]
+    for _ in range(150):
+        k, l = rng.choice((4, 6, 8)), rng.choice((2, 4, 6, 8))
+        p = PeriodMatrix([[rng.choice(weights) for _ in range(l)]
+                          for _ in range(k)])
+        for n in (1, 2, 3):
+            inst = AztecInstance(n, p)
+            try:
+                val, _ = evaluate(inst)
+            except ZeroCellFactor:
+                continue
+            assert val == oracle_mgf(to_graph(inst))
 
 
 def test_reduce_step_identity():

@@ -65,6 +65,25 @@ def test_q_shift_detection():
     assert crep.kind == "q_shift" and crep.sigma == 1
 
 
+def test_q_shift_search_without_a_match():
+    # every candidate sigma is carried through 29 steps and none matches
+    rep = detect_q_shift(checkered_period(), var="q", max_iter=29)
+    assert rep.kind == "none"
+    assert len(rep.per_step_factors) == 29
+
+
+def test_q_shift_substitutes_only_compared_entries(monkeypatch):
+    calls = []
+    substitute = RF.substitute
+    monkeypatch.setattr(RF, "substitute",
+                        lambda self, b: calls.append(1) or substitute(self, b))
+    rep = detect_q_shift(checkered_period(), var="q")
+    assert (rep.kind, rep.period_length, rep.sigma) == ("q_shift", 30, 9)
+    # a full shifted copy of the 20x20 period per candidate would be
+    # 400 substitutions each
+    assert len(calls) <= 500
+
+
 @pytest.mark.parametrize("rows, step", [
     ([[1, 1], [1, -1]], 1),
     ([[1, -1, -1, -1], [-1, 1, 2, -1]], 2),
@@ -97,6 +116,23 @@ def test_recurrence_constant_all_ones():
     # M(AD_5) = K * M(AD_2) with K = 2^{15-3}
     k = recurrence_constant(ones, 5, 3)
     assert k == RF.const(2 ** 12)
+
+
+def test_recurrence_constant_at_an_order_that_cuts_the_period():
+    # order 1 reads only the top-left 2x2 part of a 4x4 period
+    assert recurrence_constant(PeriodMatrix.constant(1, 4, 4), 1, 1) == \
+        RF.const(2)
+
+
+def test_recurrence_constant_when_the_rounds_cut_the_period():
+    # every block factor is 3 and shuffle(a) = a/3; order 3 reads 6 of the
+    # 8 rows, so the reached period is cut and its last row wraps around
+    rows = [[2, 1, 1, 1], [1, 1, 1, 2], [1, 1, 2, 1], [1, 2, 1, 1]] * 2
+    a = PeriodMatrix(rows)
+    const = recurrence_constant(a, 3, 1)
+    v3, _ = evaluate(AztecInstance(3, a))
+    v2, _ = evaluate(AztecInstance(2, a))
+    assert v3 == const * v2
 
 
 def test_recurrence_constant_validates_against_pipeline():

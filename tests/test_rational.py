@@ -159,6 +159,12 @@ class TestGcdAndFactor:
         s = mp("xy", {(1, 0): 1, (0, 1): 2})
         assert poly_sqrt(s * s) == s
         assert poly_sqrt(mp("xy", {(1, 0): 1})) is None
+        # rational content must itself be a square
+        x_plus_y = mp("xy", {(1, 0): 1, (0, 1): 1})
+        assert poly_sqrt((x_plus_y * x_plus_y).scale(Fraction(9, 4))) == \
+            x_plus_y.scale(Fraction(3, 2))
+        assert poly_sqrt(mp("x", {(2,): 2})) is None
+        assert poly_sqrt(mp("x", {(2,): -1})) is None
 
 
 class TestRationalFunction:
@@ -178,6 +184,12 @@ class TestRationalFunction:
     def test_sqrt_of_square(self):
         r = RF(mp("xy", {(1, 0): 1, (0, 1): 1}), mp("xy", {(0, 1): 1}))
         assert (r * r).sqrt() == r
+        q = parse("(3*x+3)/(2*y^2-4*x)")
+        assert (q * q).sqrt() == q
+        with pytest.raises(ValueError):
+            (q * q * 2).sqrt()
+        with pytest.raises(ValueError):
+            (q * parse("y")).sqrt()
 
     @given(rationals(), rationals())
     @settings(max_examples=60, deadline=None)
