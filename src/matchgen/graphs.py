@@ -1,7 +1,8 @@
 """Weighted graphs and the exhaustive matching generating function oracle.
 
 The oracle is deliberately simple: branch on a lowest-degree vertex and
-recurse. Everything else in the package is ultimately checked against it.
+recurse, with each call memoizing its values on the set of vertices still
+alive. Everything else in the package is ultimately checked against it.
 """
 
 from __future__ import annotations
@@ -99,68 +100,98 @@ def graph_from_json(text: str) -> WeightedGraph:
     return g
 
 
-def _adjacency(g: WeightedGraph):
-    adj: Dict[Vertex, Dict[Vertex, RationalFunction]] = {v: {} for v in g.vertices}
-    for key, w in g.weights.items():
-        u, v = tuple(key)
-        adj[u][v] = w
-        adj[v][u] = w
-    return adj
+def _indexed(g: WeightedGraph, size_cap: int):
+    """Index g for the brute-force routines.
 
-
-def oracle_mgf(g: WeightedGraph, size_cap: int = DEFAULT_SIZE_CAP) -> RationalFunction:
-    """Sum over all perfect matchings of the product of edge weights."""
+    Returns the vertices in repr order, one neighbour bitmask per vertex
+    and one (index, weight) list per vertex.  Zero-weight edges stand for
+    absent edges and are dropped here.
+    """
     if len(g.vertices) > size_cap:
         raise SizeCapExceeded(
             f"{len(g.vertices)} vertices exceeds cap {size_cap}")
-    adj = _adjacency(g)
+    order = sorted(g.vertices, key=repr)
+    index = {v: i for i, v in enumerate(order)}
+    nbr_mask = [0] * len(order)
+    nbrs: List[List[Tuple[int, RationalFunction]]] = [[] for _ in order]
+    for key, w in g.weights.items():
+        if w.is_zero():
+            continue
+        u, v = (index[x] for x in key)
+        nbr_mask[u] |= 1 << v
+        nbr_mask[v] |= 1 << u
+        nbrs[u].append((v, w))
+        nbrs[v].append((u, w))
+    return order, nbr_mask, nbrs
 
-    def go(alive: frozenset) -> RationalFunction:
+
+def _branch_vertex(alive: int, nbr_mask: List[int]) -> int:
+    """The lowest-index vertex of minimum live degree in the bitmask alive."""
+    best, best_deg = -1, len(nbr_mask)
+    rest = alive
+    while rest:
+        low = rest & -rest
+        i = low.bit_length() - 1
+        deg = (nbr_mask[i] & alive).bit_count()
+        if deg < best_deg:
+            if deg == 0:
+                return i
+            best, best_deg = i, deg
+        rest ^= low
+    return best
+
+
+def oracle_mgf(g: WeightedGraph, size_cap: int = DEFAULT_SIZE_CAP) -> RationalFunction:
+    """Sum over all perfect matchings of the product of edge weights.
+
+    Branches on a lowest-degree vertex.  Each call memoizes its values on
+    the set of vertices still alive, so a residual region reached along
+    many partial matchings is summed once.
+    """
+    _, nbr_mask, nbrs = _indexed(g, size_cap)
+    one = RationalFunction.const(1)
+    zero = RationalFunction.const(0)
+    memo: Dict[int, RationalFunction] = {}
+
+    def go(alive: int) -> RationalFunction:
         if not alive:
-            return RationalFunction.const(1)
-        # branch on a vertex of minimum remaining degree
-        v = min(alive,
-                key=lambda x: (sum(1 for u in adj[x] if u in alive), repr(x)))
-        total = RationalFunction.const(0)
-        found = False
-        for u, w in adj[v].items():
-            if u in alive:
-                found = True
-                if w.is_zero():
-                    continue
-                total = total + w * go(alive - {v, u})
-        if not found:
-            return RationalFunction.const(0)
+            return one
+        total = memo.get(alive)
+        if total is not None:
+            return total
+        v = _branch_vertex(alive, nbr_mask)
+        total = zero
+        for u, w in nbrs[v]:
+            if alive >> u & 1:
+                total = total + w * go(alive & ~(1 << v | 1 << u))
+        memo[alive] = total
         return total
 
-    return go(frozenset(g.vertices))
+    return go((1 << len(nbr_mask)) - 1)
 
 
 def enumerate_matchings(g: WeightedGraph, size_cap: int = DEFAULT_SIZE_CAP):
     """All perfect matchings, each a frozenset of vertex-pair frozensets.
 
     Zero-weight edges are treated as absent here: a matching through a
-    missing edge contributes nothing.
+    missing edge contributes nothing.  Branches like oracle_mgf, without
+    a memo, since every matching is listed.
     """
-    if len(g.vertices) > size_cap:
-        raise SizeCapExceeded(
-            f"{len(g.vertices)} vertices exceeds cap {size_cap}")
-    adj = _adjacency(g)
+    order, nbr_mask, nbrs = _indexed(g, size_cap)
     out = []
 
-    def go(alive: frozenset, chosen):
+    def go(alive: int, chosen):
         if not alive:
             out.append(frozenset(chosen))
             return
-        v = min(alive,
-                key=lambda x: (sum(1 for u in adj[x] if u in alive), repr(x)))
-        for u, w in adj[v].items():
-            if u in alive and not w.is_zero():
-                chosen.append(frozenset((v, u)))
-                go(alive - {v, u}, chosen)
+        v = _branch_vertex(alive, nbr_mask)
+        for u, _ in nbrs[v]:
+            if alive >> u & 1:
+                chosen.append(frozenset((order[v], order[u])))
+                go(alive & ~(1 << v | 1 << u), chosen)
                 chosen.pop()
 
-    go(frozenset(g.vertices), [])
+    go((1 << len(order)) - 1, [])
     return out
 
 

@@ -457,15 +457,29 @@ class RationalFunction:
     # -- arithmetic ---------------------------------------------------
 
     @staticmethod
-    def _coerce(x) -> "RationalFunction":
+    def _operand(x) -> Optional["RationalFunction"]:
+        """x as a RationalFunction, or None if it is not one, int or Fraction.
+
+        The binary operators return NotImplemented on None, so Python tries
+        the other operand's reflected method (FactoredRF has them).
+        """
         if isinstance(x, RationalFunction):
             return x
         if isinstance(x, (int, Fraction)):
             return RationalFunction.const(x)
-        raise TypeError(f"cannot coerce {type(x).__name__}")
+        return None
+
+    @staticmethod
+    def _coerce(x) -> "RationalFunction":
+        out = RationalFunction._operand(x)
+        if out is None:
+            raise TypeError(f"cannot coerce {type(x).__name__}")
+        return out
 
     def __add__(self, other):
-        other = self._coerce(other)
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
         if self.is_zero():
             return other
         if other.is_zero():
@@ -487,13 +501,21 @@ class RationalFunction:
         return RationalFunction(-self.num, self.den, _normalized=True)
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
+        return self + (-other)
 
     def __rsub__(self, other):
-        return self._coerce(other) + (-self)
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
+        return other + (-self)
 
     def __mul__(self, other):
-        other = self._coerce(other)
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
         if self.is_zero() or other.is_zero():
             return RationalFunction.const(0)
         g1 = poly_gcd(self.num, other.den)
@@ -518,11 +540,16 @@ class RationalFunction:
         return RationalFunction(self.den, self.num)
 
     def __truediv__(self, other):
-        other = self._coerce(other)
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
         return self * other.inverse()
 
     def __rtruediv__(self, other):
-        return self._coerce(other) * self.inverse()
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
+        return other * self.inverse()
 
     def __pow__(self, n: int):
         if n == 0:

@@ -22,9 +22,9 @@ from .exprs import parse
 from .families import (DungeonSpec, ColumnPairMatrix, checkered_closed_form,
                        checkered_count, checkered_period, dragon_period,
                        dragon_unit_period, dungeon_period_N, dungeon_value,
-                       hexsquare_closed_form, hexsquare_period, duplicate_step,
-                       duplicate_value, weighted_dungeon_period_M, quad_step,
-                       quad_value)
+                       family_value, hexsquare_closed_form, hexsquare_period,
+                       duplicate_step, duplicate_value,
+                       weighted_dungeon_period_M, quad_step, quad_value)
 from .graphs import WeightedGraph, enumerate_matchings, oracle_mgf
 from .orbit import detect_proportional, detect_q_shift, recurrence_constant
 from .rational import FactoredRF, RationalFunction
@@ -240,7 +240,7 @@ def suite_dungeon(**_) -> SuiteResult:
         one = {"x": RF.const(1), "y": RF.const(1)}
         for n in range(11):
             res.add(f"count-n{n}", RF.const(dungeon_d_count(n)),
-                    dungeon_value(DungeonSpec("D", n)).substitute(one),
+                    family_value("dungeon-D", n, one),
                     "power-of-13 count: 6-step recurrence vs pipeline")
     return _timed(run, "dungeon")
 

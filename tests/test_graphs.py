@@ -1,7 +1,10 @@
 """Weighted graphs and the brute-force matching oracle."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from matchgen.aztec import AztecInstance, PeriodMatrix, to_graph
 from matchgen.exprs import parse
 from matchgen.graphs import (SizeCapExceeded, WeightedGraph,
                              enumerate_matchings, graph_from_json,
@@ -50,6 +53,47 @@ def test_enumerate_matches_oracle():
     for m in enumerate_matchings(g):
         total = total + matching_weight(g, m)
     assert total == oracle_mgf(g)
+
+
+edge_weights = st.one_of(
+    st.just(RF.const(0)),
+    st.fractions(min_value=-2, max_value=3, max_denominator=3).map(RF.const),
+    st.sampled_from(["x", "y", "x+1", "1/y", "x*y-1"]).map(parse))
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(min_value=0, max_value=10))
+    g = WeightedGraph(vertices=range(n))
+    for u in range(n):
+        for v in range(u + 1, n):
+            if draw(st.booleans()):
+                g.add_edge(u, v, draw(edge_weights))
+    return g
+
+
+@given(small_graphs())
+@settings(max_examples=80, deadline=None)
+def test_oracle_equals_sum_over_enumerated_matchings(g):
+    matchings = enumerate_matchings(g)
+    total = RF.const(0)
+    for m in matchings:
+        assert frozenset().union(*m) == g.vertices
+        assert all(not g.weights[e].is_zero() for e in m)
+        total = total + matching_weight(g, m)
+    assert oracle_mgf(g) == total
+    stranded = any(all(g.weights[frozenset((v, u))].is_zero()
+                       for u in g.neighbors(v)) for v in g.vertices)
+    if len(g) % 2 or stranded:
+        assert matchings == []
+        assert oracle_mgf(g) == RF.const(0)
+
+
+def test_oracle_counts_order_5_aztec_diamond():
+    # Aztec diamond theorem: the order-n diamond has 2^(n(n+1)/2) matchings
+    g = to_graph(AztecInstance(5, PeriodMatrix.constant(1)))
+    assert len(g) == 60
+    assert oracle_mgf(g, size_cap=60) == RF.const(2 ** 15)
 
 
 def test_size_cap():

@@ -1,5 +1,6 @@
 """Exact arithmetic: polynomials, rational functions, factored forms."""
 
+import operator
 from fractions import Fraction
 
 import pytest
@@ -223,6 +224,20 @@ class TestFactoredForms:
         x = RF(mp("xy", {(1, 0): 1}), MultiPoly.const(1))
         v = FactoredRF.from_rf(x) ** 3 / FactoredRF.from_rf(x)
         assert v.to_rf() == x * x
+
+    @pytest.mark.parametrize("op", [operator.add, operator.sub,
+                                    operator.mul, operator.truediv])
+    def test_plain_left_operand_defers_to_factored(self, op):
+        pairs = [(RF.const(2), FactoredRF(3)),
+                 (parse("x/(x+2)"), FactoredRF.from_rf(parse("(x+1)^2/y")))]
+        for rf, f in pairs:
+            out = op(rf, f)
+            assert isinstance(out, FactoredRF)
+            assert out == op(FactoredRF._coerce(rf), f)
+        with pytest.raises(TypeError):
+            op(RF.const(2), "a")
+        with pytest.raises(TypeError):
+            op("a", RF.const(2))
 
 
 bound_values = st.one_of(
