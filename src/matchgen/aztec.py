@@ -2,9 +2,10 @@
 
 The edges of the order-n diamond form a 2n x 2n array; a weight pattern is
 given by an even-by-even period matrix tiled over that array.  The shuffle
-operator inverts each 2x2 block of the period and rotates it one step,
-tracking how the weights transform under one complementation round.  One
-round multiplies the matching generating function by the product of all
+operator applies the whole-cell complementation of `cellular.whole_cell` to
+each 2x2 block of the period and shifts the result one step, tracking how
+the weights transform under one complementation round.  One round
+multiplies the matching generating function by the product of all
 block factors and drops the order by one, so iterating to order zero gives
 the exact generating function with a full audit trail.
 """
@@ -15,6 +16,7 @@ import json
 import math
 from typing import List, Optional, Tuple
 
+from .cellular import whole_cell
 from .exprs import parse
 from .graphs import WeightedGraph
 from .rational import FactoredRF, RationalFunction
@@ -114,38 +116,31 @@ def _as_rf(x) -> RF:
     return RF.const(x)
 
 
-def block_factor(a: RF, b: RF, c: RF, d: RF) -> RF:
-    """Matching generating function of a 2x2 weight block [[a,b],[c,d]]."""
-    return a * d + b * c
-
-
 def _block_round(p: PeriodMatrix, order: Optional[int] = None,
                  step: Optional[int] = None):
     """Block factors of p and the shuffled period, in one pass over the blocks.
 
-    Returns (deltas, successor): deltas[bi][bj] is the factor a*d + b*c of
-    period block (bi, bj), computed once and reused to invert the block.
-    A zero factor raises ZeroCellFactor naming `order` or `step` and the
-    block.  The reduction rounds and the orbit search call this on a
-    period with FactoredRF entries, which keeps the shuffled weights small.
+    Block [[a,b],[c,d]] is the cell a, b, d, c in cyclic order, so
+    deltas[bi][bj] = a*d + b*c and the block's new weights both come from
+    one `whole_cell` call.  A zero factor raises ZeroCellFactor naming
+    `order` or `step` and the block.  The reduction rounds and the orbit
+    search call this on a period with FactoredRF entries, which keeps the
+    shuffled weights small.
     """
     deltas = []
     inv = [[None] * p.l for _ in range(p.k)]
     for bi in range(0, p.k, 2):
         row = []
         for bj in range(0, p.l, 2):
-            a = p.entries[bi][bj]
-            b = p.entries[bi][bj + 1]
-            c = p.entries[bi + 1][bj]
-            d = p.entries[bi + 1][bj + 1]
-            delta = block_factor(a, b, c, d)
-            if delta.is_zero():
-                raise ZeroCellFactor(order, bi // 2, bj // 2, step)
+            a, b = p.entries[bi][bj:bj + 2]
+            c, d = p.entries[bi + 1][bj:bj + 2]
+            try:
+                delta, (na, nb, nd, nc) = whole_cell((a, b, d, c))
+            except ZeroDivisionError:
+                raise ZeroCellFactor(order, bi // 2, bj // 2, step) from None
             row.append(delta)
-            inv[bi][bj] = d / delta
-            inv[bi][bj + 1] = c / delta
-            inv[bi + 1][bj] = b / delta
-            inv[bi + 1][bj + 1] = a / delta
+            inv[bi][bj], inv[bi][bj + 1] = na, nb
+            inv[bi + 1][bj], inv[bi + 1][bj + 1] = nc, nd
         deltas.append(row)
     shifted = [[inv[(i + 1) % p.k][(j + 1) % p.l] for j in range(p.l)]
                for i in range(p.k)]

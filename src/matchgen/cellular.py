@@ -7,9 +7,12 @@ extremal vertices, carrying a derived weight, and
 
     M(H) = 2^{#partial cells} * (product of whole-cell factors) * M(H').
 
-The per-cell weight rules below were fixed by requiring exactly this
-identity to hold, verified against the brute-force oracle on randomized
-completions covering every cell kind (see tests); they are not guesses.
+A cell whose four vertices H covers follows `whole_cell`, which the Aztec
+shuffle (aztec.py) applies to every 2x2 block; any other cell follows
+`partial_cell`.  The local rewrites apply the same rules to one gadget.
+The rules were fixed by requiring exactly this identity to hold, verified
+against the brute-force oracle on randomized completions covering every
+cell kind (see tests); they are not guesses.
 """
 
 from __future__ import annotations
@@ -101,10 +104,7 @@ class CellularCompletion:
         # own subgraph edges; a member attached elsewhere but dangling here
         # is outside the reach of the complementation identity
         for idx, cell in enumerate(self.cells):
-            touched: Set[Vertex] = set()
-            for e in cell_edges(cell):
-                if e in self.h_edges:
-                    touched |= e
+            touched = self._touched(cell)
             for v in cell:
                 if v in self.members and v not in touched:
                     raise CompletionError(
@@ -177,12 +177,16 @@ class CellularCompletion:
             g.add_edge(u, v, self.host.weights[e])
         return g
 
-    def cell_kind(self, idx: int) -> str:
-        cell = self.cells[idx]
+    def _touched(self, cell: Cell) -> Set[Vertex]:
+        """Vertices of the cell that are endpoints of its subgraph edges."""
         touched: Set[Vertex] = set()
         for e in cell_edges(cell):
             if e in self.h_edges:
                 touched |= e
+        return touched
+
+    def cell_kind(self, idx: int) -> str:
+        touched = self._touched(self.cells[idx])
         if len(touched) == 4:
             return WHOLE
         if len(touched) == 3:
@@ -192,52 +196,50 @@ class CellularCompletion:
         return PARTIAL0
 
 
-def _cell_weights(comp: CellularCompletion, cell: Cell) -> List[RF]:
-    return [comp.host.weights[e] for e in cell_edges(cell)]
+def whole_cell(w: Sequence) -> Tuple:
+    """(delta, new) for a cell with weights w in cyclic order, all covered.
+
+    delta = w0*w2 + w1*w3 is the cell's value and new = (w2, w3, w0, w1) /
+    delta; a zero delta raises ZeroDivisionError before any division.
+    Takes RationalFunction or FactoredRF weights.
+    """
+    delta = w[0] * w[2] + w[1] * w[3]
+    if delta.is_zero():
+        raise ZeroDivisionError("zero cell-factor w0*w2 + w1*w3")
+    return delta, (w[2] / delta, w[3] / delta, w[0] / delta, w[1] / delta)
 
 
-def _derived_cell_weights(comp: CellularCompletion, idx: int) -> List[RF]:
-    """New weights for the 4 edges of a cell, in the cell's cyclic order."""
-    cell = comp.cells[idx]
-    w = _cell_weights(comp, cell)
-    kind = comp.cell_kind(idx)
-    if kind == WHOLE:
-        delta = w[0] * w[2] + w[1] * w[3]
-        if delta.is_zero():
-            raise ZeroDivisionError(
-                f"zero cell-factor on whole cell {idx}")
-        return [w[2] / delta, w[3] / delta, w[0] / delta, w[1] / delta]
-    edges = cell_edges(cell)
-    in_h = [e in comp.h_edges for e in edges]
-    if kind == PARTIAL3:
-        # rotate so the two subgraph edges sit at positions 0 and 1
-        rot = next(r for r in range(4) if in_h[r] and in_h[(r + 1) % 4])
-        x, y = w[rot], w[(rot + 1) % 4]
+def partial_cell(w: Sequence[RF], covered: Sequence[bool]) -> List[RF]:
+    """New weights of a cell with weights w, not all of its vertices covered.
+
+    covered[i] says whether edge i (cell vertex i to i + 1) lies in the
+    subgraph.  Read from the first covered edge on, the new weights are
+      three covered vertices (edges x, y):  x/s, y/s, x/2, y/2, s = x^2 + y^2;
+      two covered vertices (edge x):        1/(2x), 1/2, x/2, 1/2;
+      no covered vertex:                    1/2 on every edge.
+    A zero s or x raises ZeroDivisionError before anything is divided.
+    """
+    touched = sum(bool(covered[i] or covered[i - 1]) for i in range(4))
+    if touched == 4:
+        raise ValueError("every vertex of the cell is covered")
+    half = RF.const(1) / 2
+    if touched == 0:
+        return [half] * 4
+    r = next(i for i in range(4) if covered[i] and not covered[i - 1])
+    x = w[r]
+    if touched == 3:
+        y = w[(r + 1) % 4]
         s = x * x + y * y
         if s.is_zero():
             raise ZeroDivisionError(
-                f"degenerate weights on three-vertex partial cell {idx}")
-        out = [None] * 4
-        out[rot] = x / s
-        out[(rot + 1) % 4] = y / s
-        out[(rot + 2) % 4] = x / 2
-        out[(rot + 3) % 4] = y / 2
-        return out
-    if kind == PARTIAL2:
-        rot = next(r for r in range(4) if in_h[r])
-        x = w[rot]
+                "degenerate weights x^2 + y^2 = 0 on a three-vertex cell")
+        new = [x / s, y / s, x / 2, y / 2]
+    else:
         if x.is_zero():
             raise ZeroDivisionError(
-                f"zero weight on the only edge of partial cell {idx}")
-        out = [None] * 4
-        out[rot] = 1 / (2 * x)
-        out[(rot + 1) % 4] = RF.const(1) / 2
-        out[(rot + 2) % 4] = x / 2
-        out[(rot + 3) % 4] = RF.const(1) / 2
-        return out
-    # no H-edges in the cell at all
-    half = RF.const(1) / 2
-    return [half, half, half, half]
+                "zero weight on the only edge of a two-vertex cell")
+        new = [1 / (2 * x), half, x / 2, half]
+    return new[-r:] + new[:-r]  # new[0] lands on edge r
 
 
 def complement(comp: CellularCompletion):
@@ -250,17 +252,21 @@ def complement(comp: CellularCompletion):
     factor = RF.const(1)
     partial_count = 0
     for idx, cell in enumerate(comp.cells):
-        kind = comp.cell_kind(idx)
-        if kind == WHOLE:
-            w = _cell_weights(comp, cell)
-            factor = factor * (w[0] * w[2] + w[1] * w[3])
-        else:
-            partial_count += 1
-        new_w = _derived_cell_weights(comp, idx)
-        for i, e in enumerate(cell_edges(cell)):
+        edges = cell_edges(cell)
+        w = [comp.host.weights[e] for e in edges]
+        try:
+            if comp.cell_kind(idx) == WHOLE:
+                delta, new_w = whole_cell(w)
+                factor = factor * delta
+            else:
+                new_w = partial_cell(w, [e in comp.h_edges for e in edges])
+                partial_count += 1
+        except ZeroDivisionError as err:
+            raise ZeroDivisionError(f"cell {idx}: {err}") from None
+        for e, wt in zip(edges, new_w):
             if e <= new_vertices:
                 u, v = tuple(e)
-                hp.add_edge(u, v, new_w[i])
+                hp.add_edge(u, v, wt)
     return hp, factor, partial_count
 
 
@@ -294,19 +300,35 @@ def find_completion(h: WeightedGraph, host: WeightedGraph,
     return CellularCompletion(g, kept, set(h.vertices), h_edges=h_edge_set)
 
 
+def _replace_gadget(g: WeightedGraph, gadget: Set[Vertex],
+                    cycle: Sequence[Vertex], weights: Sequence[RF]):
+    """g without the gadget's vertices, plus the 4-cycle `cycle`.
+
+    Edge i of the cycle (cycle[i] to cycle[i + 1]) gets weights[i]; an
+    edge that is already present raises ValueError.
+    """
+    out = WeightedGraph()
+    out.vertices = g.vertices - gadget
+    for e, wt in g.weights.items():
+        if not e & gadget:
+            out.weights[e] = wt
+    for i in range(4):
+        out.add_edge(cycle[i], cycle[(i + 1) % 4], weights[i])
+    return out
+
+
 def urban_renewal(g: WeightedGraph, inner: Cell,
                   outer: Sequence[Vertex]):
     """Replace a 4-cycle-with-pendants gadget by a plain 4-cycle.
 
     `inner` is a 4-cycle (cyclic order) whose vertices have no neighbors
-    outside the gadget except through the unit-weight pendant edges to the
-    corresponding `outer` vertices.  Returns (new graph, factor) with
-    M(g) = factor * M(new graph).
+    outside the gadget except through the pendant edges to the
+    corresponding `outer` vertices.  The outer cycle carries the whole-cell
+    weights of the inner one, scaled by the pendant weights at its ends.
+    Returns (new graph, factor) with M(g) = factor * M(new graph).
     """
-    w = [g.weight(inner[i], inner[(i + 1) % 4]) for i in range(4)]
-    delta = w[0] * w[2] + w[1] * w[3]
-    if delta.is_zero():
-        raise ZeroDivisionError("zero cell-factor in gadget")
+    delta, new = whole_cell([g.weight(inner[i], inner[(i + 1) % 4])
+                             for i in range(4)])
     inner_set = set(inner)
     legs = []
     for i, v in enumerate(inner):
@@ -315,18 +337,8 @@ def urban_renewal(g: WeightedGraph, inner: Cell,
             raise ValueError(f"inner vertex {v!r} has stray neighbors")
         legs.append(g.weight(v, outer[i]) if outer[i] in nbrs
                     else RF.const(0))
-    out = WeightedGraph()
-    out.vertices = g.vertices - inner_set
-    for e, wt in g.weights.items():
-        if not e & inner_set:
-            out.weights[e] = wt
-    for i in range(4):
-        u, v = outer[i], outer[(i + 1) % 4]
-        wt = legs[i] * legs[(i + 1) % 4] * w[(i + 2) % 4] / delta
-        if frozenset((u, v)) in out.weights:
-            raise ValueError("outer cycle edge already present")
-        out.add_edge(u, v, wt)
-    return out, delta
+    weights = [legs[i] * legs[(i + 1) % 4] * new[i] for i in range(4)]
+    return _replace_gadget(g, inner_set, outer, weights), delta
 
 
 def _leg(g: WeightedGraph, v: Vertex, gadget: Set[Vertex]) -> Vertex:
@@ -347,47 +359,30 @@ def lemma26_rewrite(g: WeightedGraph, variant: str,
     variant "a": embedding = (A, B, C), a path with edges AB, BC whose
     vertices attach to the rest of the graph only through unit-weight legs
     A-a, B-b, C-c.  The path is removed and replaced by a 4-cycle
-    a-b-c-D with a fresh vertex D.
+    a-b-c-D with a fresh vertex D, weighted as a three-vertex partial cell.
 
     variant "b": embedding = (A, B), a single edge with unit legs A-a and
-    B-b; replaced by a 4-cycle a-b-C-D with two fresh vertices.
+    B-b; replaced by a 4-cycle a-b-C-D with two fresh vertices, weighted as
+    a two-vertex partial cell.
 
     Either way M(g) = 2 * M(result): matchings covering the gadget
     internally correspond to matchings exposing the leg ends, and vice
     versa, in a two-to-one weighted fashion.
     """
+    zero = RF.const(0)
     if variant == "a":
         a_, b_, c_ = embedding
-        gadget = {a_, b_, c_}
-        x = g.weight(a_, b_)
-        y = g.weight(b_, c_)
-        la, lb, lc = (_leg(g, v, gadget) for v in (a_, b_, c_))
-        s = x * x + y * y
-        if s.is_zero():
-            raise ZeroDivisionError("degenerate path weights")
-        d = ("l26a", a_, b_, c_)
-        new = [(la, lb, x / s), (lb, lc, y / s),
-               (lc, d, x / 2), (d, la, y / 2)]
+        w = [g.weight(a_, b_), g.weight(b_, c_), zero, zero]
+        covered = [True, True, False, False]
+        fresh = [("l26a", a_, b_, c_)]
     elif variant == "b":
         a_, b_ = embedding
-        gadget = {a_, b_}
-        x = g.weight(a_, b_)
-        if x.is_zero():
-            raise ZeroDivisionError("zero edge weight")
-        la, lb = (_leg(g, v, gadget) for v in (a_, b_))
-        c = ("l26b_c", a_, b_)
-        d = ("l26b_d", a_, b_)
-        new = [(la, lb, 1 / (2 * x)), (lb, c, RF.const(1) / 2),
-               (c, d, x / 2), (d, la, RF.const(1) / 2)]
+        w = [g.weight(a_, b_), zero, zero, zero]
+        covered = [True, False, False, False]
+        fresh = [("l26b_c", a_, b_), ("l26b_d", a_, b_)]
     else:
         raise ValueError(f"unknown variant {variant!r}")
-    out = WeightedGraph()
-    out.vertices = g.vertices - gadget
-    for e, wt in g.weights.items():
-        if not e & gadget:
-            out.weights[e] = wt
-    for u, v, wt in new:
-        if frozenset((u, v)) in out.weights:
-            raise ValueError("replacement edge already present")
-        out.add_edge(u, v, wt)
-    return out, RF.const(2)
+    gadget = set(embedding)
+    cycle = [_leg(g, v, gadget) for v in embedding] + fresh
+    return (_replace_gadget(g, gadget, cycle, partial_cell(w, covered)),
+            RF.const(2))

@@ -18,15 +18,25 @@ from .aztec import AztecInstance, PeriodMatrix, ZeroCellFactor, evaluate
 from .exprs import parse
 from .families import FAMILY_NAMES, family_value
 from .graphs import SizeCapExceeded, graph_from_json, oracle_mgf
-from .orbit import detect_proportional, detect_q_shift
+from .orbit import detect_orbit
 from .rational import RationalFunction
 from .verify import SUITES
 
 RF = RationalFunction
 
 
+# Upper bounds on the work one argument can ask for.
+MAX_ITER = 200
+MAX_TRIALS = 1000
+
+
 class ComputationError(RuntimeError):
     pass
+
+
+def _check_range(flag: str, value: int, limit: int):
+    if not 1 <= value <= limit:
+        raise ComputationError(f"{flag} {value} is outside 1..{limit}")
 
 
 def _parse_bindings(text: Optional[str]) -> Dict[str, RF]:
@@ -89,17 +99,9 @@ def cmd_compute(args) -> int:
 
 
 def cmd_orbit(args) -> int:
+    _check_range("--max-iter", args.max_iter, MAX_ITER)
     period = _load_period(args.period)
-    rep = detect_proportional(period, max_iter=args.max_iter)
-    if rep.kind == "none":
-        variables = set()
-        for row in period.entries:
-            for e in row:
-                variables |= set(e.num.variables) | set(e.den.variables)
-        if len(variables) == 1:
-            rep = detect_q_shift(period, var=next(iter(variables)),
-                                 max_iter=args.max_iter)
-    print(rep.to_json())
+    print(detect_orbit(period, max_iter=args.max_iter).to_json())
     return 0
 
 
@@ -110,6 +112,7 @@ def cmd_verify(args) -> int:
         return 2
     kwargs = {}
     if args.trials is not None:
+        _check_range("--trials", args.trials, MAX_TRIALS)
         kwargs["trials"] = args.trials
     if args.seed is not None:
         kwargs["seed"] = args.seed

@@ -28,6 +28,7 @@ class WeightedGraph:
 
     At most one edge per vertex pair. Zero-weight edges are allowed; they
     stand for absent edges but keep the incidence structure explicit.
+    add_edge converts int, Fraction and FactoredRF weights.
     """
 
     def __init__(self, vertices: Iterable[Vertex] = (),
@@ -40,8 +41,7 @@ class WeightedGraph:
     def add_edge(self, u: Vertex, v: Vertex, w):
         if u == v:
             raise ValueError(f"loop at {u!r}")
-        if not isinstance(w, RationalFunction):
-            w = RationalFunction.const(w)
+        w = RationalFunction._coerce(w)
         key = frozenset((u, v))
         if key in self.weights:
             raise ValueError(f"duplicate edge {u!r}-{v!r}")
@@ -58,9 +58,6 @@ class WeightedGraph:
 
     def weight(self, u: Vertex, v: Vertex) -> RationalFunction:
         return self.weights[frozenset((u, v))]
-
-    def has_edge(self, u: Vertex, v: Vertex) -> bool:
-        return frozenset((u, v)) in self.weights
 
     def neighbors(self, v: Vertex) -> List[Vertex]:
         out = []

@@ -55,12 +55,6 @@ class OrbitReport:
         return json.dumps(data)
 
 
-def _as_plain(e) -> RF:
-    if isinstance(e, FactoredRF):
-        return e.to_rf()
-    return e
-
-
 def proportionality_scalar(a: PeriodMatrix, b: PeriodMatrix) -> Optional[RF]:
     """The scalar c with b = c * a entrywise, or None.
 
@@ -85,32 +79,45 @@ def proportionality_scalar(a: PeriodMatrix, b: PeriodMatrix) -> Optional[RF]:
     return None if c is None else c.to_rf()
 
 
-def _search(a: PeriodMatrix, max_iter: int, kind: str, match) -> OrbitReport:
-    """Walk the shuffle orbit of a for up to max_iter steps.
+def _search(a: PeriodMatrix, max_iter: int, tests) -> OrbitReport:
+    """Walk the shuffle orbit of a once, for up to max_iter steps.
 
-    After each step, match(successor, per-step factors so far) returns the
-    report fields of a hit or None; the first hit ends the search.
+    `tests` lists (kind, match) pairs, earlier ones preferred.  After each
+    step, match(successor, per-step factors so far) returns the report
+    fields of a hit or None.  The report is the first hit of the first
+    test that hits, with the factors up to its step.
     """
     factors: List[FactoredRF] = []
+    active, hit = list(tests), None
     cur = a.map(FactoredRF._coerce)
     for k in range(1, max_iter + 1):
         deltas, cur = _block_round(cur, step=k)
         factors.append(_block_product(deltas, [1] * len(deltas),
                                       [1] * len(deltas[0])))
-        found = match(cur, factors)
-        if found is not None:
-            return OrbitReport(kind, k, per_step_factors=factors, **found)
-    return OrbitReport("none", per_step_factors=factors)
+        for rank, (kind, match) in enumerate(active):
+            found = match(cur, factors)
+            if found is not None:
+                hit = OrbitReport(kind, k, per_step_factors=factors[:],
+                                  **found)
+                del active[rank:]  # only preferred tests can still win
+                break
+        if not active:
+            break
+    return hit or OrbitReport("none", per_step_factors=factors)
+
+
+def _proportional_test(a: PeriodMatrix):
+    def match(cur, factors):
+        c = proportionality_scalar(a, cur)
+        return None if c is None else {"scalar": c}
+
+    return "proportional", match
 
 
 def detect_proportional(a: PeriodMatrix,
                         max_iter: int = DEFAULT_MAX_ITER) -> OrbitReport:
     """Smallest k with shuffle^k(a) = c * a, searched up to max_iter."""
-    def match(cur, factors):
-        c = proportionality_scalar(a, cur)
-        return None if c is None else {"scalar": c}
-
-    return _search(a, max_iter, "proportional", match)
+    return _search(a, max_iter, [_proportional_test(a)])
 
 
 def _square_candidates(factors: List[FactoredRF]) -> List[Fraction]:
@@ -139,13 +146,17 @@ def detect_q_shift(aq: PeriodMatrix, var: str = "q",
     of A is built.  A matrix without the parameter is handled by the same
     loop, since substitution is then the identity (sigma = 1).
     """
+    return _search(aq, max_iter, [_q_shift_test(aq, var)])
+
+
+def _q_shift_test(aq: PeriodMatrix, var: str):
     q = RF.var(var)
     shifted = {}
 
     def entry(sigma: Fraction, i: int, j: int) -> FactoredRF:
         key = (sigma, i, j)
         if key not in shifted:
-            shifted[key] = FactoredRF.from_rf(_as_plain(
+            shifted[key] = FactoredRF.from_rf(RF._coerce(
                 aq.entries[i][j]).substitute({var: RF.const(sigma) * q}))
         return shifted[key]
 
@@ -156,7 +167,24 @@ def detect_q_shift(aq: PeriodMatrix, var: str = "q",
                 return {"sigma": sigma}
         return None
 
-    return _search(aq, max_iter, "q_shift", match)
+    return "q_shift", match
+
+
+def detect_orbit(a: PeriodMatrix,
+                 max_iter: int = DEFAULT_MAX_ITER) -> OrbitReport:
+    """detect_proportional, else detect_q_shift when a has one variable.
+
+    Both tests run on one walk of the orbit.
+    """
+    variables = set()
+    for row in a.entries:
+        for e in row:
+            e = RF._coerce(e)
+            variables |= set(e.num.variables) | set(e.den.variables)
+    tests = [_proportional_test(a)]
+    if len(variables) == 1:
+        tests.append(_q_shift_test(a, next(iter(variables))))
+    return _search(a, max_iter, tests)
 
 
 def recurrence_constant(a: PeriodMatrix, n: int, k: int,
@@ -219,7 +247,7 @@ def equivalence_reduce(a: PeriodMatrix) -> Tuple[PeriodMatrix, list]:
     diamond value at any order.  Uniqueness of the normal form is only
     observed, not proven, for matrices with zero entries.
     """
-    rows = [[_as_plain(e) for e in row] for row in a.entries]
+    rows = [[RF._coerce(e) for e in row] for row in a.entries]
     ledger = []
     for i in range(a.k):
         pivot = next((e for e in rows[i] if not e.is_zero()), None)

@@ -82,12 +82,6 @@ class MultiPoly:
     def total_degree(self) -> int:
         return max((sum(e) for e in self.terms), default=0)
 
-    def degree_in(self, name: str) -> int:
-        if name not in self.variables:
-            return 0
-        i = self.variables.index(name)
-        return max(e[i] for e in self.terms)
-
     def sorted_terms(self):
         """Terms in descending graded-lex order."""
         return sorted(self.terms.items(), key=lambda t: _grlex_key(t[0]),
@@ -201,11 +195,11 @@ class MultiPoly:
                 v if k == 1 else f"{v}^{k}"
                 for v, k in zip(self.variables, e) if k)
             if not mono:
-                body = _frac_str(abs(c))
+                body = str(abs(c))
             elif abs(c) == 1:
                 body = mono
             else:
-                body = f"{_frac_str(abs(c))}*{mono}"
+                body = f"{abs(c)}*{mono}"
             if not pieces:
                 pieces.append(body if c > 0 else "-" + body)
             else:
@@ -214,10 +208,6 @@ class MultiPoly:
 
     def __repr__(self) -> str:
         return f"MultiPoly({self})"
-
-
-def _frac_str(c: Fraction) -> str:
-    return str(c)
 
 
 def _grlex_key(e: ExpVec):
@@ -441,9 +431,6 @@ class RationalFunction:
     def is_integer(self) -> bool:
         return self.is_const() and self.as_const().denominator == 1
 
-    def variables(self) -> Tuple[str, ...]:
-        return tuple(sorted(set(self.num.variables) | set(self.den.variables)))
-
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             other = RationalFunction.const(other)
@@ -471,6 +458,9 @@ class RationalFunction:
 
     @staticmethod
     def _coerce(x) -> "RationalFunction":
+        """x as a RationalFunction; a FactoredRF is expanded."""
+        if isinstance(x, FactoredRF):
+            return x.to_rf()
         out = RationalFunction._operand(x)
         if out is None:
             raise TypeError(f"cannot coerce {type(x).__name__}")
@@ -524,13 +514,8 @@ class RationalFunction:
         d2 = other.den if g1.is_const() else _must_div(other.den, g1)
         n2 = other.num if g2.is_const() else _must_div(other.num, g2)
         d1 = self.den if g2.is_const() else _must_div(self.den, g2)
-        num = n1 * n2
-        den = d1 * d2
-        lc = den.leading_coeff()
-        if lc != 1:
-            inv = Fraction(1) / lc
-            num, den = num.scale(inv), den.scale(inv)
-        return RationalFunction(num, den, _normalized=True)
+        # monic denominators divided by monic gcds: the product is monic
+        return RationalFunction(n1 * n2, d1 * d2, _normalized=True)
 
     __rmul__ = __mul__
 
@@ -556,14 +541,10 @@ class RationalFunction:
             return RationalFunction.const(1)
         if n < 0:
             return self.inverse() ** (-n)
-        # num/den already coprime, so no cancellation can appear
-        num = self.num ** n
-        den = self.den ** n
-        lc = den.leading_coeff()
-        if lc != 1:
-            inv = Fraction(1) / lc
-            num, den = num.scale(inv), den.scale(inv)
-        return RationalFunction(num, den, _normalized=True)
+        # num/den already coprime, so no cancellation can appear, and a
+        # power of a monic denominator is monic
+        return RationalFunction(self.num ** n, self.den ** n,
+                                _normalized=True)
 
     # -- substitution -------------------------------------------------
 
@@ -700,10 +681,6 @@ class FactoredRF:
         return FactoredRF(0)
 
     @staticmethod
-    def const(c) -> "FactoredRF":
-        return FactoredRF(c)
-
-    @staticmethod
     def from_rf(rf: "RationalFunction") -> "FactoredRF":
         if rf.is_zero():
             return FactoredRF.zero()
@@ -720,8 +697,9 @@ class FactoredRF:
     def to_rf(self) -> "RationalFunction":
         if not self.coeff:
             return RationalFunction.const(0)
-        num = MultiPoly.const(self.coeff.numerator)
-        den = MultiPoly.const(self.coeff.denominator)
+        # the factors are monic, so their product is a monic denominator
+        num = MultiPoly.const(self.coeff)
+        den = MultiPoly.const(1)
         order = sorted(self.factors.items(),
                        key=lambda fe: (fe[0].total_degree(), str(fe[0])))
         for f, e in order:
@@ -729,10 +707,6 @@ class FactoredRF:
                 num = num * f ** e
             else:
                 den = den * f ** (-e)
-        lc = den.leading_coeff()
-        if lc != 1:
-            inv = Fraction(1) / lc
-            num, den = num.scale(inv), den.scale(inv)
         return RationalFunction(num, den, _normalized=True)
 
     def substitute(self, bindings: Mapping[str, "RationalFunction"]

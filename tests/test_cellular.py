@@ -5,7 +5,7 @@ import pytest
 from matchgen.aztec import AztecInstance, PeriodMatrix, canonical_cells, to_graph
 from matchgen.cellular import (CellularCompletion, CompletionError,
                                complement, find_completion, lemma26_rewrite,
-                               urban_renewal)
+                               partial_cell, urban_renewal, whole_cell)
 from matchgen.exprs import parse
 from matchgen.graphs import WeightedGraph, oracle_mgf
 from matchgen.rational import RationalFunction as RF
@@ -200,3 +200,59 @@ def test_lemma26_variant_b():
     assert before == RF.const(2) * oracle_mgf(out)
     with pytest.raises(ValueError):
         lemma26_rewrite(g, "z", ("A", "B"))
+
+
+def test_cell_rules():
+    a, b, c, d, x, y = (parse(v) for v in "abcdxy")
+    delta, new = whole_cell([a, b, c, d])
+    assert delta == parse("a*c+b*d")
+    assert list(new) == [c / delta, d / delta, a / delta, b / delta]
+    zero, half = RF.const(0), RF.const(1) / 2
+    s = x * x + y * y
+    T, F = True, False
+    # the rules are read from the first covered edge on
+    assert partial_cell([zero, zero, x, y], [F, F, T, T]) == \
+        [x / 2, y / 2, x / s, y / s]
+    assert partial_cell([zero, x, zero, zero], [F, T, F, F]) == \
+        [half, 1 / (2 * x), half, x / 2]
+    assert partial_cell([zero] * 4, [F] * 4) == [half] * 4
+    with pytest.raises(ValueError):  # opposite edges cover every vertex
+        partial_cell([x, zero, y, zero], [T, F, T, F])
+
+
+def test_zero_whole_cell_factor_names_the_cell():
+    comp = single_cell(["1", "1", "1", "-1"],
+                       {(0, 1), (1, 2), (2, 3), (3, 0)})
+    assert comp.cell_kind(0) == "whole"
+    with pytest.raises(ZeroDivisionError, match="cell 0"):
+        complement(comp)
+
+
+def test_zero_edge_of_two_vertex_cell_names_the_cell():
+    host = WeightedGraph()
+    for i in range(4):
+        host.add_edge(i, (i + 1) % 4, RF.const(0))
+    comp = CellularCompletion(host, [(0, 1, 2, 3)], {1, 2},
+                              h_edges={frozenset((1, 2))})
+    assert comp.cell_kind(0) == "partial2"
+    with pytest.raises(ZeroDivisionError, match="cell 0"):
+        complement(comp)
+
+
+def test_urban_renewal_zero_cell_factor():
+    g = WeightedGraph()
+    inner = ["i0", "i1", "i2", "i3"]
+    for i, w in enumerate(["1", "1", "1", "-1"]):
+        g.add_edge(inner[i], inner[(i + 1) % 4], parse(w))
+        g.add_edge(inner[i], ("o", i), RF.const(1))
+    with pytest.raises(ZeroDivisionError):
+        urban_renewal(g, tuple(inner), [("o", i) for i in range(4)])
+
+
+def test_lemma26_variant_b_zero_edge():
+    g = WeightedGraph()
+    g.add_edge("A", "B", RF.const(0))
+    g.add_edge("A", "a", RF.const(1))
+    g.add_edge("B", "b", RF.const(1))
+    with pytest.raises(ZeroDivisionError):
+        lemma26_rewrite(g, "b", ("A", "B"))

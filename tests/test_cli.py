@@ -5,7 +5,7 @@ import json
 import pytest
 
 from matchgen.aztec import PeriodMatrix
-from matchgen.cli import _integer_factorization, main
+from matchgen.cli import MAX_ITER, MAX_TRIALS, _integer_factorization, main
 from matchgen.exprs import parse
 from matchgen.graphs import WeightedGraph, graph_to_json
 
@@ -145,3 +145,23 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["compute", "--n", "1"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("suite,trials", [
+    ("cellular-random", 0), ("quad-pattern", -3),
+    ("cellular-random", MAX_TRIALS + 1)])
+def test_verify_trials_bounds(capsys, suite, trials):
+    code, data = run_json(capsys, "verify", suite, "--trials", str(trials))
+    assert code == 1
+    assert data["error"]["kind"] == "ComputationError"
+    assert "--trials" in data["error"]["message"]
+
+
+@pytest.mark.parametrize("max_iter", [0, MAX_ITER + 1])
+def test_orbit_max_iter_bounds(capsys, tmp_path, max_iter):
+    path = period_file(tmp_path, [["1", "1"], ["1", "1"]])
+    code, data = run_json(capsys, "orbit", "--period", path,
+                          "--max-iter", str(max_iter))
+    assert code == 1
+    assert data["error"]["kind"] == "ComputationError"
+    assert "--max-iter" in data["error"]["message"]

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matchgen.aztec import AztecInstance, PeriodMatrix, to_graph
+from matchgen.aztec import (AztecInstance, PeriodMatrix, _reduce_rounds,
+                            evaluate, to_graph)
 from matchgen.exprs import parse
 from matchgen.graphs import (SizeCapExceeded, WeightedGraph,
                              enumerate_matchings, graph_from_json,
@@ -125,3 +126,25 @@ def test_strip_forced_preserves_value():
     before = oracle_mgf(g)
     stripped, factor = strip_forced(g)
     assert factor * oracle_mgf(stripped) == before
+
+
+def test_split_vertex_preserves_value():
+    g = four_cycle()
+    g.add_edge("b", "e", parse("t"))
+    g.add_edge("e", "f", parse("s"))
+    out = split_vertex(g, "b", ["a", "e"], ["c"])
+    assert len(out.vertices) == len(g.vertices) + 2
+    assert oracle_mgf(out) == oracle_mgf(g)
+    with pytest.raises(ValueError):  # misses a neighbour
+        split_vertex(g, "b", ["a"], ["c"])
+    with pytest.raises(ValueError):  # overlapping groups
+        split_vertex(g, "b", ["a", "e"], ["c", "e"])
+
+
+def test_factored_edge_weights():
+    inst = AztecInstance(3, PeriodMatrix([[parse("a"), RF.const(1)],
+                                          [RF.const(1), parse("b")]]))
+    factor, reached = _reduce_rounds(inst, 1)
+    assert factor * oracle_mgf(to_graph(reached)) == evaluate(inst)[0]
+    with pytest.raises(TypeError):
+        WeightedGraph().add_edge(1, 2, "x")

@@ -9,7 +9,8 @@ from matchgen.aztec import (AztecInstance, PeriodMatrix, ZeroCellFactor,
 from matchgen.exprs import parse
 from matchgen.families import checkered_period, dungeon_period_N
 from matchgen.graphs import oracle_mgf
-from matchgen.orbit import (class_exponent, detect_proportional,
+from matchgen import orbit
+from matchgen.orbit import (class_exponent, detect_orbit, detect_proportional,
                             detect_q_shift, equivalence_reduce,
                             ledger_multiplier, line_edge_count,
                             proportionality_scalar, recurrence_constant)
@@ -189,3 +190,41 @@ def test_equivalence_reduce_is_idempotent():
     reduced, ledger = equivalence_reduce(p)
     again, ledger2 = equivalence_reduce(reduced)
     assert again == reduced
+
+
+def test_search_prefers_earlier_tests():
+    def hit_at(step, fields):
+        return lambda cur, factors: fields if len(factors) == step else None
+
+    def never(cur, factors):
+        return None
+
+    p = PeriodMatrix.constant(1)
+    q_shift = ("q_shift", hit_at(1, {"sigma": Fraction(4)}))
+    rep = orbit._search(p, 10, [("proportional",
+                                 hit_at(3, {"scalar": RF.const(5)})),
+                                q_shift])
+    assert (rep.kind, rep.period_length, len(rep.per_step_factors)) == \
+        ("proportional", 3, 3)
+    rep = orbit._search(p, 10, [("proportional", never), q_shift])
+    assert (rep.kind, rep.period_length, len(rep.per_step_factors)) == \
+        ("q_shift", 1, 1)
+    rep = orbit._search(p, 10, [("proportional", never)])
+    assert rep.kind == "none" and len(rep.per_step_factors) == 10
+
+
+def test_detect_orbit_walks_the_orbit_once(monkeypatch):
+    steps = []
+    block_round = orbit._block_round
+
+    def counted(p, step):
+        steps.append(step)
+        return block_round(p, step=step)
+
+    monkeypatch.setattr(orbit, "_block_round", counted)
+    rep = detect_orbit(checkered_period())
+    # no proportional hit within 40 steps, so the walk runs to the end
+    assert steps == list(range(1, 41))
+    assert rep.to_json() == detect_q_shift(checkered_period()).to_json()
+    assert detect_orbit(PeriodMatrix.constant(2)).to_json() == \
+        detect_proportional(PeriodMatrix.constant(2)).to_json()
