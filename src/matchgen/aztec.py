@@ -50,9 +50,14 @@ class ZeroCellFactor(ArithmeticError):
 
 
 class PeriodMatrix:
-    """k x l matrix of rational functions, k and l even, tiled over arrays."""
+    """k x l matrix of rational functions, k and l even, tiled over arrays.
 
-    def __init__(self, entries: List[List[RF]]):
+    Entries are held as FactoredRF: the constructor converts each entry
+    (int, Fraction, RationalFunction or FactoredRF) once, so the shuffle
+    rounds and orbit tests that read them never convert again.
+    """
+
+    def __init__(self, entries: List[List[FactoredRF]]):
         k = len(entries)
         if k == 0 or k % 2:
             raise ValueError("row count must be even and positive")
@@ -63,7 +68,8 @@ class PeriodMatrix:
             raise ValueError("ragged rows")
         self.k = k
         self.l = l
-        self.entries = [[_as_rf(e) for e in row] for row in entries]
+        self.entries = [[FactoredRF._coerce(e) for e in row]
+                        for row in entries]
 
     @staticmethod
     def from_strings(rows: List[List[str]]) -> "PeriodMatrix":
@@ -71,10 +77,10 @@ class PeriodMatrix:
 
     @staticmethod
     def constant(c, k: int = 2, l: int = 2) -> "PeriodMatrix":
-        v = _as_rf(c)
+        v = FactoredRF._coerce(c)
         return PeriodMatrix([[v] * l for _ in range(k)])
 
-    def at(self, r: int, c: int) -> RF:
+    def at(self, r: int, c: int) -> FactoredRF:
         """Entry at array position (r, c), 0-indexed, read modulo the period."""
         return self.entries[r % self.k][c % self.l]
 
@@ -110,12 +116,6 @@ class PeriodMatrix:
         return m
 
 
-def _as_rf(x) -> RF:
-    if isinstance(x, (RF, FactoredRF)):
-        return x
-    return RF.const(x)
-
-
 def _block_round(p: PeriodMatrix, order: Optional[int] = None,
                  step: Optional[int] = None):
     """Block factors of p and the shuffled period, in one pass over the blocks.
@@ -123,9 +123,8 @@ def _block_round(p: PeriodMatrix, order: Optional[int] = None,
     Block [[a,b],[c,d]] is the cell a, b, d, c in cyclic order, so
     deltas[bi][bj] = a*d + b*c and the block's new weights both come from
     one `whole_cell` call.  A zero factor raises ZeroCellFactor naming
-    `order` or `step` and the block.  The reduction rounds and the orbit
-    search call this on a period with FactoredRF entries, which keeps the
-    shuffled weights small.
+    `order` or `step` and the block.  The period's FactoredRF entries keep
+    the shuffled weights small.
     """
     deltas = []
     inv = [[None] * p.l for _ in range(p.k)]
@@ -179,7 +178,7 @@ class AztecInstance:
         self.period = period
 
 
-def edge_array(inst: AztecInstance) -> List[List[RF]]:
+def edge_array(inst: AztecInstance) -> List[List[FactoredRF]]:
     """The 2n x 2n array of edge weights, period read modulo its size."""
     n = inst.n
     return [[inst.period.at(r, c) for c in range(2 * n)]
@@ -261,8 +260,7 @@ def reduce_step(inst: AztecInstance) -> Tuple[RF, AztecInstance]:
     reads them.
     """
     factor, succ = _reduce_rounds(inst, 1)
-    return factor.to_rf(), AztecInstance(succ.n,
-                                         succ.period.map(FactoredRF.to_rf))
+    return factor.to_rf(), succ
 
 
 class ReductionTrace:
@@ -296,7 +294,7 @@ def _reduce_rounds(inst: AztecInstance, rounds: int,
     if rounds > inst.n:
         raise ValueError("cannot reduce order 0")
     total = FactoredRF(1)
-    n, period = inst.n, inst.period.map(FactoredRF._coerce)
+    n, period = inst.n, inst.period
     for _ in range(rounds):
         if 2 * n < max(period.k, period.l):
             period = PeriodMatrix([row[:2 * n]
@@ -356,7 +354,7 @@ def scale_row_class(inst: AztecInstance, class_index: int, s) -> Tuple[AztecInst
     Returns the rescaled instance (period expanded to the full array) and
     the multiplier s^n by which the generating function changes.
     """
-    s = _as_rf(s)
+    s = RF._coerce(s)
     classes = row_classes(inst.n)
     if not 0 <= class_index < len(classes):
         raise ValueError(f"row class index out of range: {class_index}")
@@ -368,7 +366,7 @@ def scale_row_class(inst: AztecInstance, class_index: int, s) -> Tuple[AztecInst
 
 def scale_col_class(inst: AztecInstance, class_index: int, s) -> Tuple[AztecInstance, RF]:
     """Multiply every weight in a column pair by s; multiplier s^(n+1)."""
-    s = _as_rf(s)
+    s = RF._coerce(s)
     classes = col_classes(inst.n)
     if not 0 <= class_index < len(classes):
         raise ValueError(f"column class index out of range: {class_index}")

@@ -8,6 +8,7 @@ error (argparse's default).
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 from typing import Dict, Optional
@@ -110,15 +111,18 @@ def cmd_verify(args) -> int:
         print(f"unknown suite {args.suite!r}; choose from "
               f"{', '.join(sorted(SUITES))}", file=sys.stderr)
         return 2
-    kwargs = {}
-    if args.trials is not None:
+    suite = SUITES[args.suite]
+    given = {"trials": args.trials, "seed": args.seed,
+             "slow": args.slow or None}
+    kwargs = {k: v for k, v in given.items() if v is not None}
+    declared = inspect.signature(suite).parameters
+    for k in kwargs:
+        if k not in declared:
+            raise ComputationError(
+                f"suite {args.suite} does not take --{k}")
+    if "trials" in kwargs:
         _check_range("--trials", args.trials, MAX_TRIALS)
-        kwargs["trials"] = args.trials
-    if args.seed is not None:
-        kwargs["seed"] = args.seed
-    if args.slow:
-        kwargs["slow"] = True
-    result = SUITES[args.suite](**kwargs)
+    result = suite(**kwargs)
     for c in result.cases:
         mark = "PASS" if c.passed else "FAIL"
         print(f"[{mark}] {result.suite}/{c.case_id}")

@@ -8,8 +8,7 @@ orders, against the brute-force oracle) in the test suite.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from .aztec import AztecInstance, PeriodMatrix, evaluate, evaluate_factored
 from .exprs import parse
@@ -49,48 +48,22 @@ def halfweight_period_B() -> PeriodMatrix:
     ])
 
 
-def weighted_dungeon_period_M(a="a", b="b", c="c", d="d",
-                              e="e", f="f", g="g", h="h") -> PeriodMatrix:
+def weighted_dungeon_period_M() -> PeriodMatrix:
     """General 8-parameter 4x4 period specializing to the families above."""
-    a, b, c, d = _rf(a), _rf(b), _rf(c), _rf(d)
-    e, f, g, h = _rf(e), _rf(f), _rf(g), _rf(h)
-    zero = RF.const(0)
-    return PeriodMatrix([
-        [a, d, d, a],
-        [e, zero, g, e],
-        [f, h, zero, f],
-        [b, c, c, b],
+    return PeriodMatrix.from_strings([
+        ["a", "d", "d", "a"],
+        ["e", "0", "g", "e"],
+        ["f", "h", "0", "f"],
+        ["b", "c", "c", "b"],
     ])
 
 
-class DungeonSpec:
-    """Order and variant of a triangle-lattice diamond region."""
-
-    def __init__(self, variant: str, n: int):
-        if variant not in ("D", "E"):
-            raise ValueError(f"variant must be 'D' or 'E', got {variant!r}")
-        if n < 0:
-            raise ValueError("order must be nonnegative")
-        self.variant = variant
-        self.n = n
-
-
-def dungeon_value(spec: DungeonSpec) -> RF:
-    """Exact tiling generating function of the region.
-
-    Variant D carries the two-parameter x,y weight; variant E is the
-    unweighted count.  Orders 0 and 1 of variant D are immediate; larger
-    orders translate to a reduced diamond with the 4x4 period.
-    """
-    n = spec.n
-    if spec.variant == "D":
-        return _dungeon_d_factored(n).to_rf()
-    value, _ = evaluate(AztecInstance(2 * n + 1, halfweight_period_B()))
-    return RF.const(2) ** ((n + 1) * (n + 1)) * value
-
-
 def _dungeon_d_factored(n: int) -> FactoredRF:
-    """Variant D's value at order n, kept in factored form."""
+    """Dungeon-D's value at order n, kept in factored form.
+
+    Orders 0 and 1 are immediate; larger orders translate to a reduced
+    diamond with the 4x4 period N.
+    """
     if n == 0:
         return FactoredRF(1)
     value = evaluate_factored(AztecInstance(2 * n - 2, dungeon_period_N()))
@@ -350,28 +323,11 @@ _CHECKERED_EXP: List[List[Optional[int]]] = [
 ]
 
 
-def checkered_period(q="q") -> PeriodMatrix:
-    """20x20 period with entries q^e per the exponent table (0 at gaps).
-
-    checkered_period(1) is the plain 0-1 period.
-    """
-    q = _rf(q)
-    qinv = None
-    rows = []
-    for i in range(20):
-        row = []
-        for j in range(20):
-            e = _CHECKERED_EXP[i][j]
-            if e is None:
-                row.append(RF.const(0))
-            elif e >= 0:
-                row.append(q ** e)
-            else:
-                if qinv is None:
-                    qinv = q.inverse()
-                row.append(qinv ** (-e))
-        rows.append(row)
-    return PeriodMatrix(rows)
+def checkered_period() -> PeriodMatrix:
+    """20x20 period with entries q^e per the exponent table (0 at gaps)."""
+    q = RF.var("q")
+    return PeriodMatrix([[RF.const(0) if e is None else q ** e for e in row]
+                         for row in _CHECKERED_EXP])
 
 
 def _exp_x(n: int) -> int:
@@ -447,14 +403,18 @@ def family_value(family: str, n: int,
 
     Families indexed by region order run on the translated diamond order
     (2n for hexsquare and dragon); the checkered pattern's n is the diamond order itself.
-    Bindings substitute values for the pattern's free variables.
+    dungeon-D carries the two-parameter x,y weight; dungeon-E is the
+    unweighted count and ignores bindings.  Bindings substitute values for
+    the pattern's free variables.
     """
     if family == "dungeon-D":
         value = _dungeon_d_factored(n)
         # substituting factor by factor never expands the symbolic value
         return value.substitute(bindings) if bindings else value.to_rf()
     if family == "dungeon-E":
-        return dungeon_value(DungeonSpec("E", n))
+        # the unweighted count: 2^((n+1)^2) times the order 2n+1 value on B
+        value, _ = evaluate(AztecInstance(2 * n + 1, halfweight_period_B()))
+        return RF.const(2) ** ((n + 1) * (n + 1)) * value
     if family == "hexsquare":
         period = hexsquare_period()
         order = 2 * n

@@ -66,8 +66,7 @@ def proportionality_scalar(a: PeriodMatrix, b: PeriodMatrix) -> Optional[RF]:
     c = None
     for i in range(a.k):
         for j in range(a.l):
-            ea = FactoredRF._coerce(a.entries[i][j])
-            eb = FactoredRF._coerce(b.entries[i][j])
+            ea, eb = a.entries[i][j], b.entries[i][j]
             if ea.is_zero() != eb.is_zero():
                 return None
             if ea.is_zero():
@@ -89,7 +88,7 @@ def _search(a: PeriodMatrix, max_iter: int, tests) -> OrbitReport:
     """
     factors: List[FactoredRF] = []
     active, hit = list(tests), None
-    cur = a.map(FactoredRF._coerce)
+    cur = a
     for k in range(1, max_iter + 1):
         deltas, cur = _block_round(cur, step=k)
         factors.append(_block_product(deltas, [1] * len(deltas),
@@ -156,8 +155,8 @@ def _q_shift_test(aq: PeriodMatrix, var: str):
     def entry(sigma: Fraction, i: int, j: int) -> FactoredRF:
         key = (sigma, i, j)
         if key not in shifted:
-            shifted[key] = FactoredRF.from_rf(RF._coerce(
-                aq.entries[i][j]).substitute({var: RF.const(sigma) * q}))
+            shifted[key] = FactoredRF.from_rf(aq.entries[i][j].substitute(
+                {var: RF.const(sigma) * q}))
         return shifted[key]
 
     def match(cur, factors):
@@ -179,8 +178,8 @@ def detect_orbit(a: PeriodMatrix,
     variables = set()
     for row in a.entries:
         for e in row:
-            e = RF._coerce(e)
-            variables |= set(e.num.variables) | set(e.den.variables)
+            for f in e.factors:
+                variables |= set(f.variables)
     tests = [_proportional_test(a)]
     if len(variables) == 1:
         tests.append(_q_shift_test(a, next(iter(variables))))
@@ -247,18 +246,18 @@ def equivalence_reduce(a: PeriodMatrix) -> Tuple[PeriodMatrix, list]:
     diamond value at any order.  Uniqueness of the normal form is only
     observed, not proven, for matrices with zero entries.
     """
-    rows = [[RF._coerce(e) for e in row] for row in a.entries]
+    rows = [row[:] for row in a.entries]
     ledger = []
     for i in range(a.k):
         pivot = next((e for e in rows[i] if not e.is_zero()), None)
-        if pivot is not None and pivot != RF.const(1):
+        if pivot is not None and pivot != 1:
             s = pivot.inverse()
             rows[i] = [e * s for e in rows[i]]
             ledger.append(("row", i, s))
     for j in range(a.l):
         pivot = next((rows[i][j] for i in range(a.k)
                       if not rows[i][j].is_zero()), None)
-        if pivot is not None and pivot != RF.const(1):
+        if pivot is not None and pivot != 1:
             s = pivot.inverse()
             for i in range(a.k):
                 rows[i][j] = rows[i][j] * s
@@ -272,8 +271,8 @@ def ledger_multiplier(ledger, k: int, l: int, n: int) -> RF:
     If reduce(a) = (b, ledger) then
     M(order n; b) = ledger_multiplier(ledger, a.k, a.l, n) * M(order n; a).
     """
-    out = RF.const(1)
+    out = FactoredRF(1)
     for kind, index, s in ledger:
         size = k if kind == "row" else l
         out = out * s ** class_exponent(index, size, n)
-    return out
+    return out.to_rf()

@@ -564,15 +564,14 @@ class RationalFunction:
     def sqrt(self) -> "RationalFunction":
         """Exact square root; raises ValueError if not a perfect square.
 
-        The root is read off the factored form: the rational coefficient
-        must be a square and every irreducible exponent even.
+        num and den are coprime, so the quotient is a square exactly when
+        both are; their roots stay coprime, and the root of the monic den
+        is monic.
         """
-        f = FactoredRF.from_rf(self)
-        root = _frac_sqrt(f.coeff)
-        if root is None or any(e % 2 for e in f.factors.values()):
+        num, den = poly_sqrt(self.num), poly_sqrt(self.den)
+        if num is None or den is None:
             raise ValueError(f"not a perfect square: {self}")
-        return FactoredRF(root, {g: e // 2
-                                 for g, e in f.factors.items()}).to_rf()
+        return RationalFunction(num, den, _normalized=True)
 
     def __str__(self) -> str:
         if self.den == MultiPoly.const(1):

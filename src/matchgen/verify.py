@@ -1,28 +1,31 @@
 """Reproducible verification suites over the whole engine.
 
-Each suite runs a list of exact checks (closed forms against the reduction
-pipeline, the pipeline against the brute-force oracle, or both) and reports
-one line per case.  The CLI `verify` subcommand and the acceptance tests
-both run these; a case passes only when expected and computed values agree
-as canonical forms.
+Each suite is a generator of exact checks (closed forms against the
+reduction pipeline, the pipeline against the brute-force oracle, or both),
+one `Case` per check, registered by name in `SUITES`.  A suite takes only
+the keyword parameters it uses, so the CLI `verify` subcommand refuses a
+flag the suite does not declare.  The CLI and the acceptance tests both run
+these; a case passes only when expected and computed values agree as
+canonical forms.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Iterator, List
 
 from .aztec import (AztecInstance, PeriodMatrix, evaluate, evaluate_factored,
                     to_graph, _edge_position, row_classes, col_classes)
 from .cellular import CellularCompletion, complement
 from .exprs import parse
-from .families import (DungeonSpec, ColumnPairMatrix, checkered_closed_form,
+from .families import (ColumnPairMatrix, checkered_closed_form,
                        checkered_count, checkered_period, dragon_period,
-                       dragon_unit_period, dungeon_period_N, dungeon_value,
-                       family_value, hexsquare_closed_form, hexsquare_period,
+                       dragon_unit_period, dungeon_period_N, family_value,
+                       hexsquare_closed_form, hexsquare_period,
                        duplicate_step, duplicate_value,
                        weighted_dungeon_period_M, quad_step, quad_value)
 from .graphs import WeightedGraph, enumerate_matchings, oracle_mgf
@@ -34,11 +37,20 @@ RF = RationalFunction
 
 @dataclass
 class Case:
+    """One check; built directly for a described check, or by `compare`."""
+
     case_id: str
     expected: str
     computed: str
     passed: bool
     provenance: str = ""
+
+    @classmethod
+    def compare(cls, case_id: str, expected, computed,
+                provenance: str = "") -> "Case":
+        """A value comparison: passes when the canonical forms are equal."""
+        return cls(case_id, str(expected), str(computed),
+                   expected == computed, provenance)
 
 
 @dataclass
@@ -50,16 +62,6 @@ class SuiteResult:
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.cases)
-
-    def add(self, case_id: str, expected, computed, provenance: str = ""):
-        ok = expected == computed
-        self.cases.append(Case(case_id, str(expected), str(computed), ok,
-                               provenance))
-
-    def add_check(self, case_id: str, expected_desc: str, computed_desc: str,
-                  ok: bool, provenance: str = ""):
-        self.cases.append(Case(case_id, expected_desc, computed_desc, ok,
-                               provenance))
 
     def to_dict(self) -> dict:
         return {
@@ -73,40 +75,53 @@ class SuiteResult:
         }
 
 
-def _timed(fn: Callable[[SuiteResult], None], name: str) -> SuiteResult:
-    out = SuiteResult(name)
-    t0 = time.perf_counter()
-    fn(out)
-    out.wall_time = time.perf_counter() - t0
-    return out
+SUITES: Dict[str, Callable[..., SuiteResult]] = {}
+
+
+def _suite(name: str):
+    """Register a case generator as the suite `name`.
+
+    The registered callable takes the generator's keyword parameters (its
+    signature is the generator's) and returns a SuiteResult whose
+    wall_time covers the whole lazy run.
+    """
+    def register(gen: Callable[..., Iterator[Case]]):
+        @functools.wraps(gen)
+        def run(**params) -> SuiteResult:
+            t0 = time.perf_counter()
+            cases = list(gen(**params))
+            return SuiteResult(name, cases, time.perf_counter() - t0)
+
+        SUITES[name] = run
+        return run
+    return register
 
 
 # ---------------------------------------------------------------------------
 # Basic pipeline suites
 
-def suite_aztec_basic(**_) -> SuiteResult:
+@_suite("aztec-basic")
+def suite_aztec_basic() -> Iterator[Case]:
     """All-ones diamonds count 2^(n(n+1)/2)."""
-    def run(res):
-        ones = PeriodMatrix.constant(1)
-        for n in range(13):
-            val, _ = evaluate(AztecInstance(n, ones))
-            res.add(f"all-ones-n{n}", RF.const(2 ** (n * (n + 1) // 2)), val,
-                    "power-of-two count")
-    return _timed(run, "aztec-basic")
+    ones = PeriodMatrix.constant(1)
+    for n in range(13):
+        val, _ = evaluate(AztecInstance(n, ones))
+        yield Case.compare(f"all-ones-n{n}", RF.const(2 ** (n * (n + 1) // 2)),
+                           val, "power-of-two count")
 
 
-def suite_cellular_random(trials: int = 100, seed: int = 0, **_) -> SuiteResult:
+@_suite("cellular-random")
+def suite_cellular_random(trials: int = 100, seed: int = 0) -> Iterator[Case]:
     """Randomized completions: M(H) = 2^partial * factor * M(H')."""
-    def run(res):
-        rng = random.Random(seed)
-        for t in range(trials):
-            comp = _random_completion(rng, t)
-            hp, factor, pc = complement(comp)
-            left = oracle_mgf(comp.h_graph())
-            right = RF.const(2 ** pc) * factor * oracle_mgf(hp)
-            res.add(f"completion-{t}", left, right,
-                    "oracle on both sides of the complementation identity")
-    return _timed(run, "cellular-random")
+    rng = random.Random(seed)
+    for t in range(trials):
+        comp = _random_completion(rng, t)
+        hp, factor, pc = complement(comp)
+        left = oracle_mgf(comp.h_graph())
+        right = RF.const(2 ** pc) * factor * oracle_mgf(hp)
+        yield Case.compare(f"completion-{t}", left, right,
+                           "oracle on both sides of the complementation "
+                           "identity")
 
 
 _CELL_KINDS = ("whole", "partial3", "partial2", "partial0")
@@ -116,24 +131,26 @@ def _rand_weight(rng: random.Random) -> RF:
     return RF.const(Fraction(rng.randint(1, 5), rng.randint(1, 3)))
 
 
-def _add_cell(g: WeightedGraph, rng, cell, h_positions):
+def _add_cell(g: WeightedGraph, rng, cell, h_positions) -> set:
     """Add one cell's edges; positions in h_positions get random nonzero
-    weight, the rest weight 0 (host edges outside the subgraph)."""
+    weight, the rest weight 0 (host edges outside the subgraph).  Returns
+    the vertices the subgraph edges touch."""
+    members = set()
     for i in range(4):
         u, v = cell[i], cell[(i + 1) % 4]
-        w = _rand_weight(rng) if i in h_positions else RF.const(0)
-        g.add_edge(u, v, w)
+        if i in h_positions:
+            g.add_edge(u, v, _rand_weight(rng))
+            members |= {u, v}
+        else:
+            g.add_edge(u, v, RF.const(0))
+    return members
 
 
 def _single_cell(g, rng, tag, kind):
     cell = tuple(("c", tag, i) for i in range(4))
     positions = {"whole": (0, 1, 2, 3), "partial3": (0, 1),
                  "partial2": (0,), "partial0": ()}[kind]
-    _add_cell(g, rng, cell, positions)
-    members = set()
-    for i in positions:
-        members |= {cell[i], cell[(i + 1) % 4]}
-    return [cell], members
+    return [cell], _add_cell(g, rng, cell, positions)
 
 
 def _chain_cells(g, rng, tag, kind_a, kind_b):
@@ -147,12 +164,8 @@ def _chain_cells(g, rng, tag, kind_a, kind_b):
              "partial2": (1,)}[kind_a]
     pos_b = {"whole": (0, 1, 2, 3), "partial3": (3, 0),
              "partial2": (3,)}[kind_b]
-    _add_cell(g, rng, cell_a, pos_a)
-    _add_cell(g, rng, cell_b, pos_b)
-    members = set()
-    for cell, pos in ((cell_a, pos_a), (cell_b, pos_b)):
-        for i in pos:
-            members |= {cell[i], cell[(i + 1) % 4]}
+    members = _add_cell(g, rng, cell_a, pos_a)
+    members |= _add_cell(g, rng, cell_b, pos_b)
     return [cell_a, cell_b], members
 
 
@@ -167,11 +180,9 @@ def _ring_cells(g, rng, tag, whole_flags):
     members = set()
     for i in range(4):
         cell = (m[i], x[i], m[(i + 1) % 4], y[i])
-        pos = (0, 1, 2, 3) if whole_flags[i] else (0, 1)
-        _add_cell(g, rng, cell, pos)
+        members |= _add_cell(g, rng, cell,
+                             (0, 1, 2, 3) if whole_flags[i] else (0, 1))
         cells.append(cell)
-        for j in pos:
-            members |= {cell[j], cell[(j + 1) % 4]}
     return cells, members
 
 
@@ -231,31 +242,30 @@ def dungeon_d_count(n: int) -> int:
     return 13 ** (4 * n - 12) * dungeon_d_count(n - 6)
 
 
-def suite_dungeon(**_) -> SuiteResult:
-    def run(res):
-        for n, s in enumerate(_DUNGEON_D_SYMBOLIC):
-            res.add(f"symbolic-n{n}", parse(s),
-                    dungeon_value(DungeonSpec("D", n)),
-                    "closed-form tiling generating function")
-        one = {"x": RF.const(1), "y": RF.const(1)}
-        for n in range(11):
-            res.add(f"count-n{n}", RF.const(dungeon_d_count(n)),
-                    family_value("dungeon-D", n, one),
-                    "power-of-13 count: 6-step recurrence vs pipeline")
-    return _timed(run, "dungeon")
+@_suite("dungeon")
+def suite_dungeon() -> Iterator[Case]:
+    for n, s in enumerate(_DUNGEON_D_SYMBOLIC):
+        yield Case.compare(f"symbolic-n{n}", parse(s),
+                           family_value("dungeon-D", n),
+                           "closed-form tiling generating function")
+    one = {"x": RF.const(1), "y": RF.const(1)}
+    for n in range(11):
+        yield Case.compare(f"count-n{n}", RF.const(dungeon_d_count(n)),
+                           family_value("dungeon-D", n, one),
+                           "power-of-13 count: 6-step recurrence vs pipeline")
 
 
-def suite_dungeon_e(**_) -> SuiteResult:
-    def run(res):
-        for n, expected in enumerate(_DUNGEON_E_COUNTS):
-            res.add(f"count-n{n}", RF.const(expected),
-                    dungeon_value(DungeonSpec("E", n)),
-                    "power-of-13 count via pipeline")
-        # the 6-step recurrence linking the first repeated order
-        res.add("recurrence-n6", dungeon_value(DungeonSpec("E", 6)),
-                RF.const(13 ** (4 * 6 - 8)) * dungeon_value(DungeonSpec("E", 0)),
-                "T(E_6) = 13^16 * T(E_0)")
-    return _timed(run, "dungeon-E")
+@_suite("dungeon-E")
+def suite_dungeon_e() -> Iterator[Case]:
+    for n, expected in enumerate(_DUNGEON_E_COUNTS):
+        yield Case.compare(f"count-n{n}", RF.const(expected),
+                           family_value("dungeon-E", n),
+                           "power-of-13 count via pipeline")
+    # the 6-step recurrence linking the first repeated order
+    yield Case.compare("recurrence-n6", family_value("dungeon-E", 6),
+                       RF.const(13 ** (4 * 6 - 8))
+                       * family_value("dungeon-E", 0),
+                       "T(E_6) = 13^16 * T(E_0)")
 
 
 # Closed-form values as (factor, exponent) products; "R" is the shared
@@ -284,81 +294,72 @@ def _weighted_dungeon_expected(n: int) -> FactoredRF:
     return value
 
 
-def suite_weighted_dungeon(slow: bool = False, **_) -> SuiteResult:
-    def run(res):
-        top = 11 if slow else 7
-        m = weighted_dungeon_period_M()
-        for n in range(top + 1):
-            res.add(f"symbolic-n{n}",
-                    _weighted_dungeon_expected(n),
-                    evaluate_factored(AztecInstance(n, m)),
-                    "eight-variable closed form")
-    return _timed(run, "weighted-dungeon")
+@_suite("weighted-dungeon")
+def suite_weighted_dungeon(slow: bool = False) -> Iterator[Case]:
+    top = 11 if slow else 7
+    m = weighted_dungeon_period_M()
+    for n in range(top + 1):
+        yield Case.compare(f"symbolic-n{n}", _weighted_dungeon_expected(n),
+                           evaluate_factored(AztecInstance(n, m)),
+                           "eight-variable closed form")
 
 
 # ---------------------------------------------------------------------------
 # Column-pair pattern suites
 
-def _random_square_rows(rng: random.Random, n: int) -> List[List[RF]]:
-    return [[_rand_weight(rng) ** 2, _rand_weight(rng) ** 2]
-            for _ in range(2 * n)]
+def _random_pattern_cases(pattern: str, value, power: int, seed: int,
+                          trials: int, provenance: str) -> Iterator[Case]:
+    """Seeded random column-pair matrices at orders 1..4, each checked by
+    its recurrence `value` against the pipeline and the pipeline against
+    the oracle.  Each row draws two weights, raised to `power`."""
+    rng = random.Random(seed)
+    for n in range(1, 5):
+        for t in range(trials):
+            tt = ColumnPairMatrix(
+                [[_rand_weight(rng) ** power, _rand_weight(rng) ** power]
+                 for _ in range(2 * n)], pattern)
+            rec = value(tt)
+            pipe, _ = evaluate(tt.instance())
+            yield Case.compare(f"recurrence-vs-pipeline-n{n}-t{t}", rec, pipe,
+                               provenance)
+            yield Case.compare(f"pipeline-vs-oracle-n{n}-t{t}", pipe,
+                               oracle_mgf(to_graph(tt.instance())),
+                               "pipeline against brute-force enumeration")
 
 
-def suite_quad_pattern(seed: int = 0, trials: int = 3, **_) -> SuiteResult:
-    def run(res):
-        rng = random.Random(seed)
-        for n in range(1, 5):
-            for t in range(trials):
-                tt = ColumnPairMatrix(_random_square_rows(rng, n), "quad")
-                rec = quad_value(tt)
-                pipe, _ = evaluate(tt.instance())
-                res.add(f"recurrence-vs-pipeline-n{n}-t{t}", rec, pipe,
-                        "order-lowering recurrence against the pipeline")
-                res.add(f"pipeline-vs-oracle-n{n}-t{t}", pipe,
-                        oracle_mgf(to_graph(tt.instance())),
-                        "pipeline against brute-force enumeration")
-        rows = [[parse(f"u{i}^2"), parse(f"v{i}^2")] for i in range(1, 13)]
-        big = ColumnPairMatrix(rows, "quad")
-        r4 = big
-        for _ in range(4):
-            r4 = quad_step(r4)
-        sub = ColumnPairMatrix(rows[4:8], "quad")
-        res.add_check("r4-row-drop", "rows 5..8 of the 12-row matrix",
-                      "r^4 of the 12-row matrix",
-                      r4.rows == sub.rows,
-                      "four steps drop the outer four row pairs")
-    return _timed(run, "quad-pattern")
+@_suite("quad-pattern")
+def suite_quad_pattern(seed: int = 0, trials: int = 3) -> Iterator[Case]:
+    yield from _random_pattern_cases(
+        "quad", quad_value, 2, seed, trials,
+        "order-lowering recurrence against the pipeline")
+    rows = [[parse(f"u{i}^2"), parse(f"v{i}^2")] for i in range(1, 13)]
+    r4 = ColumnPairMatrix(rows, "quad")
+    for _ in range(4):
+        r4 = quad_step(r4)
+    sub = ColumnPairMatrix(rows[4:8], "quad")
+    yield Case("r4-row-drop", "rows 5..8 of the 12-row matrix",
+               "r^4 of the 12-row matrix", r4.rows == sub.rows,
+               "four steps drop the outer four row pairs")
 
 
-def suite_duplicate_pattern(seed: int = 0, trials: int = 3, **_) -> SuiteResult:
-    def run(res):
-        rng = random.Random(seed)
-        for n in range(1, 5):
-            for t in range(trials):
-                tt = ColumnPairMatrix(
-                    [[_rand_weight(rng), _rand_weight(rng)]
-                     for _ in range(2 * n)], "duplicate")
-                rec = duplicate_value(tt)
-                pipe, _ = evaluate(tt.instance())
-                res.add(f"recurrence-vs-pipeline-n{n}-t{t}", rec, pipe,
-                        "two-order recurrence against the pipeline")
-                res.add(f"pipeline-vs-oracle-n{n}-t{t}", pipe,
-                        oracle_mgf(to_graph(tt.instance())),
-                        "pipeline against brute-force enumeration")
-        rows = [[parse(f"u{i}"), parse(f"v{i}")] for i in range(1, 13)]
-        big = ColumnPairMatrix(rows, "duplicate")
-        t2 = duplicate_step(duplicate_step(big))
-        sub = ColumnPairMatrix(rows[4:8], "duplicate")
-        res.add_check("t2-row-drop", "rows 5..8 of the 12-row matrix",
-                      "t^2 of the 12-row matrix", t2.rows == sub.rows,
-                      "two steps drop the outer four row pairs")
-    return _timed(run, "duplicate-pattern")
+@_suite("duplicate-pattern")
+def suite_duplicate_pattern(seed: int = 0, trials: int = 3) -> Iterator[Case]:
+    yield from _random_pattern_cases(
+        "duplicate", duplicate_value, 1, seed, trials,
+        "two-order recurrence against the pipeline")
+    rows = [[parse(f"u{i}"), parse(f"v{i}")] for i in range(1, 13)]
+    t2 = duplicate_step(duplicate_step(ColumnPairMatrix(rows, "duplicate")))
+    sub = ColumnPairMatrix(rows[4:8], "duplicate")
+    yield Case("t2-row-drop", "rows 5..8 of the 12-row matrix",
+               "t^2 of the 12-row matrix", t2.rows == sub.rows,
+               "two steps drop the outer four row pairs")
 
 
 # ---------------------------------------------------------------------------
 # Squares-and-hexagons, dragon, checkered suites
 
-def suite_hexsquare(**_) -> SuiteResult:
+@_suite("hexsquare")
+def suite_hexsquare() -> Iterator[Case]:
     """Verified period-three closed form, plus the recorded refutation.
 
     The historical claim (exponent n(n+1) at diamond order 2n, with odd
@@ -368,151 +369,131 @@ def suite_hexsquare(**_) -> SuiteResult:
     pipeline, cross-checks small orders against the oracle, and keeps the
     counterexample as an explicit case.
     """
-    def run(res):
-        p = hexsquare_period()
-        for m in range(14):
-            res.add(f"closed-form-m{m}", FactoredRF.from_rf(hexsquare_closed_form(m)),
-                    evaluate_factored(AztecInstance(m, p)),
-                    "oracle-verified period-three exponent pattern")
-        for m in range(1, 5):
-            res.add(f"oracle-m{m}", oracle_mgf(to_graph(AztecInstance(m, p))),
-                    evaluate(AztecInstance(m, p))[0],
-                    "pipeline against brute-force enumeration")
-        claim = parse("(1+a^2)^6")  # n(n+1) with n = 2, diamond order 4
-        actual, _ = evaluate(AztecInstance(4, p))
-        res.add_check("historical-claim-counterexample",
-                      "order-4 value differs from (1+a^2)^6",
-                      str(actual), actual != claim,
-                      "printed claim refuted by enumeration at order 4")
-        odd = evaluate(AztecInstance(5, p))[0]
-        even = evaluate(AztecInstance(4, p))[0]
-        res.add_check("historical-odd-even-counterexample",
-                      "order-5 value differs from order-4 value",
-                      f"{odd} vs {even}", odd != even,
-                      "odd-order equality also fails at orders 4, 5")
-    return _timed(run, "hexsquare")
+    p = hexsquare_period()
+    for m in range(14):
+        yield Case.compare(f"closed-form-m{m}",
+                           FactoredRF.from_rf(hexsquare_closed_form(m)),
+                           evaluate_factored(AztecInstance(m, p)),
+                           "oracle-verified period-three exponent pattern")
+    for m in range(1, 5):
+        yield Case.compare(f"oracle-m{m}",
+                           oracle_mgf(to_graph(AztecInstance(m, p))),
+                           evaluate(AztecInstance(m, p))[0],
+                           "pipeline against brute-force enumeration")
+    claim = parse("(1+a^2)^6")  # n(n+1) with n = 2, diamond order 4
+    actual, _ = evaluate(AztecInstance(4, p))
+    yield Case("historical-claim-counterexample",
+               "order-4 value differs from (1+a^2)^6",
+               str(actual), actual != claim,
+               "printed claim refuted by enumeration at order 4")
+    odd = evaluate(AztecInstance(5, p))[0]
+    even = evaluate(AztecInstance(4, p))[0]
+    yield Case("historical-odd-even-counterexample",
+               "order-5 value differs from order-4 value",
+               f"{odd} vs {even}", odd != even,
+               "odd-order equality also fails at orders 4, 5")
 
 
-def suite_dragon(**_) -> SuiteResult:
-    def run(res):
-        base = parse("1+a^2")
-        b = dragon_period()
-        for n in range(6):
-            res.add(f"symbolic-n{n}", FactoredRF.from_rf(base ** (n * (n + 1))),
-                    evaluate_factored(AztecInstance(2 * n, b)),
-                    "a-weighted diamond closed form")
-        u = dragon_unit_period()
-        for n in range(9):
-            res.add(f"count-n{n}", RF.const(2 ** (n * (n + 1))),
-                    evaluate(AztecInstance(2 * n, u))[0],
-                    "power-of-two tiling count")
-    return _timed(run, "dragon")
+@_suite("dragon")
+def suite_dragon() -> Iterator[Case]:
+    base = parse("1+a^2")
+    b = dragon_period()
+    for n in range(6):
+        yield Case.compare(f"symbolic-n{n}",
+                           FactoredRF.from_rf(base ** (n * (n + 1))),
+                           evaluate_factored(AztecInstance(2 * n, b)),
+                           "a-weighted diamond closed form")
+    u = dragon_unit_period()
+    for n in range(9):
+        yield Case.compare(f"count-n{n}", RF.const(2 ** (n * (n + 1))),
+                           evaluate(AztecInstance(2 * n, u))[0],
+                           "power-of-two tiling count")
 
 
-def suite_checkered(**_) -> SuiteResult:
-    def run(res):
-        one = {"q": RF.const(1)}
-        for n in range(1, 31):
-            val, _ = evaluate(AztecInstance(n, checkered_period()))
-            res.add(f"count-n{n}", checkered_count(n), val.substitute(one),
-                    "tabulated magnitude at q = 1")
-            if n <= 15:
-                res.add(f"symbolic-n{n}", checkered_closed_form(n), val,
-                        "tabulated monomial in q")
-        for n in range(31, 36):
-            val, _ = evaluate(AztecInstance(n, checkered_period()))
-            res.add(f"recurrence-n{n}", checkered_closed_form(n), val,
-                    "30-step recurrence with q -> 9q")
-    return _timed(run, "checkered")
+@_suite("checkered")
+def suite_checkered() -> Iterator[Case]:
+    one = {"q": RF.const(1)}
+    for n in range(1, 31):
+        val, _ = evaluate(AztecInstance(n, checkered_period()))
+        yield Case.compare(f"count-n{n}", checkered_count(n),
+                           val.substitute(one), "tabulated magnitude at q = 1")
+        if n <= 15:
+            yield Case.compare(f"symbolic-n{n}", checkered_closed_form(n), val,
+                               "tabulated monomial in q")
+    for n in range(31, 36):
+        val, _ = evaluate(AztecInstance(n, checkered_period()))
+        yield Case.compare(f"recurrence-n{n}", checkered_closed_form(n), val,
+                           "30-step recurrence with q -> 9q")
 
 
-def suite_orbit(**_) -> SuiteResult:
-    def run(res):
-        rep = detect_proportional(PeriodMatrix.constant(1))
-        res.add_check("all-ones-period", "k=1, c=1/2",
-                      f"k={rep.period_length}, c={rep.scalar}",
-                      rep.period_length == 1
-                      and rep.scalar == RF.const(Fraction(1, 2)),
-                      "constant matrix shuffles to half itself")
-        n_mat = dungeon_period_N()
-        k0 = (parse("y^4*(x^3+x*y^2+1)^4*(x^4+2*x^2*y^2+y^4+x)^4")
-              / (parse("(x^2+y^2)^4") * parse(_P_STR) ** 4))
-        rep = detect_proportional(n_mat)
-        res.add_check("dungeon-period-12", "k=12, scalar as closed form",
-                      f"k={rep.period_length}, match={rep.scalar == k0}",
-                      rep.period_length == 12 and rep.scalar == k0,
-                      "twelfth shuffle iterate is proportional")
-        m_mat = weighted_dungeon_period_M()
-        k2 = (parse("(a*g+d*e)^2*(b*h+c*f)^2*(a*g+2*d*e)^2*(b*h+2*c*f)^2")
-              / parse("16*(a*b*g*h+a*c*f*g+b*d*e*h+2*c*d*e*f)^4"))
-        rep = detect_proportional(m_mat)
-        res.add_check("eight-variable-period-12", "k=12, scalar as closed form",
-                      f"k={rep.period_length}, match={rep.scalar == k2}",
-                      rep.period_length == 12 and rep.scalar == k2,
-                      "eight-variable twelfth iterate, 1/16 coefficient")
-        rep = detect_q_shift(checkered_period())
-        res.add_check("checkered-q-shift", "k=30, sigma=9",
-                      f"k={rep.period_length}, sigma={rep.sigma}",
-                      rep.period_length == 30 and rep.sigma == 9,
-                      "thirtieth iterate rescales q by 9")
-        k_const = recurrence_constant(PeriodMatrix.constant(1), 2, 1)
-        res.add("recurrence-all-ones", RF.const(4), k_const,
-                "step factor times scalar power equals the value ratio")
-        k_n = recurrence_constant(n_mat, 14, 12, factored=True)
-        lhs = evaluate_factored(AztecInstance(14, n_mat))
-        rhs = k_n * evaluate_factored(AztecInstance(2, n_mat))
-        res.add_check("recurrence-dungeon", "order-14 value",
-                      "constant times order-2 value", lhs == rhs,
-                      "12-step recurrence validated by direct evaluation")
-    return _timed(run, "orbit")
+@_suite("orbit")
+def suite_orbit() -> Iterator[Case]:
+    rep = detect_proportional(PeriodMatrix.constant(1))
+    yield Case("all-ones-period", "k=1, c=1/2",
+               f"k={rep.period_length}, c={rep.scalar}",
+               rep.period_length == 1
+               and rep.scalar == RF.const(Fraction(1, 2)),
+               "constant matrix shuffles to half itself")
+    n_mat = dungeon_period_N()
+    k0 = (parse("y^4*(x^3+x*y^2+1)^4*(x^4+2*x^2*y^2+y^4+x)^4")
+          / (parse("(x^2+y^2)^4") * parse(_P_STR) ** 4))
+    rep = detect_proportional(n_mat)
+    yield Case("dungeon-period-12", "k=12, scalar as closed form",
+               f"k={rep.period_length}, match={rep.scalar == k0}",
+               rep.period_length == 12 and rep.scalar == k0,
+               "twelfth shuffle iterate is proportional")
+    k2 = (parse("(a*g+d*e)^2*(b*h+c*f)^2*(a*g+2*d*e)^2*(b*h+2*c*f)^2")
+          / parse("16*(a*b*g*h+a*c*f*g+b*d*e*h+2*c*d*e*f)^4"))
+    rep = detect_proportional(weighted_dungeon_period_M())
+    yield Case("eight-variable-period-12", "k=12, scalar as closed form",
+               f"k={rep.period_length}, match={rep.scalar == k2}",
+               rep.period_length == 12 and rep.scalar == k2,
+               "eight-variable twelfth iterate, 1/16 coefficient")
+    rep = detect_q_shift(checkered_period())
+    yield Case("checkered-q-shift", "k=30, sigma=9",
+               f"k={rep.period_length}, sigma={rep.sigma}",
+               rep.period_length == 30 and rep.sigma == 9,
+               "thirtieth iterate rescales q by 9")
+    k_const = recurrence_constant(PeriodMatrix.constant(1), 2, 1)
+    yield Case.compare("recurrence-all-ones", RF.const(4), k_const,
+                       "step factor times scalar power equals the value ratio")
+    k_n = recurrence_constant(n_mat, 14, 12, factored=True)
+    lhs = evaluate_factored(AztecInstance(14, n_mat))
+    rhs = k_n * evaluate_factored(AztecInstance(2, n_mat))
+    yield Case("recurrence-dungeon", "order-14 value",
+               "constant times order-2 value", lhs == rhs,
+               "12-step recurrence validated by direct evaluation")
 
 
-def suite_class_counts(**_) -> SuiteResult:
+@_suite("class-counts")
+def suite_class_counts() -> Iterator[Case]:
     """Every matching uses n edges per row class, n+1 per column pair."""
-    def run(res):
-        for n in range(1, 5):
-            inst = AztecInstance(n, PeriodMatrix.constant(1))
-            g = to_graph(inst)
-            rows = row_classes(n)
-            cols = col_classes(n)
-            ok_rows = ok_cols = True
-            count = 0
-            for matching in enumerate_matchings(g):
-                count += 1
-                r_used = [0] * (2 * n + 1)
-                c_used = [0] * (2 * n + 1)
-                for (u, v) in matching:
-                    r, c = _edge_position(n, u, v)
-                    r_used[r + 1] += 1
-                    c_used[c + 1] += 1
-                for cls in rows:
-                    if sum(r_used[i] for i in cls) != n:
-                        ok_rows = False
-                for cls in cols:
-                    if sum(c_used[i] for i in cls) != n + 1:
-                        ok_cols = False
-            res.add_check(f"row-classes-n{n}",
-                          f"n edges per row class in all {count} matchings",
-                          "verified" if ok_rows else "violated", ok_rows,
-                          "exhaustive enumeration")
-            res.add_check(f"col-classes-n{n}",
-                          f"n+1 edges per column pair in all {count} matchings",
-                          "verified" if ok_cols else "violated", ok_cols,
-                          "exhaustive enumeration")
-    return _timed(run, "class-counts")
-
-
-SUITES: Dict[str, Callable[..., SuiteResult]] = {
-    "aztec-basic": suite_aztec_basic,
-    "dungeon": suite_dungeon,
-    "dungeon-E": suite_dungeon_e,
-    "weighted-dungeon": suite_weighted_dungeon,
-    "quad-pattern": suite_quad_pattern,
-    "duplicate-pattern": suite_duplicate_pattern,
-    "hexsquare": suite_hexsquare,
-    "dragon": suite_dragon,
-    "checkered": suite_checkered,
-    "cellular-random": suite_cellular_random,
-    "orbit": suite_orbit,
-    "class-counts": suite_class_counts,
-}
+    for n in range(1, 5):
+        inst = AztecInstance(n, PeriodMatrix.constant(1))
+        g = to_graph(inst)
+        rows = row_classes(n)
+        cols = col_classes(n)
+        ok_rows = ok_cols = True
+        count = 0
+        for matching in enumerate_matchings(g):
+            count += 1
+            r_used = [0] * (2 * n + 1)
+            c_used = [0] * (2 * n + 1)
+            for (u, v) in matching:
+                r, c = _edge_position(n, u, v)
+                r_used[r + 1] += 1
+                c_used[c + 1] += 1
+            for cls in rows:
+                if sum(r_used[i] for i in cls) != n:
+                    ok_rows = False
+            for cls in cols:
+                if sum(c_used[i] for i in cls) != n + 1:
+                    ok_cols = False
+        yield Case(f"row-classes-n{n}",
+                   f"n edges per row class in all {count} matchings",
+                   "verified" if ok_rows else "violated", ok_rows,
+                   "exhaustive enumeration")
+        yield Case(f"col-classes-n{n}",
+                   f"n+1 edges per column pair in all {count} matchings",
+                   "verified" if ok_cols else "violated", ok_cols,
+                   "exhaustive enumeration")

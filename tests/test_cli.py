@@ -165,3 +165,22 @@ def test_orbit_max_iter_bounds(capsys, tmp_path, max_iter):
     assert code == 1
     assert data["error"]["kind"] == "ComputationError"
     assert "--max-iter" in data["error"]["message"]
+
+
+@pytest.mark.parametrize("suite,flag", [
+    ("aztec-basic", ["--trials", "5"]), ("dragon", ["--slow"]),
+    ("orbit", ["--seed", "1"])])
+def test_verify_refuses_undeclared_flag(capsys, suite, flag):
+    code, data = run_json(capsys, "verify", suite, *flag)
+    assert code == 1
+    assert data["error"]["kind"] == "ComputationError"
+    assert flag[0] in data["error"]["message"]
+
+
+def test_verify_declared_flags(capsys):
+    code, data = run_json(capsys, "verify", "quad-pattern",
+                          "--trials", "1", "--seed", "2")
+    assert code == 0
+    # one random matrix at each of orders 1..4 gives two cases each,
+    # plus the row-drop check
+    assert len(data["cases"]) == 9

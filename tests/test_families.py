@@ -5,9 +5,9 @@ import pytest
 from matchgen.aztec import AztecInstance, evaluate, to_graph
 from matchgen.exprs import parse
 from matchgen.families import (_CHECKERED01, _CHECKERED_EXP,
-                               DungeonSpec, ColumnPairMatrix, checkered_closed_form,
+                               ColumnPairMatrix, checkered_closed_form,
                                checkered_count, checkered_period, dragon_unit_period,
-                               dungeon_value, family_value,
+                               family_value,
                                hexsquare_closed_form, duplicate_step,
                                duplicate_value, weighted_dungeon_period_M,
                                quad_step, quad_value)
@@ -21,7 +21,7 @@ P = "(x^6+3*x^4*y^2+3*x^2*y^4+y^6+2*x^3+2*x*y^2+1)"
 def test_dungeon_d_symbolic_values():
     expected = ["1", "x^2+y^2", f"x^2*y^2*{P}", f"x^6*y^6*{P}^3"]
     for n, s in enumerate(expected):
-        assert dungeon_value(DungeonSpec("D", n)) == parse(s)
+        assert family_value("dungeon-D", n) == parse(s)
 
 
 def test_dungeon_d_counts():
@@ -42,9 +42,10 @@ def test_dungeon_e_counts():
 
 def test_dungeon_spec_validation():
     with pytest.raises(ValueError):
-        DungeonSpec("F", 1)
-    with pytest.raises(ValueError):
-        DungeonSpec("D", -1)
+        family_value("dungeon-F", 1)
+    for family in ("dungeon-D", "dungeon-E"):
+        with pytest.raises(ValueError, match="order must be nonnegative"):
+            family_value(family, -1)
 
 
 def test_weighted_dungeon_small_orders():

@@ -75,9 +75,11 @@ def test_q_shift_search_without_a_match():
 
 def test_q_shift_substitutes_only_compared_entries(monkeypatch):
     calls = []
-    substitute = RF.substitute
-    monkeypatch.setattr(RF, "substitute",
-                        lambda self, b: calls.append(1) or substitute(self, b))
+    for cls in (RF, FactoredRF):
+        monkeypatch.setattr(
+            cls, "substitute",
+            lambda self, b, substitute=cls.substitute:
+            calls.append(1) or substitute(self, b))
     rep = detect_q_shift(checkered_period(), var="q")
     assert (rep.kind, rep.period_length, rep.sigma) == ("q_shift", 30, 9)
     # a full shifted copy of the 20x20 period per candidate would be
