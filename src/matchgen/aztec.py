@@ -73,7 +73,10 @@ class PeriodMatrix:
 
     @staticmethod
     def from_strings(rows: List[List[str]]) -> "PeriodMatrix":
-        return PeriodMatrix([[parse(s) for s in row] for row in rows])
+        """Parse a period, each distinct entry string once."""
+        distinct = dict.fromkeys(s for row in rows for s in row)
+        values = {s: parse(s) for s in distinct}
+        return PeriodMatrix([[values[s] for s in row] for row in rows])
 
     @staticmethod
     def constant(c, k: int = 2, l: int = 2) -> "PeriodMatrix":
@@ -95,6 +98,18 @@ class PeriodMatrix:
 
     def substitute(self, bindings) -> "PeriodMatrix":
         return self.map(lambda e: e.substitute(bindings))
+
+    def variables(self) -> set:
+        """The variables of the entries, read off their irreducible factors."""
+        return {v for row in self.entries for e in row
+                for f in e.factors for v in f.variables}
+
+    def check_bindings(self, bindings):
+        """Raise ValueError naming a bound variable no entry has."""
+        unknown = sorted(set(bindings) - self.variables())
+        if unknown:
+            raise ValueError(f"the period has no variable {unknown[0]!r} "
+                             "to bind")
 
     def __str__(self):
         return "\n".join("  ".join(str(e) for e in row)
@@ -204,9 +219,10 @@ def to_graph(inst: AztecInstance) -> WeightedGraph:
     """Build the weighted diamond graph matching the edge array.
 
     Vertex ids are doubled integer coordinates (2p+1, 2q+1) with
-    |2p+1| + |2q+1| <= 2n.
+    |2p+1| + |2q+1| <= 2n.  Each distinct period entry is expanded once.
     """
-    n = inst.n
+    n, p = inst.n, inst.period
+    expanded = {}
     g = WeightedGraph()
     verts = [(a, b)
              for a in range(-2 * n + 1, 2 * n, 2)
@@ -220,7 +236,10 @@ def to_graph(inst: AztecInstance) -> WeightedGraph:
             u = (a + da, b + db)
             if u in vset:
                 r, c = _edge_position(n, (a, b), u)
-                g.add_edge((a, b), u, inst.period.at(r, c))
+                key = (r % p.k, c % p.l)
+                if key not in expanded:
+                    expanded[key] = p.at(r, c).to_rf()
+                g.add_edge((a, b), u, expanded[key])
     return g
 
 
@@ -354,19 +373,19 @@ def scale_row_class(inst: AztecInstance, class_index: int, s) -> Tuple[AztecInst
     Returns the rescaled instance (period expanded to the full array) and
     the multiplier s^n by which the generating function changes.
     """
-    s = RF._coerce(s)
+    s = FactoredRF._coerce(s)
     classes = row_classes(inst.n)
     if not 0 <= class_index < len(classes):
         raise ValueError(f"row class index out of range: {class_index}")
     arr = edge_array(inst)
     for r in classes[class_index]:
         arr[r - 1] = [s * e for e in arr[r - 1]]
-    return AztecInstance(inst.n, PeriodMatrix(arr)), s ** inst.n
+    return AztecInstance(inst.n, PeriodMatrix(arr)), (s ** inst.n).to_rf()
 
 
 def scale_col_class(inst: AztecInstance, class_index: int, s) -> Tuple[AztecInstance, RF]:
     """Multiply every weight in a column pair by s; multiplier s^(n+1)."""
-    s = RF._coerce(s)
+    s = FactoredRF._coerce(s)
     classes = col_classes(inst.n)
     if not 0 <= class_index < len(classes):
         raise ValueError(f"column class index out of range: {class_index}")
@@ -374,4 +393,5 @@ def scale_col_class(inst: AztecInstance, class_index: int, s) -> Tuple[AztecInst
     for row in arr:
         for c in classes[class_index]:
             row[c - 1] = s * row[c - 1]
-    return AztecInstance(inst.n, PeriodMatrix(arr)), s ** (inst.n + 1)
+    return (AztecInstance(inst.n, PeriodMatrix(arr)),
+            (s ** (inst.n + 1)).to_rf())

@@ -3,6 +3,11 @@
 Every subcommand writes JSON to stdout so runs are machine-checkable.
 Exit codes: 0 success, 1 computation error or failed verification, 2 usage
 error (argparse's default).
+
+An integer value also gets a `factorization` field, found by trial
+division up to TRIAL_DIVISION_LIMIT and a primality test on what is left.
+When that leaves a composite cofactor, the field is omitted, so the cost
+of the field stays bounded however large the value is.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ RF = RationalFunction
 # Upper bounds on the work one argument can ask for.
 MAX_ITER = 200
 MAX_TRIALS = 1000
+TRIAL_DIVISION_LIMIT = 10 ** 5
 
 
 class ComputationError(RuntimeError):
@@ -56,11 +62,29 @@ def _parse_bindings(text: Optional[str]) -> Dict[str, RF]:
 
 
 def _integer_factorization(value: RF):
-    """[[prime, exponent], ...] when the value is an integer, else None."""
+    """[[prime, exponent], ...] for a nonzero integer value, else None.
+
+    Also None when trial division up to TRIAL_DIVISION_LIMIT leaves a
+    composite cofactor.
+    """
     if not value.is_integer() or value.is_zero():
         return None
     n = abs(int(value.as_const()))
-    return [[p, e] for p, e in sorted(sympy.factorint(n).items())]
+    out = []
+    for p in sympy.primerange(TRIAL_DIVISION_LIMIT + 1):
+        if p * p > n:
+            break
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        if e:
+            out.append([p, e])
+    if n > 1:
+        if not sympy.isprime(n):
+            return None
+        out.append([n, 1])
+    return out
 
 
 def _load_period(path: str) -> PeriodMatrix:
@@ -85,6 +109,7 @@ def cmd_compute(args) -> int:
         trace = None
     else:
         period = _load_period(args.period)
+        period.check_bindings(bindings)
         if bindings:
             period = period.substitute(bindings)
         value, trace = evaluate(AztecInstance(args.n, period))

@@ -10,12 +10,22 @@ Grammar (whitespace insignificant, no implicit multiplication):
 
 A leading '-' on an expr is accepted as well so that printed canonical
 forms such as "-x+1" read back in.
+
+Products and powers are expanded as they are parsed, so each one is
+refused with a ParseError when an estimate of its result, made from the
+operands before any work, exceeds MAX_TERMS terms, MAX_DEGREE total degree
+or MAX_BITS coefficient bits in a numerator or denominator.
 """
 
 from __future__ import annotations
 
+import math
 import re
-from .rational import RationalFunction
+from .rational import MultiPoly, RationalFunction
+
+MAX_TERMS = 5000
+MAX_DEGREE = 1000
+MAX_BITS = 10000
 
 
 class ParseError(ValueError):
@@ -95,8 +105,12 @@ class _Parser:
                 if val == "/":
                     if rhs.is_zero():
                         raise ParseError("division by zero", pos)
+                    _check_size(_product_size(acc.num, rhs.den), pos)
+                    _check_size(_product_size(acc.den, rhs.num), pos)
                     acc = acc / rhs
                 else:
+                    _check_size(_product_size(acc.num, rhs.num), pos)
+                    _check_size(_product_size(acc.den, rhs.den), pos)
                     acc = acc * rhs
             else:
                 return acc
@@ -110,6 +124,8 @@ class _Parser:
             if kind != "int":
                 raise ParseError("expected nonnegative integer exponent", pos)
             self.advance()
+            _check_size(_power_size(b.num, val), pos)
+            _check_size(_power_size(b.den, val), pos)
             return b ** val
         return b
 
@@ -124,6 +140,49 @@ class _Parser:
             self.expect_op(")")
             return inner
         raise ParseError("expected integer, variable, or '('", pos)
+
+
+def _size(p: MultiPoly):
+    """(terms, total degree, coefficient bits) of p.
+
+    Coefficient bits bound log2 of every coefficient's numerator and
+    denominator, so 1 has none and 2 has one.
+    """
+    bits = max((max((abs(c.numerator) - 1).bit_length(),
+                    (c.denominator - 1).bit_length())
+                for c in p.terms.values()), default=0)
+    return len(p.terms), p.total_degree(), bits
+
+
+def _product_size(f: MultiPoly, g: MultiPoly):
+    """Upper estimate of _size(f * g): each coefficient sums at most
+    min(terms) products."""
+    (tf, df, bf), (tg, dg, bg) = _size(f), _size(g)
+    return tf * tg, df + dg, bf + bg + (min(tf, tg) - 1).bit_length()
+
+
+def _power_size(p: MultiPoly, n: int):
+    """Upper estimate of _size(p ** n).
+
+    The term count is the smaller of the multinomial count for p's terms
+    and the number of monomials of total degree at most n * deg(p) in p's
+    variables; a multinomial coefficient is at most terms^n.
+    """
+    t, d, b = _size(p)
+    if t <= 1:
+        return t, d * n, b * n
+    v = len(p.variables)
+    return (min(math.comb(t + n - 1, n), math.comb(d * n + v, v)), d * n,
+            n * (b + (t - 1).bit_length()))
+
+
+def _check_size(size, pos: int):
+    for what, value, limit in zip(("terms", "total degree",
+                                   "coefficient bits"),
+                                  size, (MAX_TERMS, MAX_DEGREE, MAX_BITS)):
+        if value > limit:
+            raise ParseError(f"expression would expand to more than "
+                             f"{limit} {what}", pos)
 
 
 def parse(text: str) -> RationalFunction:

@@ -58,15 +58,15 @@ def weighted_dungeon_period_M() -> PeriodMatrix:
     ])
 
 
-def _dungeon_d_factored(n: int) -> FactoredRF:
+def _dungeon_d_factored(n: int, period_n: PeriodMatrix) -> FactoredRF:
     """Dungeon-D's value at order n, kept in factored form.
 
     Orders 0 and 1 are immediate; larger orders translate to a reduced
-    diamond with the 4x4 period N.
+    diamond with the 4x4 period N, passed as `period_n`.
     """
     if n == 0:
         return FactoredRF(1)
-    value = evaluate_factored(AztecInstance(2 * n - 2, dungeon_period_N()))
+    value = evaluate_factored(AztecInstance(2 * n - 2, period_n))
     return value * FactoredRF.from_rf(parse("x^2+y^2")) ** (n * n)
 
 
@@ -394,7 +394,15 @@ def checkered_count(n: int) -> RF:
 # ---------------------------------------------------------------------------
 # Family dispatcher
 
-FAMILY_NAMES = ("dungeon-D", "dungeon-E", "hexsquare", "dragon", "checkered")
+_FAMILY_PERIODS = {
+    "dungeon-D": dungeon_period_N,
+    "dungeon-E": halfweight_period_B,
+    "hexsquare": hexsquare_period,
+    "dragon": dragon_period,
+    "checkered": checkered_period,
+}
+
+FAMILY_NAMES = tuple(_FAMILY_PERIODS)
 
 
 def family_value(family: str, n: int,
@@ -403,30 +411,25 @@ def family_value(family: str, n: int,
 
     Families indexed by region order run on the translated diamond order
     (2n for hexsquare and dragon); the checkered pattern's n is the diamond order itself.
-    dungeon-D carries the two-parameter x,y weight; dungeon-E is the
-    unweighted count and ignores bindings.  Bindings substitute values for
-    the pattern's free variables.
+    dungeon-D carries the two-parameter x,y weight (period N); dungeon-E is
+    the unweighted count (period B, which has no variables).  Bindings
+    substitute values for the pattern's free variables; a binding of a
+    variable the family's period does not have raises ValueError.
     """
+    if family not in _FAMILY_PERIODS:
+        raise ValueError(f"unknown family {family!r}")
+    period = _FAMILY_PERIODS[family]()
+    period.check_bindings(bindings or {})
     if family == "dungeon-D":
-        value = _dungeon_d_factored(n)
+        value = _dungeon_d_factored(n, period)
         # substituting factor by factor never expands the symbolic value
-        return value.substitute(bindings) if bindings else value.to_rf()
+        return (value.substitute(bindings) if bindings else value).to_rf()
     if family == "dungeon-E":
         # the unweighted count: 2^((n+1)^2) times the order 2n+1 value on B
-        value, _ = evaluate(AztecInstance(2 * n + 1, halfweight_period_B()))
+        value, _ = evaluate(AztecInstance(2 * n + 1, period))
         return RF.const(2) ** ((n + 1) * (n + 1)) * value
-    if family == "hexsquare":
-        period = hexsquare_period()
-        order = 2 * n
-    elif family == "dragon":
-        period = dragon_period()
-        order = 2 * n
-    elif family == "checkered":
-        period = checkered_period()
-        order = n
-    else:
-        raise ValueError(f"unknown family {family!r}")
     if bindings:
         period = period.substitute(bindings)
+    order = n if family == "checkered" else 2 * n
     value, _ = evaluate(AztecInstance(order, period))
     return value

@@ -55,7 +55,8 @@ class OrbitReport:
         return json.dumps(data)
 
 
-def proportionality_scalar(a: PeriodMatrix, b: PeriodMatrix) -> Optional[RF]:
+def proportionality_scalar(a: PeriodMatrix,
+                           b: PeriodMatrix) -> Optional[FactoredRF]:
     """The scalar c with b = c * a entrywise, or None.
 
     Zero entries must sit at the same positions; c is read off the first
@@ -75,7 +76,7 @@ def proportionality_scalar(a: PeriodMatrix, b: PeriodMatrix) -> Optional[RF]:
                 c = eb / ea
             elif eb != c * ea:
                 return None
-    return None if c is None else c.to_rf()
+    return c
 
 
 def _search(a: PeriodMatrix, max_iter: int, tests) -> OrbitReport:
@@ -108,7 +109,7 @@ def _search(a: PeriodMatrix, max_iter: int, tests) -> OrbitReport:
 def _proportional_test(a: PeriodMatrix):
     def match(cur, factors):
         c = proportionality_scalar(a, cur)
-        return None if c is None else {"scalar": c}
+        return None if c is None else {"scalar": c.to_rf()}
 
     return "proportional", match
 
@@ -155,8 +156,8 @@ def _q_shift_test(aq: PeriodMatrix, var: str):
     def entry(sigma: Fraction, i: int, j: int) -> FactoredRF:
         key = (sigma, i, j)
         if key not in shifted:
-            shifted[key] = FactoredRF.from_rf(aq.entries[i][j].substitute(
-                {var: RF.const(sigma) * q}))
+            shifted[key] = aq.entries[i][j].substitute(
+                {var: RF.const(sigma) * q})
         return shifted[key]
 
     def match(cur, factors):
@@ -175,11 +176,7 @@ def detect_orbit(a: PeriodMatrix,
 
     Both tests run on one walk of the orbit.
     """
-    variables = set()
-    for row in a.entries:
-        for e in row:
-            for f in e.factors:
-                variables |= set(f.variables)
+    variables = a.variables()
     tests = [_proportional_test(a)]
     if len(variables) == 1:
         tests.append(_q_shift_test(a, next(iter(variables))))
@@ -216,7 +213,7 @@ def recurrence_constant(a: PeriodMatrix, n: int, k: int,
         if c is None:
             raise ValueError(f"shuffle^{k} of the matrix is not a scalar "
                              "multiple of it")
-        total = total * FactoredRF.from_rf(c) ** (m * (m + 1))
+        total = total * c ** (m * (m + 1))
     return total if factored else total.to_rf()
 
 

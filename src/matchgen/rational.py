@@ -3,6 +3,19 @@
 Values are canonical: equal rational functions have identical
 representations, so `==` is both cheap and meaningful.  All objects are
 immutable after construction.
+
+The arithmetic contract:
+
+- Normalization.  A RationalFunction is reduced by one sympy call,
+  `poly_cofactors`, which returns the gcd together with both reduced
+  parts; no polynomial is divided outside sympy.
+- Conversion.  A value is factored once, where it enters the pipeline
+  (period entries, closed-form references), and stays a FactoredRF through
+  products, sums, powers and substitution.  It is expanded once, where it
+  leaves (public results, printing, graph edges, comparison with an
+  expanded value).  Nothing is expanded only to be factored again, so
+  `FactoredRF == RationalFunction` expands the factored side and
+  `FactoredRF.substitute` returns a FactoredRF.
 """
 
 from __future__ import annotations
@@ -245,38 +258,8 @@ def _align(a: MultiPoly, b: MultiPoly):
 
 
 # ---------------------------------------------------------------------------
-# Exact division, GCD, square root
+# GCD with cofactors, square root
 # ---------------------------------------------------------------------------
-
-
-def div_exact(f: MultiPoly, d: MultiPoly) -> Optional[MultiPoly]:
-    """Return f/d when the division is exact, else None."""
-    if d.is_zero():
-        raise ZeroDivisionError("division by the zero polynomial")
-    if f.is_zero():
-        return MultiPoly.const(0)
-    if d.is_const():
-        return f.scale(Fraction(1) / d.as_const())
-    vs, tf, td = _align(f, d)
-    lead_d = max(td, key=_grlex_key)
-    cd = td[lead_d]
-    rem = dict(tf)
-    quo: Dict[ExpVec, Fraction] = {}
-    while rem:
-        e = max(rem, key=_grlex_key)
-        q = tuple(x - y for x, y in zip(e, lead_d))
-        if any(x < 0 for x in q):
-            return None
-        c = rem[e] / cd
-        quo[q] = c
-        for ed, kd in td.items():
-            t = tuple(x + y for x, y in zip(q, ed))
-            s = rem.get(t, Fraction(0)) - c * kd
-            if s:
-                rem[t] = s
-            else:
-                rem.pop(t, None)
-    return MultiPoly(vs, quo)
 
 
 def _make_monic(p: MultiPoly) -> MultiPoly:
@@ -310,31 +293,44 @@ def _from_sympy(poly, variables, den: int = 1) -> MultiPoly:
     return MultiPoly(variables, terms)
 
 
-def poly_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
-    """Monic GCD of two polynomials (1 for coprime nonzero inputs).
+def poly_cofactors(f: MultiPoly, g: MultiPoly
+                   ) -> Tuple[MultiPoly, MultiPoly, MultiPoly]:
+    """(h, f/h, g/h) for the monic GCD h of f and g (1 for coprime inputs).
 
-    Polynomials that share a variable go to sympy's multivariate gcd over
-    ZZ, after clearing denominators; the gcd is only defined up to a unit,
-    so the denominators are dropped and the result made monic.
+    Polynomials that share a variable go to one `Poly.cofactors` call over
+    ZZ, after clearing denominators: sympy's gcd computes both quotients
+    anyway.  The gcd is only defined up to a unit, so it is made monic and
+    its leading coefficient moved into the quotients; a constant gcd leaves
+    f and g as they are.  gcd(0, g) is monic g; gcd(0, 0) is 0, with zero
+    quotients.
     """
     if f.is_zero():
-        return _make_monic(g)
+        if g.is_zero():
+            return f, f, g
+        lc = g.leading_coeff()
+        return _make_monic(g), f, MultiPoly.const(lc)
     if g.is_zero():
-        return _make_monic(f)
-    if f.is_const() or g.is_const():
-        return MultiPoly.const(1)
-    if not set(f.variables) & set(g.variables):
-        return MultiPoly.const(1)
+        h, gq, fq = poly_cofactors(g, f)
+        return h, fq, gq
+    if (f.is_const() or g.is_const()
+            or not set(f.variables) & set(g.variables)):
+        return MultiPoly.const(1), f, g
     variables = tuple(sorted(set(f.variables) | set(g.variables)))
     gens = _sympy.symbols(variables)
-    h = _to_sympy(f, variables, gens)[0].gcd(_to_sympy(g, variables, gens)[0])
-    return _make_monic(_from_sympy(h, variables))
+    pf, df = _to_sympy(f, variables, gens)
+    pg, dg = _to_sympy(g, variables, gens)
+    h, fq, gq = pf.cofactors(pg)
+    if h.is_ground:
+        return MultiPoly.const(1), f, g
+    h = _from_sympy(h, variables)
+    lc = h.leading_coeff()
+    return (_make_monic(h), _from_sympy(fq, variables, df).scale(lc),
+            _from_sympy(gq, variables, dg).scale(lc))
 
 
-def _must_div(f: MultiPoly, d: MultiPoly) -> MultiPoly:
-    q = div_exact(f, d)
-    assert q is not None, "internal: exact division failed"
-    return q
+def poly_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
+    """Monic GCD of two polynomials (1 for coprime nonzero inputs)."""
+    return poly_cofactors(f, g)[0]
 
 
 def poly_sqrt(p: MultiPoly) -> Optional[MultiPoly]:
@@ -386,10 +382,7 @@ class RationalFunction:
             if num.is_zero():
                 den = MultiPoly.const(1)
             else:
-                g = poly_gcd(num, den)
-                if not (g.is_const() and g.as_const() == 1):
-                    num = _must_div(num, g)
-                    den = _must_div(den, g)
+                _, num, den = poly_cofactors(num, den)
                 lc = den.leading_coeff()
                 if lc != 1:
                     inv = Fraction(1) / lc
@@ -474,16 +467,9 @@ class RationalFunction:
             return other
         if other.is_zero():
             return self
-        d = poly_gcd(self.den, other.den)
-        if d.is_const():
-            num = self.num * other.den + other.num * self.den
-            den = self.den * other.den
-        else:
-            da = _must_div(self.den, d)
-            db = _must_div(other.den, d)
-            num = self.num * db + other.num * da
-            den = da * other.den
-        return RationalFunction(num, den)
+        _, da, db = poly_cofactors(self.den, other.den)
+        return RationalFunction(self.num * db + other.num * da,
+                                da * other.den)
 
     __radd__ = __add__
 
@@ -508,12 +494,8 @@ class RationalFunction:
             return NotImplemented
         if self.is_zero() or other.is_zero():
             return RationalFunction.const(0)
-        g1 = poly_gcd(self.num, other.den)
-        g2 = poly_gcd(other.num, self.den)
-        n1 = self.num if g1.is_const() else _must_div(self.num, g1)
-        d2 = other.den if g1.is_const() else _must_div(other.den, g1)
-        n2 = other.num if g2.is_const() else _must_div(other.num, g2)
-        d1 = self.den if g2.is_const() else _must_div(self.den, g2)
+        _, n1, d2 = poly_cofactors(self.num, other.den)
+        _, n2, d1 = poly_cofactors(other.num, self.den)
         # monic denominators divided by monic gcds: the product is monic
         return RationalFunction(n1 * n2, d1 * d2, _normalized=True)
 
@@ -662,7 +644,9 @@ class FactoredRF:
     the shared factors so that only a small remainder is ever expanded.
     This makes long weight-transformation orbits tractable where expanded
     arithmetic blows up.  coeff == 0 encodes the zero function (factors
-    empty).  The representation is canonical, so == is structural.
+    empty).  The representation is canonical, so == between two factored
+    values is structural; against a RationalFunction, == expands this value
+    and never factors the other.
     """
 
     __slots__ = ("coeff", "factors")
@@ -709,19 +693,24 @@ class FactoredRF:
         return RationalFunction(num, den, _normalized=True)
 
     def substitute(self, bindings: Mapping[str, "RationalFunction"]
-                   ) -> "RationalFunction":
+                   ) -> "FactoredRF":
         """Equal to self.to_rf().substitute(bindings), without expanding self.
 
-        Each irreducible factor is substituted and then raised to its
-        exponent.  Exponents are net, so a vanishing factor with a negative
+        Each irreducible factor that has a bound variable is substituted,
+        factored and raised to its exponent; the others are kept as they
+        are.  Exponents are net, so a vanishing factor with a negative
         exponent raises ZeroDivisionError exactly where the expanded
         denominator would vanish.
         """
         bindings = {k: RationalFunction._coerce(v)
                     for k, v in bindings.items()}
-        out = RationalFunction.const(self.coeff)
+        out = FactoredRF(self.coeff)
         for f, e in self.factors.items():
-            out = out * _poly_substitute(f, bindings) ** e
+            if any(v in bindings for v in f.variables):
+                part = FactoredRF.from_rf(_poly_substitute(f, bindings))
+            else:
+                part = FactoredRF(1, {f: 1})
+            out = out * part ** e
         return out
 
     def is_zero(self) -> bool:
@@ -814,8 +803,10 @@ class FactoredRF:
         return self._coerce(other) + (-self)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, RationalFunction)):
-            other = self._coerce(other)
+        if isinstance(other, RationalFunction):
+            return self.to_rf() == other
+        if isinstance(other, (int, Fraction)):
+            other = FactoredRF(other)
         if not isinstance(other, FactoredRF):
             return NotImplemented
         return self.coeff == other.coeff and self.factors == other.factors

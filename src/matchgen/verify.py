@@ -400,7 +400,7 @@ def suite_dragon() -> Iterator[Case]:
     b = dragon_period()
     for n in range(6):
         yield Case.compare(f"symbolic-n{n}",
-                           FactoredRF.from_rf(base ** (n * (n + 1))),
+                           FactoredRF.from_rf(base) ** (n * (n + 1)),
                            evaluate_factored(AztecInstance(2 * n, b)),
                            "a-weighted diamond closed form")
     u = dragon_unit_period()

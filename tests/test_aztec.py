@@ -12,8 +12,11 @@ from matchgen.aztec import (AztecInstance, PeriodMatrix, ZeroCellFactor,
                             evaluate, evaluate_factored, reduce_step,
                             row_classes, scale_col_class, scale_row_class,
                             shuffle, to_graph)
+from matchgen import rational
 from matchgen.exprs import parse
+from matchgen.families import hexsquare_period, weighted_dungeon_period_M
 from matchgen.graphs import oracle_mgf
+from matchgen.rational import FactoredRF
 from matchgen.rational import RationalFunction as RF
 
 
@@ -140,6 +143,29 @@ def test_evaluate_factored_agrees():
     inst = AztecInstance(5, PeriodMatrix.from_strings([["a", "b"],
                                                       ["c", "d"]]))
     assert evaluate_factored(inst).to_rf() == evaluate(inst)[0]
+
+
+def test_comparing_with_expanded_value_never_factors(monkeypatch):
+    inst = AztecInstance(4, weighted_dungeon_period_M())
+    value = evaluate_factored(inst)
+    expected = oracle_mgf(to_graph(inst))
+    calls = []
+    monkeypatch.setattr(rational, "poly_factor",
+                        lambda p, factor=rational.poly_factor:
+                        calls.append(p) or factor(p))
+    assert value == expected
+    assert calls == []
+
+
+def test_to_graph_expands_each_entry_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(FactoredRF, "to_rf",
+                        lambda self, to_rf=FactoredRF.to_rf:
+                        calls.append(1) or to_rf(self))
+    g = to_graph(AztecInstance(4, hexsquare_period()))
+    # 12 distinct entries of the 2x6 period, 64 edges
+    assert len(calls) == 12
+    assert len(g.weights) == 64
 
 
 def test_order_zero():

@@ -1,6 +1,7 @@
 """The matchgen command line, run in process."""
 
 import json
+import time
 
 import pytest
 
@@ -8,6 +9,7 @@ from matchgen.aztec import PeriodMatrix
 from matchgen.cli import MAX_ITER, MAX_TRIALS, _integer_factorization, main
 from matchgen.exprs import parse
 from matchgen.graphs import WeightedGraph, graph_to_json
+from matchgen.rational import RationalFunction as RF
 
 
 def run(capsys, *argv):
@@ -139,6 +141,37 @@ def test_integer_factorization():
     assert _integer_factorization(parse("-7")) == [[7, 1]]
     assert _integer_factorization(parse("0")) is None
     assert _integer_factorization(parse("1")) == []
+
+
+def test_integer_factorization_is_bounded():
+    # two 30-digit primes: trial division leaves their composite product
+    p, q = 100000000000000000000000000319, 300000000000000000000000000007
+    start = time.perf_counter()
+    assert _integer_factorization(RF.const(p * q)) is None
+    assert time.perf_counter() - start < 1
+    # one large prime factor is still found by the primality test
+    assert _integer_factorization(RF.const(12 * q)) == [[2, 2], [3, 1],
+                                                        [q, 1]]
+
+
+@pytest.mark.parametrize("family,bind,name", [
+    ("dungeon-E", "x=5", "x"), ("dragon", "z=5", "z"),
+    ("dungeon-D", "x=1,y=1,a=2", "a")])
+def test_compute_refuses_binding_the_family_lacks(capsys, family, bind, name):
+    code, data = run_json(capsys, "compute", "--family", family,
+                          "--n", "1", "--bind", bind)
+    assert code == 1
+    assert data["error"]["kind"] == "ValueError"
+    assert repr(name) in data["error"]["message"]
+
+
+def test_compute_refuses_binding_the_period_lacks(capsys, tmp_path):
+    path = period_file(tmp_path, [["a", "1"], ["1", "a"]])
+    code, data = run_json(capsys, "compute", "--period", path,
+                          "--n", "2", "--bind", "a=2,b=3")
+    assert code == 1
+    assert data["error"]["kind"] == "ValueError"
+    assert "'b'" in data["error"]["message"]
 
 
 def test_usage_error_exit_code():

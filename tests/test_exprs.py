@@ -1,5 +1,6 @@
 """Expression parsing and printing."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -41,6 +42,18 @@ def test_parse_errors():
     for bad in ("", "x+", "(x", "x^y", "1//2", "x 2 +"):
         with pytest.raises(ParseError):
             parse(bad)
+
+
+@pytest.mark.parametrize("text, what", [
+    ("(x+y+1)^200", "terms"), ("(x+y+1)^60*(x+y+1)^60", "terms"),
+    ("x^1000000000", "total degree"), ("1/(x+1)^2000", "total degree"),
+    ("2^10000000000", "coefficient bits"),
+    ("((2^1000)^1000)^1000", "coefficient bits")])
+def test_expansion_size_is_bounded(text, what):
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match=what):
+        parse(text)
+    assert time.perf_counter() - start < 1
 
 
 def test_division_by_zero():

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from matchgen.exprs import parse
 from matchgen.rational import (FactoredRF, MultiPoly, RationalFunction,
-                               div_exact, poly_factor, poly_gcd, poly_sqrt)
+                               poly_cofactors, poly_factor, poly_gcd,
+                               poly_sqrt)
 
 RF = RationalFunction
 
@@ -121,12 +122,13 @@ class TestGcdAndFactor:
     @given(polys(), polys())
     @settings(max_examples=40, deadline=None)
     def test_gcd_divides_both(self, a, b):
-        g = poly_gcd(a, b)
+        g, qa, qb = poly_cofactors(a, b)
+        assert poly_gcd(a, b) == g
         if g.is_zero():
             assert a.is_zero() and b.is_zero()
             return
-        for p in (a, b):
-            assert div_exact(p, g) is not None
+        for p, cofactor in ((a, qa), (b, qb)):
+            assert g * cofactor == p
 
     @given(polys())
     @settings(max_examples=40, deadline=None)
@@ -268,7 +270,9 @@ class TestFactoredSubstitute:
             with pytest.raises(ZeroDivisionError):
                 f.substitute(bindings)
             return
-        assert f.substitute(bindings) == expected
+        out = f.substitute(bindings)
+        assert isinstance(out, FactoredRF)
+        assert out == expected
 
     def test_vanishing_denominator_factor_raises(self):
         f = FactoredRF.from_rf(parse("(x+y)/(x-1)^2"))
