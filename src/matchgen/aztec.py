@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from typing import List, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 from .cellular import whole_cell
 from .exprs import parse
@@ -29,21 +29,15 @@ class ZeroCellFactor(ArithmeticError):
 
     Raised before anything is divided.  `order` is the diamond order of a
     failing reduction round and `step` the 1-based step of a failing orbit
-    search (detect_proportional, detect_q_shift); each is None when it does
-    not apply, so a direct `shuffle` names only the block.  A reduction
-    only inverts the blocks its edge array uses.
+    round (a direct `shuffle` is step 1); the other one is None.  A
+    reduction only inverts the blocks its edge array uses.
     """
 
     def __init__(self, order: Optional[int], block_row: int, block_col: int,
                  step: Optional[int] = None):
-        if step is not None:
-            where = f" at orbit step {step}"
-        elif order is not None:
-            where = f" at order {order}"
-        else:
-            where = ""
+        where = f"orbit step {step}" if step is not None else f"order {order}"
         super().__init__(
-            f"zero cell-factor{where}, block ({block_row},{block_col})")
+            f"zero cell-factor at {where}, block ({block_row},{block_col})")
         self.order = order
         self.step = step
         self.block = (block_row, block_col)
@@ -124,53 +118,73 @@ class PeriodMatrix:
 
     @staticmethod
     def from_json(text: str) -> "PeriodMatrix":
+        """Read a to_json text; ValueError names a field of a wrong shape."""
         data = json.loads(text)
-        m = PeriodMatrix.from_strings(data["entries"])
+        if not isinstance(data, dict):
+            raise ValueError("the top level must be a JSON object")
+        rows = data["entries"]
+        if not (isinstance(rows, list) and all(
+                isinstance(row, list) and all(isinstance(e, str) for e in row)
+                for row in rows)):
+            raise ValueError("entries must be a list of lists of strings")
+        m = PeriodMatrix.from_strings(rows)
         if (m.k, m.l) != (data["k"], data["l"]):
             raise ValueError("entry shape disagrees with declared k, l")
         return m
 
 
-def _block_round(p: PeriodMatrix, order: Optional[int] = None,
-                 step: Optional[int] = None):
-    """Block factors of p and the shuffled period, in one pass over the blocks.
+def _read_part(p: PeriodMatrix, m: int) -> PeriodMatrix:
+    """The top-left min(k, 2m) x min(l, 2m) part of p.
 
-    Block [[a,b],[c,d]] is the cell a, b, d, c in cyclic order, so
-    deltas[bi][bj] = a*d + b*c and the block's new weights both come from
-    one `whole_cell` call.  A zero factor raises ZeroCellFactor naming
-    `order` or `step` and the block.  The period's FactoredRF entries keep
-    the shuffled weights small.
+    This is the only part the order-m edge array reads.  A reduction round
+    at order m cuts the period to it first, so that no unused block is
+    inverted; the shuffle of a cut period then has a last row and column
+    that wrap around the cut and differ from the shuffle of the whole
+    period, but the order m-1 array never reads them.
     """
-    deltas = []
-    inv = [[None] * p.l for _ in range(p.k)]
-    for bi in range(0, p.k, 2):
-        row = []
-        for bj in range(0, p.l, 2):
-            a, b = p.entries[bi][bj:bj + 2]
-            c, d = p.entries[bi + 1][bj:bj + 2]
-            try:
-                delta, (na, nb, nd, nc) = whole_cell((a, b, d, c))
-            except ZeroDivisionError:
-                raise ZeroCellFactor(order, bi // 2, bj // 2, step) from None
-            row.append(delta)
-            inv[bi][bj], inv[bi][bj + 1] = na, nb
-            inv[bi + 1][bj], inv[bi + 1][bj + 1] = nc, nd
-        deltas.append(row)
-    shifted = [[inv[(i + 1) % p.k][(j + 1) % p.l] for j in range(p.l)]
-               for i in range(p.k)]
-    return deltas, PeriodMatrix(shifted)
+    if 2 * m >= max(p.k, p.l):
+        return p
+    return PeriodMatrix([row[:2 * m] for row in p.entries[:2 * m]])
 
 
-def _block_product(deltas, row_mult: List[int],
-                   col_mult: List[int]) -> FactoredRF:
-    """Product of deltas[bi][bj] ** (row_mult[bi] * col_mult[bj]), factored."""
-    out = FactoredRF(1)
-    for bi, row in enumerate(deltas):
-        for bj, delta in enumerate(row):
-            e = row_mult[bi] * col_mult[bj]
-            if e:
-                out = out * delta ** e
-    return out
+def _rounds(period: PeriodMatrix, orders: Iterable[Optional[int]]
+            ) -> Iterator[Tuple[FactoredRF, PeriodMatrix]]:
+    """Yield (factor, successor) for one complementation round per order.
+
+    An int m is a reduction round at order m on `_read_part(period, m)`:
+    block (i, j) of the order-m edge array uses period block
+    (i mod kb, j mod lb), so each block factor is raised to the number of
+    array blocks that use it.  None is an orbit step: the whole period,
+    each block factor once.  Block [[a,b],[c,d]] is the cell a, b, d, c
+    in cyclic order, so its factor a*d + b*c and its new weights come from
+    one `whole_cell` call.  A zero factor raises ZeroCellFactor naming the
+    order, or the 1-based step of an orbit, and the block.
+    """
+    for step, m in enumerate(orders, 1):
+        if m is not None:
+            period = _read_part(period, m)
+        k, l = period.k, period.l
+        kb, lb = k // 2, l // 2
+        row_mult, col_mult = ([1 if m is None else m // size + (i < m % size)
+                               for i in range(size)] for size in (kb, lb))
+        factor = FactoredRF(1)
+        inv = [[None] * l for _ in range(k)]
+        for bi in range(kb):
+            upper, lower = period.entries[2 * bi:2 * bi + 2]
+            for bj in range(lb):
+                cols = slice(2 * bj, 2 * bj + 2)
+                (a, b), (c, d) = upper[cols], lower[cols]
+                try:
+                    delta, (na, nb, nd, nc) = whole_cell((a, b, d, c))
+                except ZeroDivisionError:
+                    raise ZeroCellFactor(m, bi, bj,
+                                         step if m is None else None) from None
+                factor = factor * delta ** (row_mult[bi] * col_mult[bj])
+                inv[2 * bi][cols] = na, nb
+                inv[2 * bi + 1][cols] = nc, nd
+        period = PeriodMatrix([[inv[(i + 1) % k][(j + 1) % l]
+                                for j in range(l)] for i in range(k)])
+        yield factor, period
 
 
 def shuffle(p: PeriodMatrix) -> PeriodMatrix:
@@ -180,7 +194,7 @@ def shuffle(p: PeriodMatrix) -> PeriodMatrix:
     [[d,c],[b,a]] / (a*d + b*c), then all columns are shifted up one row
     and all rows one column left.
     """
-    return _block_round(p)[1]
+    return next(_rounds(p, [None]))[1]
 
 
 class AztecInstance:
@@ -272,11 +286,7 @@ def reduce_step(inst: AztecInstance) -> Tuple[RF, AztecInstance]:
     M(order n; weights) = factor * M(order n-1; successor weights).
     The factor is the product of the block factors of all n^2 blocks of the
     edge array, computed per distinct period block with multiplicities.
-    The successor period is the shuffle of the period's top-left
-    min(k, 2n) x min(l, 2n) part, the only part the order-n array reads;
-    when that cuts the period, its last row and column wrap around the cut
-    and differ from shuffle(inst.period), but the order n-1 array never
-    reads them.
+    The successor period is the shuffle of `_read_part(inst.period, n)`.
     """
     factor, succ = _reduce_rounds(inst, 1)
     return factor.to_rf(), succ
@@ -303,33 +313,17 @@ def _reduce_rounds(inst: AztecInstance, rounds: int,
     """Run `rounds` reduction rounds from inst.
 
     Returns the product of the step factors and the instance reached, so
-    M(inst) = product * M(reached).  Block (i, j) of the order-n edge
-    array uses period block (i mod kb, j mod lb), so each round raises a
-    block factor to the number of array blocks that use it.  A round at
-    order n first cuts the period to its top-left min(k, 2n) x min(l, 2n)
-    part, the only entries the order-n array reads, so that no unused
-    block is inverted.
+    M(inst) = product * M(reached).
     """
     if rounds > inst.n:
         raise ValueError("cannot reduce order 0")
-    total = FactoredRF(1)
-    n, period = inst.n, inst.period
-    for _ in range(rounds):
-        if 2 * n < max(period.k, period.l):
-            period = PeriodMatrix([row[:2 * n]
-                                   for row in period.entries[:2 * n]])
-        deltas, period = _block_round(period, n)
-        row_mult = [0] * len(deltas)
-        col_mult = [0] * len(deltas[0])
-        for i in range(n):
-            row_mult[i % len(row_mult)] += 1
-            col_mult[i % len(col_mult)] += 1
-        factor = _block_product(deltas, row_mult, col_mult)
+    orders = range(inst.n, inst.n - rounds, -1)
+    total, period = FactoredRF(1), inst.period
+    for m, (factor, period) in zip(orders, _rounds(period, orders)):
         total = total * factor
         if trace is not None:
-            trace.steps.append((n, factor))
-        n -= 1
-    return total, AztecInstance(n, period)
+            trace.steps.append((m, factor))
+    return total, AztecInstance(inst.n - rounds, period)
 
 
 def evaluate(inst: AztecInstance) -> Tuple[RF, ReductionTrace]:

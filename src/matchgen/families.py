@@ -8,6 +8,7 @@ orders, against the brute-force oracle) in the test suite.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Dict, List, Optional
 
 from .aztec import AztecInstance, PeriodMatrix, evaluate, evaluate_factored
@@ -405,6 +406,12 @@ _FAMILY_PERIODS = {
 FAMILY_NAMES = tuple(_FAMILY_PERIODS)
 
 
+@lru_cache(maxsize=None)
+def _family_period(family: str) -> PeriodMatrix:
+    """The family's period, built once; family_value never changes it."""
+    return _FAMILY_PERIODS[family]()
+
+
 def family_value(family: str, n: int,
                  bindings: Optional[Dict[str, RF]] = None) -> RF:
     """Evaluate a named family at order n via the reduction pipeline.
@@ -418,7 +425,7 @@ def family_value(family: str, n: int,
     """
     if family not in _FAMILY_PERIODS:
         raise ValueError(f"unknown family {family!r}")
-    period = _FAMILY_PERIODS[family]()
+    period = _family_period(family)
     period.check_bindings(bindings or {})
     if family == "dungeon-D":
         value = _dungeon_d_factored(n, period)

@@ -90,9 +90,23 @@ def graph_to_json(g: WeightedGraph) -> str:
 
 
 def graph_from_json(text: str) -> WeightedGraph:
+    """Read a graph_to_json text; ValueError names a wrong-shaped field."""
     data = json.loads(text)
-    g = WeightedGraph(data["vertices"])
-    for e in data["edges"]:
+    if not isinstance(data, dict):
+        raise ValueError("the top level must be a JSON object")
+    vertices, edges = data["vertices"], data["edges"]
+    if not (isinstance(vertices, list)
+            and all(isinstance(v, (str, int)) for v in vertices)):
+        raise ValueError("vertices must be a list of strings or ints")
+    if not (isinstance(edges, list)
+            and all(isinstance(e, dict) for e in edges)):
+        raise ValueError("edges must be a list of objects")
+    g = WeightedGraph(vertices)
+    for e in edges:
+        if not all(isinstance(e[x], (str, int)) for x in "uv"):
+            raise ValueError("an edge's u and v must be strings or ints")
+        if not isinstance(e["w"], str):
+            raise ValueError("an edge's w must be a string")
         g.add_edge(e["u"], e["v"], parse(e["w"]))
     return g
 

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .aztec import (AztecInstance, PeriodMatrix, _block_product,
-                    _block_round, _reduce_rounds)
+from .aztec import (AztecInstance, PeriodMatrix, _read_part, _reduce_rounds,
+                    _rounds)
 from .rational import FactoredRF, RationalFunction
 
 RF = RationalFunction
@@ -89,11 +89,8 @@ def _search(a: PeriodMatrix, max_iter: int, tests) -> OrbitReport:
     """
     factors: List[FactoredRF] = []
     active, hit = list(tests), None
-    cur = a
-    for k in range(1, max_iter + 1):
-        deltas, cur = _block_round(cur, step=k)
-        factors.append(_block_product(deltas, [1] * len(deltas),
-                                      [1] * len(deltas[0])))
+    for k, (factor, cur) in enumerate(_rounds(a, [None] * max_iter), 1):
+        factors.append(factor)
         for rank, (kind, match) in enumerate(active):
             found = match(cur, factors)
             if found is not None:
@@ -191,10 +188,9 @@ def recurrence_constant(a: PeriodMatrix, n: int, k: int,
     and absorbs the proportionality scalar c of shuffle^k(a) = c * a: the
     order n - k diamond has (n - k)(n - k + 1) matched edges, so scaling
     every weight by c scales its value by c to that power.  Only the part
-    the order n - k array reads is compared, the top-left
-    min(k', 2(n - k)) x min(l', 2(n - k)) part of a and of the reached
-    period (k' x l'); at n = k nothing is compared, since c enters to the
-    power 0.
+    the order n - k array reads (`_read_part`) of a and of the reached
+    period is compared; at n = k nothing is compared, since c enters to
+    the power 0.
 
     With factored=True the constant comes back as a FactoredRF; its
     expanded form can be enormous (high powers of the block factors) even
@@ -205,11 +201,8 @@ def recurrence_constant(a: PeriodMatrix, n: int, k: int,
     total, inst = _reduce_rounds(AztecInstance(n, a), k)
     m = n - k
     if m:
-        p = inst.period
-        rows, cols = min(p.k, 2 * m), min(p.l, 2 * m)
-        c = proportionality_scalar(
-            PeriodMatrix([row[:cols] for row in a.entries[:rows]]),
-            PeriodMatrix([row[:cols] for row in p.entries[:rows]]))
+        c = proportionality_scalar(_read_part(a, m),
+                                   _read_part(inst.period, m))
         if c is None:
             raise ValueError(f"shuffle^{k} of the matrix is not a scalar "
                              "multiple of it")

@@ -184,19 +184,6 @@ class MultiPoly:
             n >>= 1
         return result
 
-    # -- evaluation / substitution ------------------------------------
-
-    def eval_rationals(self, point: Mapping[str, Fraction]) -> Fraction:
-        """Evaluate at a fully rational point."""
-        total = Fraction(0)
-        for e, c in self.terms.items():
-            v = c
-            for name, exp in zip(self.variables, e):
-                if exp:
-                    v *= point[name] ** exp
-            total += v
-        return total
-
     # -- printing -----------------------------------------------------
 
     def __str__(self) -> str:

@@ -16,6 +16,7 @@ from matchgen import rational
 from matchgen.exprs import parse
 from matchgen.families import hexsquare_period, weighted_dungeon_period_M
 from matchgen.graphs import oracle_mgf
+from matchgen.orbit import recurrence_constant
 from matchgen.rational import FactoredRF
 from matchgen.rational import RationalFunction as RF
 
@@ -83,8 +84,11 @@ def test_shuffle_zero_block_raises():
     p = PeriodMatrix.from_strings([["1", "0"], ["0", "1"]])
     ok = shuffle(p)  # delta = 1, fine
     assert ok.entries[0][0] == RF.const(1)
-    with pytest.raises(ZeroCellFactor):
+    with pytest.raises(ZeroCellFactor) as exc:
         shuffle(PeriodMatrix.from_strings([["1", "0"], ["0", "0"]]))
+    # shuffle is the first step of an orbit and names it
+    assert str(exc.value) == "zero cell-factor at orbit step 1, block (0,0)"
+    assert exc.value.step == 1 and exc.value.order is None
 
 
 def test_reduce_step_zero_block_raises():
@@ -100,8 +104,13 @@ def test_unused_degenerate_block_is_not_inverted():
     p = PeriodMatrix([[1, 1, 1, 1], [1, 1, 1, 1], [0, 0, 1, 1], [1, 1, 1, 1]])
     inst = AztecInstance(1, p)
     assert evaluate(inst)[0] == oracle_mgf(to_graph(inst)) == RF.const(2)
+    assert reduce_step(inst)[0] == RF.const(2)
+    assert recurrence_constant(p, 1, 1) == RF.const(2)
     with pytest.raises(ZeroCellFactor) as exc:
         evaluate(AztecInstance(2, p))
+    assert str(exc.value) == "zero cell-factor at order 2, block (1,0)"
+    with pytest.raises(ZeroCellFactor) as exc:
+        recurrence_constant(p, 2, 1)
     assert str(exc.value) == "zero cell-factor at order 2, block (1,0)"
 
 

@@ -1,5 +1,6 @@
 """The matchgen command line, run in process."""
 
+import hashlib
 import json
 import time
 
@@ -8,6 +9,7 @@ import pytest
 from matchgen.aztec import PeriodMatrix
 from matchgen.cli import MAX_ITER, MAX_TRIALS, _integer_factorization, main
 from matchgen.exprs import parse
+from matchgen.families import dungeon_period_N
 from matchgen.graphs import WeightedGraph, graph_to_json
 from matchgen.rational import RationalFunction as RF
 
@@ -217,3 +219,60 @@ def test_verify_declared_flags(capsys):
     # one random matrix at each of orders 1..4 gives two cases each,
     # plus the row-drop check
     assert len(data["cases"]) == 9
+
+
+@pytest.mark.parametrize("command,text,field", [
+    pytest.param("compute", '{"k": 2, "l": 2, "entries": 5}', "entries",
+                 id="entries-not-a-list"),
+    pytest.param("compute", '{"k": 2, "l": 2, "entries": [[1, 2], [3, 4]]}',
+                 "entries", id="entries-not-strings"),
+    pytest.param("compute", '[1, 2]', "top level", id="period-not-an-object"),
+    pytest.param("orbit", '{"k": 2, "l": 2, "entries": [[1, 2], [3, 4]]}',
+                 "entries", id="orbit-entries-not-strings"),
+    pytest.param("oracle", '{"vertices": [[1, 2]], "edges": []}', "vertices",
+                 id="vertex-a-list"),
+    pytest.param("oracle",
+                 '{"vertices": [1, 2], "edges": [{"u": 1, "v": 2, "w": 3}]}',
+                 "w must", id="weight-not-a-string"),
+])
+def test_wrong_json_shape_is_a_json_error(capsys, tmp_path, command, text,
+                                          field):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    argv = {"compute": ["compute", "--period", str(path), "--n", "1"],
+            "orbit": ["orbit", "--period", str(path)],
+            "oracle": ["oracle", str(path)]}[command]
+    code, data = run_json(capsys, *argv)
+    assert code == 1
+    assert data["error"]["kind"] == "ComputationError"
+    assert field in data["error"]["message"]
+
+
+# Output pinned byte for byte: a JSON line in full, a longer one by the
+# sha256 of everything printed.  orbit on period N prints 1.3 MB and spends
+# about 30 s expanding its per-step factors, so that case is slow.
+@pytest.mark.parametrize("argv,expected", [
+    pytest.param(["compute", "--period", "abcd", "--n", "3", "--trace"],
+                 "2bf13540a583ac3034641393f595a9e4"
+                 "dc275280c102ec54f68b1d4186890a5b", id="compute-trace"),
+    pytest.param(["orbit", "--period", "N"],
+                 "22cf2fd5677f552c56f64d92837a457e"
+                 "36acfc8ccc2b43650c45ce10e3bb318f", id="orbit-N",
+                 marks=pytest.mark.slow),
+    pytest.param(["compute", "--family", "checkered", "--n", "12",
+                  "--bind", "q=2"], '{"value": "6561/4"}\n',
+                 id="checkered-family"),
+])
+def test_golden_output(capsys, tmp_path, argv, expected):
+    periods = {"abcd": PeriodMatrix.from_strings([["a", "b"], ["c", "d"]]),
+               "N": dungeon_period_N()}
+    if "--period" in argv:
+        i = argv.index("--period") + 1
+        path = tmp_path / "period.json"
+        path.write_text(periods[argv[i]].to_json())
+        argv = argv[:i] + [str(path)] + argv[i + 1:]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    if not expected.startswith("{"):
+        out = hashlib.sha256(out.encode()).hexdigest()
+    assert out == expected

@@ -2,7 +2,8 @@
 
 import pytest
 
-from matchgen.aztec import AztecInstance, evaluate, to_graph
+from matchgen import families
+from matchgen.aztec import AztecInstance, PeriodMatrix, evaluate, to_graph
 from matchgen.exprs import parse
 from matchgen.families import (_CHECKERED01, _CHECKERED_EXP,
                                ColumnPairMatrix, checkered_closed_form,
@@ -160,3 +161,15 @@ def test_checkered_exponent_gaps_match_01_period():
 def test_family_dispatcher_errors():
     with pytest.raises(ValueError):
         family_value("nonesuch", 2)
+
+
+def test_family_value_builds_each_period_once(monkeypatch):
+    families._family_period.cache_clear()
+    calls = []
+    from_strings = PeriodMatrix.from_strings
+    monkeypatch.setattr(PeriodMatrix, "from_strings", staticmethod(
+        lambda rows: calls.append(rows) or from_strings(rows)))
+    ones = {"x": RF.const(1), "y": RF.const(1)}
+    assert family_value("dungeon-D", 2, ones) == RF.const(13)
+    family_value("dungeon-D", 3)
+    assert len(calls) == 1

@@ -216,17 +216,18 @@ def test_search_prefers_earlier_tests():
 
 
 def test_detect_orbit_walks_the_orbit_once(monkeypatch):
-    steps = []
-    block_round = orbit._block_round
+    yielded = []
+    rounds = orbit._rounds
 
-    def counted(p, step):
-        steps.append(step)
-        return block_round(p, step=step)
+    def counted(period, orders):
+        for item in rounds(period, orders):
+            yielded.append(item)
+            yield item
 
-    monkeypatch.setattr(orbit, "_block_round", counted)
+    monkeypatch.setattr(orbit, "_rounds", counted)
     rep = detect_orbit(checkered_period())
-    # no proportional hit within 40 steps, so the walk runs to the end
-    assert steps == list(range(1, 41))
+    # no proportional hit within 40 steps, so the one walk runs to the end
+    assert len(yielded) == 40
     assert rep.to_json() == detect_q_shift(checkered_period()).to_json()
     assert detect_orbit(PeriodMatrix.constant(2)).to_json() == \
         detect_proportional(PeriodMatrix.constant(2)).to_json()

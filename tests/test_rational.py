@@ -99,10 +99,6 @@ class TestMultiPoly:
         assert p ** 3 == schoolbook(p2, p)
         assert p ** 4 == schoolbook(p2, p2)
 
-    def test_eval(self):
-        p = mp("xy", {(2, 1): 3})
-        assert p.eval_rationals({"x": Fraction(2), "y": Fraction(5)}) == 60
-
     @given(polys(), polys(), polys())
     @settings(max_examples=60, deadline=None)
     def test_ring_axioms(self, a, b, c):
