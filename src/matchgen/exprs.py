@@ -146,12 +146,17 @@ def _size(p: MultiPoly):
     """(terms, total degree, coefficient bits) of p.
 
     Coefficient bits bound log2 of every coefficient's numerator and
-    denominator, so 1 has none and 2 has one.
+    denominator, so 1 has none and 2 has one.  A coefficient is
+    k * a/b for an integer k of p's primitive part and p's content a/b in
+    lowest terms, so it reduces by gcd(k, b) alone.
     """
-    bits = max((max((abs(c.numerator) - 1).bit_length(),
-                    (c.denominator - 1).bit_length())
-                for c in p.terms.values()), default=0)
-    return len(p.terms), p.total_degree(), bits
+    a, b = abs(p.content.numerator), p.content.denominator
+    bits = 0
+    for k in p.prim.itercoeffs():
+        g = math.gcd(k, b)
+        bits = max(bits, (abs(k) * a // g - 1).bit_length(),
+                   (b // g - 1).bit_length())
+    return len(p.prim), p.total_degree(), bits
 
 
 def _product_size(f: MultiPoly, g: MultiPoly):

@@ -22,9 +22,15 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Optional, Tuple
+from functools import lru_cache
+from types import MappingProxyType
+from typing import Dict, Mapping, Optional, Tuple
 
-import sympy as _sympy
+from sympy import Symbol as _Symbol
+from sympy.polys.domains import ZZ as _ZZ
+from sympy.polys.orderings import grlex as _grlex
+from sympy.polys.polyerrors import HeuristicGCDFailed as _HeuristicGCDFailed
+from sympy.polys.rings import PolyElement, PolyRing
 
 # Arbitrary-precision rational coefficients.  Invariants (reduced form,
 # positive denominator, 0 == 0/1) are maintained by Fraction itself.
@@ -41,29 +47,47 @@ def _as_fraction(x) -> Fraction:
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
+@lru_cache(maxsize=256)
+def _ring(variables: Tuple[str, ...]) -> PolyRing:
+    """The integer polynomial ring in `variables`, built on first use.
+
+    Its graded-lex order makes the ring's leading term the one MultiPoly
+    prints first, so "monic" means the same on both sides.  Rings compare
+    by their symbols, so an element outlives its ring's cache entry.
+    """
+    return PolyRing([_Symbol(v) for v in variables], _ZZ, _grlex)
+
+
+@lru_cache(maxsize=1)
+def _ground() -> Tuple[PolyElement, PolyElement]:
+    """Zero and one of the ring with no variables, shared by all constants."""
+    ring = _ring(())
+    return ring.zero, ring.one
+
+
 class MultiPoly:
     """A multivariate polynomial with Fraction coefficients.
 
-    `variables` is the sorted tuple of variable names that actually occur;
-    `terms` maps exponent vectors (relative to `variables`) to nonzero
-    coefficients.  Term order is graded lexicographic, which fixes a unique
-    representation and printing order.
+    `variables` is the sorted tuple of variable names that actually occur.
+    The value is `content * prim`: `prim` is an element of the integer ring
+    `_ring(variables)` that is primitive (its coefficients have gcd 1) and
+    has a positive leading coefficient in graded-lex order, and `content`
+    is a nonzero Fraction; zero is content 0 over the ring with no
+    variables.  That form is unique, so == and hash are structural.
+    `terms` reads the value as a mapping from exponent vectors (relative to
+    `variables`) to nonzero Fraction coefficients.
     """
 
-    __slots__ = ("variables", "terms")
+    __slots__ = ("variables", "content", "prim", "_hash")
 
-    def __init__(self, variables: Tuple[str, ...], terms: Dict[ExpVec, Fraction]):
-        # Canonicalize: drop zero coefficients and unused variables.
-        terms = {e: c for e, c in terms.items() if c != 0}
-        if variables:
-            used = [i for i in range(len(variables))
-                    if any(e[i] for e in terms)]
-            if len(used) != len(variables):
-                variables = tuple(variables[i] for i in used)
-                terms = _merge_terms((tuple(e[i] for i in used), c)
-                                     for e, c in terms.items())
-        object.__setattr__(self, "variables", tuple(variables))
-        object.__setattr__(self, "terms", terms)
+    def __new__(cls, variables: Tuple[str, ...],
+                terms: Mapping[ExpVec, Fraction]):
+        terms = {e: _as_fraction(c) for e, c in terms.items() if c}
+        den = math.lcm(*(c.denominator for c in terms.values()))
+        vs = tuple(sorted(variables))
+        prim = _ring(tuple(variables)).from_dict({
+            e: c.numerator * (den // c.denominator) for e, c in terms.items()})
+        return _from_ring(vs, prim.set_ring(_ring(vs)), Fraction(1, den))
 
     def __setattr__(self, *a):
         raise AttributeError("MultiPoly is immutable")
@@ -73,16 +97,21 @@ class MultiPoly:
     @staticmethod
     def const(c) -> "MultiPoly":
         c = _as_fraction(c)
-        return MultiPoly((), {(): c} if c else {})
+        return _make((), _ground()[bool(c)], c)
 
     @staticmethod
     def var(name: str) -> "MultiPoly":
-        return MultiPoly((name,), {(1,): Fraction(1)})
+        return _make((name,), _ring((name,)).gens[0], Fraction(1))
 
     # -- basic queries ------------------------------------------------
 
+    @property
+    def terms(self) -> Mapping[ExpVec, Fraction]:
+        return MappingProxyType({e: self.content * c
+                                 for e, c in self.prim.items()})
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.content
 
     def is_const(self) -> bool:
         return not self.variables
@@ -90,107 +119,78 @@ class MultiPoly:
     def as_const(self) -> Fraction:
         if self.variables:
             raise ValueError("not a constant polynomial")
-        return self.terms.get((), Fraction(0))
+        return self.content
 
     def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
-    def sorted_terms(self):
-        """Terms in descending graded-lex order."""
-        return sorted(self.terms.items(), key=lambda t: _grlex_key(t[0]),
-                      reverse=True)
-
-    def leading(self) -> Tuple[ExpVec, Fraction]:
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        e = max(self.terms, key=_grlex_key)
-        return e, self.terms[e]
+        return sum(self.prim.LM)
 
     def leading_coeff(self) -> Fraction:
-        return self.leading()[1]
+        if not self.content:
+            raise ValueError("zero polynomial has no leading term")
+        return self.content * self.prim.LC
 
     # -- arithmetic ---------------------------------------------------
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        return self.variables == other.variables and self.terms == other.terms
+        return (self.variables == other.variables
+                and self.content == other.content and self.prim == other.prim)
 
     def __hash__(self):
-        return hash((self.variables, frozenset(self.terms.items())))
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.content, self.prim)))
+        return self._hash
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self.variables, {e: -c for e, c in self.terms.items()})
+        return _make(self.variables, self.prim, -self.content)
 
     def __add__(self, other: "MultiPoly") -> "MultiPoly":
-        vs, ta, tb = _align(self, other)
-        out = dict(ta)
-        for e, c in tb.items():
-            s = out.get(e, Fraction(0)) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return MultiPoly(vs, out)
+        if not other.content:
+            return self
+        if not self.content:
+            return other
+        vs, a, b = _align(self, other)
+        ca, cb = self.content, other.content
+        den = math.lcm(ca.denominator, cb.denominator)
+        s = (a.mul_ground(ca.numerator * (den // ca.denominator))
+             + b.mul_ground(cb.numerator * (den // cb.denominator)))
+        return _from_ring(vs, s, Fraction(1, den))
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
         return self + (-other)
 
     def __mul__(self, other: "MultiPoly") -> "MultiPoly":
-        if self.is_zero() or other.is_zero():
-            return MultiPoly((), {})
-        if self.is_const():
-            c = self.as_const()
-            return MultiPoly(other.variables,
-                             {e: c * k for e, k in other.terms.items()})
-        if other.is_const():
-            return other * self
-        vs, ta, tb = _align(self, other)
-        if len(ta) * len(tb) > 4000:
-            gens = _sympy.symbols(vs)
-            pa, da = _to_sympy(MultiPoly(vs, ta), vs, gens)
-            pb, db = _to_sympy(MultiPoly(vs, tb), vs, gens)
-            return _from_sympy(pa * pb, vs, da * db)
-        out: Dict[ExpVec, Fraction] = {}
-        for ea, ca in ta.items():
-            for eb, cb in tb.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                s = out.get(e, Fraction(0)) + ca * cb
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return MultiPoly(vs, out)
+        if not self.variables:
+            return other.scale(self.content)
+        if not other.variables:
+            return self.scale(other.content)
+        # a product of primitive polynomials is primitive (Gauss), and of
+        # positive leading coefficients positive
+        vs, a, b = _align(self, other)
+        return _make(vs, a * b, self.content * other.content)
 
     def scale(self, c) -> "MultiPoly":
         c = _as_fraction(c)
         if c == 0:
-            return MultiPoly((), {})
-        return MultiPoly(self.variables, {e: c * k for e, k in self.terms.items()})
+            return MultiPoly.const(0)
+        return _make(self.variables, self.prim, self.content * c)
 
     def __pow__(self, n: int) -> "MultiPoly":
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        if n > 2 and len(self.terms) ** 2 > 4000:
-            gens = _sympy.symbols(self.variables)
-            poly, den = _to_sympy(self, self.variables, gens)
-            return _from_sympy(poly ** n, self.variables, den ** n)
-        result = MultiPoly.const(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        if n == 0:
+            return MultiPoly.const(1)
+        return _make(self.variables, _power(self.prim, n), self.content ** n)
 
     # -- printing -----------------------------------------------------
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self.content:
             return "0"
         pieces = []
-        for e, c in self.sorted_terms():
+        for e, k in self.prim.terms():
+            c = self.content * k
             mono = "*".join(
                 v if k == 1 else f"{v}^{k}"
                 for v, k in zip(self.variables, e) if k)
@@ -210,38 +210,58 @@ class MultiPoly:
         return f"MultiPoly({self})"
 
 
-def _grlex_key(e: ExpVec):
-    return (sum(e), e)
-
-
-def _merge_terms(items: Iterable[Tuple[ExpVec, Fraction]]) -> Dict[ExpVec, Fraction]:
-    out: Dict[ExpVec, Fraction] = {}
-    for e, c in items:
-        s = out.get(e, Fraction(0)) + c
-        if s:
-            out[e] = s
-        else:
-            out.pop(e, None)
+def _make(variables, prim, content) -> MultiPoly:
+    """A MultiPoly from parts already in canonical form."""
+    out = object.__new__(MultiPoly)
+    object.__setattr__(out, "variables", variables)
+    object.__setattr__(out, "prim", prim)
+    object.__setattr__(out, "content", content)
+    object.__setattr__(out, "_hash", None)
     return out
 
 
+def _from_ring(variables: Tuple[str, ...], poly: PolyElement,
+               content: Fraction) -> MultiPoly:
+    """content * poly for a poly in _ring(variables), in canonical form:
+    unused variables dropped, integer content and sign moved to `content`."""
+    if not poly:
+        return MultiPoly.const(0)
+    used = poly.degrees()
+    if not all(used):
+        variables = tuple(v for v, d in zip(variables, used) if d)
+        poly = poly.set_ring(_ring(variables))
+    if not variables:
+        return MultiPoly.const(content * poly.LC)
+    c, poly = poly.primitive()
+    if poly.LC < 0:
+        c, poly = -c, -poly
+    return _make(variables, poly, content * c)
+
+
+def _power(p: PolyElement, n: int) -> PolyElement:
+    """p ** n for n >= 1.  sympy's `**` expands a few terms by the
+    multinomial theorem, in n^(k-1) products for k terms: fastest for
+    k <= 3, but seconds for (1+q+q^2+q^3+q^4)^60, which repeated squaring
+    takes in milliseconds."""
+    if len(p) <= 3:
+        return p ** n
+    out = None
+    while True:
+        if n & 1:
+            out = p if out is None else out * p
+        n >>= 1
+        if not n:
+            return out
+        p = p.square()
+
+
 def _align(a: MultiPoly, b: MultiPoly):
-    """Remap two polynomials onto the union of their variable sets."""
+    """The union of two variable sets and both polynomials in its ring."""
     if a.variables == b.variables:
-        return a.variables, a.terms, b.terms
+        return a.variables, a.prim, b.prim
     vs = tuple(sorted(set(a.variables) | set(b.variables)))
-
-    def remap(p: MultiPoly) -> Dict[ExpVec, Fraction]:
-        idx = [vs.index(v) for v in p.variables]
-        out = {}
-        for e, c in p.terms.items():
-            ne = [0] * len(vs)
-            for i, k in zip(idx, e):
-                ne[i] = k
-            out[tuple(ne)] = c
-        return out
-
-    return vs, remap(a), remap(b)
+    ring = _ring(vs)
+    return vs, a.prim.set_ring(ring), b.prim.set_ring(ring)
 
 
 # ---------------------------------------------------------------------------
@@ -249,70 +269,40 @@ def _align(a: MultiPoly, b: MultiPoly):
 # ---------------------------------------------------------------------------
 
 
-def _make_monic(p: MultiPoly) -> MultiPoly:
-    if p.is_zero():
-        return p
-    return p.scale(Fraction(1) / p.leading_coeff())
-
-
-def _to_sympy(p: MultiPoly, variables, gens):
-    """p as (poly, den) with p = poly / den and poly a sympy Poly over ZZ.
-
-    den is the lcm of p's coefficient denominators.  Integer coefficients
-    keep sympy's arithmetic on plain ints; over QQ every coefficient
-    operation would build and reduce a rational.
-    """
-    idx = [variables.index(v) for v in p.variables]
-    den = math.lcm(*(c.denominator for c in p.terms.values()))
-    d = {}
-    for e, c in p.terms.items():
-        key = [0] * len(variables)
-        for pos, ex in zip(idx, e):
-            key[pos] = ex
-        d[tuple(key)] = c.numerator * (den // c.denominator)
-    return _sympy.Poly.from_dict(d, *gens, domain="ZZ"), den
-
-
-def _from_sympy(poly, variables, den: int = 1) -> MultiPoly:
-    """The MultiPoly poly / den, for an integer-coefficient sympy Poly."""
-    terms = {tuple(int(e) for e in mono): Fraction(int(c), den)
-             for mono, c in poly.as_dict(native=True).items()}
-    return MultiPoly(variables, terms)
-
-
 def poly_cofactors(f: MultiPoly, g: MultiPoly
                    ) -> Tuple[MultiPoly, MultiPoly, MultiPoly]:
     """(h, f/h, g/h) for the monic GCD h of f and g (1 for coprime inputs).
 
-    Polynomials that share a variable go to one `Poly.cofactors` call over
-    ZZ, after clearing denominators: sympy's gcd computes both quotients
-    anyway.  The gcd is only defined up to a unit, so it is made monic and
-    its leading coefficient moved into the quotients; a constant gcd leaves
-    f and g as they are.  gcd(0, g) is monic g; gcd(0, 0) is 0, with zero
-    quotients.
+    Polynomials that share a variable go to one `cofactors` call on their
+    primitive parts in a shared integer ring: sympy's gcd computes both
+    quotients anyway.  Its sparse heuristic gcd can give up; the dense
+    gcd, which falls back to subresultants, then answers.  The gcd is only
+    defined up to a unit, so it is made monic and its leading coefficient
+    moved into the quotients; a constant gcd leaves f and g as they are.
+    gcd(0, g) is monic g; gcd(0, 0) is 0, with zero quotients.
     """
     if f.is_zero():
         if g.is_zero():
             return f, f, g
         lc = g.leading_coeff()
-        return _make_monic(g), f, MultiPoly.const(lc)
+        return g.scale(1 / lc), f, MultiPoly.const(lc)
     if g.is_zero():
         h, gq, fq = poly_cofactors(g, f)
         return h, fq, gq
     if (f.is_const() or g.is_const()
             or not set(f.variables) & set(g.variables)):
         return MultiPoly.const(1), f, g
-    variables = tuple(sorted(set(f.variables) | set(g.variables)))
-    gens = _sympy.symbols(variables)
-    pf, df = _to_sympy(f, variables, gens)
-    pg, dg = _to_sympy(g, variables, gens)
-    h, fq, gq = pf.cofactors(pg)
+    vs, pf, pg = _align(f, g)
+    try:
+        h, fq, gq = pf.cofactors(pg)
+    except _HeuristicGCDFailed:
+        h, fq, gq = pf.ring.dmp_inner_gcd(pf, pg)
     if h.is_ground:
         return MultiPoly.const(1), f, g
-    h = _from_sympy(h, variables)
-    lc = h.leading_coeff()
-    return (_make_monic(h), _from_sympy(fq, variables, df).scale(lc),
-            _from_sympy(gq, variables, dg).scale(lc))
+    lc = h.LC
+    return (_from_ring(vs, h, Fraction(1, lc)),
+            _from_ring(vs, fq, f.content * lc),
+            _from_ring(vs, gq, g.content * lc))
 
 
 def poly_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
@@ -543,7 +533,7 @@ class RationalFunction:
         return RationalFunction(num, den, _normalized=True)
 
     def __str__(self) -> str:
-        if self.den == MultiPoly.const(1):
+        if self.den.is_const() and self.den.as_const() == 1:
             return str(self.num)
         return f"({self.num})/({self.den})"
 
@@ -552,40 +542,52 @@ class RationalFunction:
 
 
 def _poly_substitute(p: MultiPoly, bindings) -> "RationalFunction":
-    # Constant bindings go straight into the coefficients in one pass; only
-    # the rest need rational-function arithmetic.
-    consts = {v: bindings[v].as_const() for v in p.variables
-              if v in bindings and bindings[v].is_const()}
-    if consts:
-        keep = [i for i, v in enumerate(p.variables) if v not in consts]
-        vals = [(i, consts[v]) for i, v in enumerate(p.variables)
-                if v in consts]
-        p = MultiPoly(tuple(p.variables[i] for i in keep), _merge_terms(
-            (tuple(e[i] for i in keep),
-             math.prod((val ** e[i] for i, val in vals), start=c))
-            for e, c in p.terms.items()))
-    if not any(v in bindings for v in p.variables):
+    """p with the rational functions in `bindings` put in for its variables.
+
+    Write a bound value as (s/t) * N/M, with s/t its content and N and M
+    primitive (1 for a constant).  A term c*x^k*m, x of degree D in p,
+    becomes c * s^k t^(D-k) N^k M^(D-k) * m over t^D M^D.  The integers
+    scale the coefficients in one pass; terms that then agree in the
+    exponents of the variables bound to non-constants share one product of
+    powers of N and M, in one integer ring.
+    """
+    slots = [i for i, v in enumerate(p.variables) if v in bindings]
+    if not slots:
         return RationalFunction.from_poly(p)
-
-    cache: Dict[Tuple[str, int], RationalFunction] = {}
-
-    def power(name, e):
-        key = (name, e)
-        if key not in cache:
-            base = bindings.get(name)
-            if base is None:
-                base = RationalFunction.var(name)
-            cache[key] = base ** e
-        return cache[key]
-
-    total = RationalFunction.const(0)
-    for e, c in p.terms.items():
-        v = RationalFunction.const(c)
-        for name, exp in zip(p.variables, e):
-            if exp:
-                v = v * power(name, exp)
-        total = total + v
-    return total
+    values = [bindings[p.variables[i]] for i in slots]
+    vs = tuple(sorted({v for v in p.variables if v not in bindings}.union(
+        *(r.num.variables + r.den.variables for r in values))))
+    ring = _ring(vs)
+    degrees = p.prim.degrees()
+    content, den, ints, tables = p.content, ring.one, [], {}
+    for i, r in zip(slots, values):
+        st, top = r.num.content / r.den.content, degrees[i]
+        ints.append((i, [st.numerator ** k * st.denominator ** (top - k)
+                         for k in range(top + 1)]))
+        content /= st.denominator ** top
+        if not r.is_const():
+            n, d = r.num.prim.set_ring(ring), r.den.prim.set_ring(ring)
+            pn, pd = [ring.one], [ring.one]
+            for _ in range(top):
+                pn.append(pn[-1] * n)
+                pd.append(pd[-1] * d)
+            tables[i] = [a * b for a, b in zip(pn, reversed(pd))]
+            den = den * pd[-1]
+    groups: Dict[ExpVec, Dict[ExpVec, int]] = {}
+    for e, c in p.prim.items():
+        for i, row in ints:
+            c *= row[e[i]]
+        rest = tuple(0 if i in slots else k for i, k in enumerate(e))
+        part = groups.setdefault(tuple(e[i] for i in tables), {})
+        part[rest] = part.get(rest, 0) + c
+    num = ring.zero
+    for ks, part in groups.items():
+        term = p.prim.ring.from_dict(part).set_ring(ring)
+        for k, table in zip(ks, tables.values()):
+            term = term * table[k]
+        num = num + term
+    return RationalFunction(_from_ring(vs, num, content),
+                            _from_ring(vs, den, Fraction(1)))
 
 
 _factor_cache: Dict[MultiPoly, Tuple[Fraction, Tuple[Tuple[MultiPoly, int], ...]]] = {}
@@ -595,7 +597,7 @@ def poly_factor(p: MultiPoly):
     """Factor into monic irreducibles: (coeff, ((factor, exponent), ...)).
 
     The product coeff * prod(f^e) reproduces p exactly; sympy finds the
-    irreducibles of p's integer-coefficient multiple over ZZ.
+    irreducibles of p's primitive part over ZZ.
     """
     if p.is_zero():
         raise ValueError("cannot factor the zero polynomial")
@@ -604,18 +606,13 @@ def poly_factor(p: MultiPoly):
     cached = _factor_cache.get(p)
     if cached is not None:
         return cached
-    gens = _sympy.symbols(p.variables)
-    poly, den = _to_sympy(p, p.variables, gens)
-    coeff, parts = poly.factor_list()
-    c = Fraction(int(coeff), den)
+    coeff, parts = p.prim.factor_list()
+    c = p.content * coeff
     out = []
     for fac, e in parts:
-        mp = _from_sympy(fac, tuple(str(g) for g in fac.gens))
-        lc = mp.leading_coeff()
-        if lc != 1:
-            c *= lc ** e
-            mp = _make_monic(mp)
-        out.append((mp, int(e)))
+        lc = fac.LC
+        c *= lc ** e
+        out.append((_from_ring(p.variables, fac, Fraction(1, lc)), e))
     out.sort(key=lambda fe: (fe[0].total_degree(), str(fe[0])))
     result = (c, tuple(out))
     if len(_factor_cache) > 4096:
@@ -667,17 +664,17 @@ class FactoredRF:
     def to_rf(self) -> "RationalFunction":
         if not self.coeff:
             return RationalFunction.const(0)
-        # the factors are monic, so their product is a monic denominator
-        num = MultiPoly.const(self.coeff)
-        den = MultiPoly.const(1)
-        order = sorted(self.factors.items(),
-                       key=lambda fe: (fe[0].total_degree(), str(fe[0])))
-        for f, e in order:
-            if e > 0:
-                num = num * f ** e
-            else:
-                den = den * f ** (-e)
-        return RationalFunction(num, den, _normalized=True)
+        # every factor is multiplied in one ring; products of monic factors
+        # are monic, so each content is read off a leading coefficient
+        vs = tuple(sorted({v for f in self.factors for v in f.variables}))
+        ring = _ring(vs)
+        num, den = ring.one, ring.one
+        for f, e in self.factors.items():
+            power = _power(f.prim.set_ring(ring), abs(e))
+            num, den = (num * power, den) if e > 0 else (num, den * power)
+        return RationalFunction(_from_ring(vs, num, self.coeff / num.LC),
+                                _from_ring(vs, den, Fraction(1, den.LC)),
+                                _normalized=True)
 
     def substitute(self, bindings: Mapping[str, "RationalFunction"]
                    ) -> "FactoredRF":

@@ -4,10 +4,12 @@ import operator
 from fractions import Fraction
 
 import pytest
+import sympy.polys.rings
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.polys.polyerrors import HeuristicGCDFailed
 
-from matchgen.exprs import parse
+from matchgen.exprs import _size, parse
 from matchgen.rational import (FactoredRF, MultiPoly, RationalFunction,
                                poly_cofactors, poly_factor, poly_gcd,
                                poly_sqrt)
@@ -48,6 +50,34 @@ def schoolbook(a, b):
     return MultiPoly(vs, out)
 
 
+def grlex_str(p):
+    """The printed form, written on p.terms alone: terms in descending
+    graded-lex order, independent of MultiPoly.__str__."""
+    pieces = []
+    for e, c in sorted(p.terms.items(), key=lambda t: (sum(t[0]), t[0]),
+                       reverse=True):
+        mono = "*".join(v if k == 1 else f"{v}^{k}"
+                        for v, k in zip(p.variables, e) if k)
+        body = str(abs(c)) if not mono else mono if abs(c) == 1 \
+            else f"{abs(c)}*{mono}"
+        sign = "-" if c < 0 else "+" if pieces else ""
+        pieces.append(sign + body)
+    return "".join(pieces) or "0"
+
+
+@st.composite
+def sparse_polys(draw, max_terms=4):
+    """Fraction coefficients over a random subset of x, y, z, passed to the
+    constructor in a random variable order."""
+    variables = draw(st.permutations("xyz"))[:draw(st.integers(0, 3))]
+    terms = {}
+    for _ in range(draw(st.integers(0, max_terms))):
+        e = tuple(draw(st.integers(0, 3)) for _ in variables)
+        terms[e] = draw(st.fractions(min_value=-5, max_value=5,
+                                     max_denominator=6))
+    return MultiPoly(tuple(variables), terms)
+
+
 def grid_poly(variables, size, seed):
     """A dense size x size polynomial with coefficients c/6, none zero."""
     return MultiPoly(tuple(variables), {
@@ -85,7 +115,7 @@ class TestMultiPoly:
         assert a ** 3 == a * a * a
 
     def test_large_product_with_fractions(self):
-        # 81 x 81 term pairs, above the 4000 pairs that route to sympy
+        # 81 x 81 term pairs with Fraction coefficients, dense and disjoint
         a = grid_poly("xy", 9, 5)
         b = grid_poly("xy", 9, 7)
         assert a * b == schoolbook(a, b)
@@ -93,11 +123,69 @@ class TestMultiPoly:
         assert a * c == schoolbook(a, c)
 
     def test_large_power_with_fractions(self):
-        # 64 terms: 64^2 > 4000, so powers above 2 go to sympy
+        # 64 terms, so powers go by repeated squaring
         p = grid_poly("xy", 8, 3)
         p2 = schoolbook(p, p)
         assert p ** 3 == schoolbook(p2, p)
         assert p ** 4 == schoolbook(p2, p2)
+
+    @given(sparse_polys(), sparse_polys(), st.integers(0, 4))
+    @settings(max_examples=150, deadline=None)
+    def test_agrees_with_dict_reference(self, a, b, n):
+        ab = a * b
+        assert ab == schoolbook(a, b)
+        assert str(ab) == grlex_str(ab) == str(schoolbook(a, b))
+        assert str(a) == grlex_str(a)
+        power = MultiPoly.const(1)
+        for _ in range(n):
+            power = schoolbook(power, a)
+        assert a ** n == power
+        assert str(a ** n) == grlex_str(power)
+        assert sorted(ab.variables) == list(ab.variables)
+        assert all(c != 0 for c in ab.terms.values())
+
+    @given(sparse_polys(), sparse_polys())
+    @settings(max_examples=100, deadline=None)
+    def test_equal_values_hash_equal(self, a, b):
+        assert hash(a * b) == hash(b * a)
+        assert (a + b) - b == a and hash((a + b) - b) == hash(a)
+        rebuilt = MultiPoly(a.variables[::-1], {
+            e[::-1]: c for e, c in a.terms.items()})
+        assert rebuilt == a and hash(rebuilt) == hash(a)
+
+    @given(sparse_polys(), sparse_polys())
+    @settings(max_examples=100, deadline=None)
+    def test_factor_and_cofactors_rebuild(self, f, g):
+        if not f.is_zero():
+            coeff, factors = poly_factor(f)
+            prod = MultiPoly.const(coeff)
+            for p, e in factors:
+                assert p.leading_coeff() == 1
+                prod = prod * p ** e
+            assert prod == f
+        h, fq, gq = poly_cofactors(f, g)
+        assert h * fq == f and h * gq == g
+
+    def test_heuristic_gcd_failure_falls_back(self, monkeypatch):
+        f = parse("(x+y)*(x-2*y+1)").num
+        g = parse("(x+y)*(x*y+3)").num
+        expected = poly_cofactors(f, g)
+
+        def give_up(*_):
+            raise HeuristicGCDFailed("no luck")
+
+        monkeypatch.setattr(sympy.polys.rings, "heugcd", give_up)
+        assert poly_cofactors(f, g) == expected
+        assert expected[0] == parse("x+y").num
+
+    def test_size_reads_the_ring_element(self):
+        for text in ("0", "1", "2", "x/2+y", "3*x+2*y/3", "9*x/3+2*y/3",
+                     "-(2^40+1)*x^3/6+5*y/4-1/7", "(x-1/3)^5*(y+2)^3"):
+            p = parse(text).num
+            bits = max((max((abs(c.numerator) - 1).bit_length(),
+                            (c.denominator - 1).bit_length())
+                        for c in p.terms.values()), default=0)
+            assert _size(p) == (len(p.terms), p.total_degree(), bits)
 
     @given(polys(), polys(), polys())
     @settings(max_examples=60, deadline=None)
@@ -179,6 +267,24 @@ class TestRationalFunction:
         r = RF(mp("xy", {(1, 1): 1}), MultiPoly.const(1))
         out = r.substitute({"x": RF.const(Fraction(1, 2))})
         assert out == RF(mp("y", {(1,): Fraction(1, 2)}), MultiPoly.const(1))
+
+    @given(sparse_polys(), st.dictionaries(
+        st.sampled_from("xyz"), st.one_of(
+            st.fractions(min_value=-2, max_value=2,
+                         max_denominator=3).map(RF.const),
+            st.sampled_from(["y+1", "2/(3*y)", "x^2-x/2", "x*z", "x-y",
+                             "(z+1)/(x-2)"]).map(parse)), max_size=3))
+    @settings(max_examples=100, deadline=None)
+    def test_substitute_matches_term_by_term(self, p, bindings):
+        """Substitution into a polynomial equals the sum of its terms, each
+        a product of powers of the bound values, in RF arithmetic."""
+        expected = RF.const(0)
+        for e, c in p.terms.items():
+            term = RF.const(c)
+            for v, k in zip(p.variables, e):
+                term = term * bindings.get(v, RF.var(v)) ** k
+            expected = expected + term
+        assert RF.from_poly(p).substitute(bindings) == expected
 
     def test_sqrt_of_square(self):
         r = RF(mp("xy", {(1, 0): 1, (0, 1): 1}), mp("xy", {(0, 1): 1}))
