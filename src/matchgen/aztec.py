@@ -229,6 +229,14 @@ def _edge_position(n: int, du: Tuple[int, int], dv: Tuple[int, int]):
     return row, col
 
 
+def _diamond_vertices(n: int) -> List[Tuple[int, int]]:
+    """The order-n vertices (a, b), both odd, |a| + |b| <= 2n, sorted."""
+    return [(a, b)
+            for a in range(-2 * n + 1, 2 * n, 2)
+            for b in range(-2 * n + 1, 2 * n, 2)
+            if abs(a) + abs(b) <= 2 * n]
+
+
 def to_graph(inst: AztecInstance) -> WeightedGraph:
     """Build the weighted diamond graph matching the edge array.
 
@@ -238,10 +246,7 @@ def to_graph(inst: AztecInstance) -> WeightedGraph:
     n, p = inst.n, inst.period
     expanded = {}
     g = WeightedGraph()
-    verts = [(a, b)
-             for a in range(-2 * n + 1, 2 * n, 2)
-             for b in range(-2 * n + 1, 2 * n, 2)
-             if abs(a) + abs(b) <= 2 * n]
+    verts = _diamond_vertices(n)
     for v in verts:
         g.vertices.add(v)
     vset = set(verts)
@@ -264,12 +269,10 @@ def canonical_cells(inst: AztecInstance):
     2x2 blocks of the edge array with even top-left indices.
     """
     n = inst.n
-    vset = {(a, b)
-            for a in range(-2 * n + 1, 2 * n, 2)
-            for b in range(-2 * n + 1, 2 * n, 2)
-            if abs(a) + abs(b) <= 2 * n}
+    verts = _diamond_vertices(n)
+    vset = set(verts)
     cells = []
-    for (a, b) in sorted(vset):
+    for (a, b) in verts:
         p, q = (a - 1) // 2, (b - 1) // 2
         if (p + q) % 2 == n % 2:
             continue
@@ -288,49 +291,37 @@ def reduce_step(inst: AztecInstance) -> Tuple[RF, AztecInstance]:
     edge array, computed per distinct period block with multiplicities.
     The successor period is the shuffle of `_read_part(inst.period, n)`.
     """
-    factor, succ = _reduce_rounds(inst, 1)
+    [(_, factor)], succ = _reduce(inst, 1)
     return factor.to_rf(), succ
 
 
-class ReductionTrace:
-    """The step factors of one run of the pipeline to order 0.
-
-    `steps` holds one (order, factor) pair per reduction round, in the
-    order the rounds ran, each factor in factored form.
-    """
-
-    def __init__(self):
-        self.steps: List[Tuple[int, FactoredRF]] = []
-
-    def product(self) -> RF:
-        return math.prod((f for _, f in self.steps),
-                         start=FactoredRF(1)).to_rf()
-
-
-def _reduce_rounds(inst: AztecInstance, rounds: int,
-                   trace: Optional[ReductionTrace] = None
-                   ) -> Tuple[FactoredRF, AztecInstance]:
+def _reduce(inst: AztecInstance, rounds: int
+            ) -> Tuple[List[Tuple[int, FactoredRF]], AztecInstance]:
     """Run `rounds` reduction rounds from inst.
 
-    Returns the product of the step factors and the instance reached, so
-    M(inst) = product * M(reached).
+    Returns the steps, one (order, factor) pair per round in the order the
+    rounds ran, each factor in factored form, and the instance reached, so
+    M(inst) = _product(steps) * M(reached).
     """
     if rounds > inst.n:
         raise ValueError("cannot reduce order 0")
     orders = range(inst.n, inst.n - rounds, -1)
-    total, period = FactoredRF(1), inst.period
+    steps, period = [], inst.period
     for m, (factor, period) in zip(orders, _rounds(period, orders)):
-        total = total * factor
-        if trace is not None:
-            trace.steps.append((m, factor))
-    return total, AztecInstance(inst.n - rounds, period)
+        steps.append((m, factor))
+    return steps, AztecInstance(inst.n - rounds, period)
 
 
-def evaluate(inst: AztecInstance) -> Tuple[RF, ReductionTrace]:
-    """Exact matching generating function via repeated reduction."""
-    trace = ReductionTrace()
-    total, _ = _reduce_rounds(inst, inst.n, trace)
-    return total.to_rf(), trace
+def _product(steps: List[Tuple[int, FactoredRF]]) -> FactoredRF:
+    """The product of the step factors, in factored form."""
+    return math.prod((f for _, f in steps), start=FactoredRF(1))
+
+
+def evaluate(inst: AztecInstance
+             ) -> Tuple[RF, List[Tuple[int, FactoredRF]]]:
+    """Exact matching generating function and the steps of `_reduce`."""
+    steps, _ = _reduce(inst, inst.n)
+    return _product(steps).to_rf(), steps
 
 
 def evaluate_factored(inst: AztecInstance) -> FactoredRF:
@@ -339,7 +330,7 @@ def evaluate_factored(inst: AztecInstance) -> FactoredRF:
     Same pipeline as evaluate, but the product of step factors is never
     expanded; useful when the value has small factors at high powers.
     """
-    return _reduce_rounds(inst, inst.n)[0]
+    return _product(_reduce(inst, inst.n)[0])
 
 
 def row_classes(n: int) -> List[List[int]]:

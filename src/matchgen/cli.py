@@ -103,23 +103,21 @@ def cmd_compute(args) -> int:
     if args.family:
         if args.trace:
             raise ComputationError(
-                "--trace needs --period; family values may combine several "
-                "pipeline runs")
+                "--trace needs --period; a family's steps would not multiply "
+                "to its value, which binds and scales their product")
         value = family_value(args.family, args.n, bindings or None)
-        trace = None
     else:
         period = _load_period(args.period)
         period.check_bindings(bindings)
         if bindings:
             period = period.substitute(bindings)
-        value, trace = evaluate(AztecInstance(args.n, period))
+        value, steps = evaluate(AztecInstance(args.n, period))
     out = {"value": str(value)}
     fact = _integer_factorization(value)
     if fact is not None:
         out["factorization"] = fact
-    if args.trace and trace is not None:
-        out["trace"] = [{"order": o, "factor": str(f)}
-                        for o, f in trace.steps]
+    if args.trace:
+        out["trace"] = [{"order": o, "factor": str(f)} for o, f in steps]
     print(json.dumps(out))
     return 0
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Dict, List, Optional
 
-from .aztec import AztecInstance, PeriodMatrix, evaluate, evaluate_factored
+from .aztec import AztecInstance, PeriodMatrix, evaluate_factored
 from .exprs import parse
 from .rational import FactoredRF, RationalFunction
 
@@ -57,18 +57,6 @@ def weighted_dungeon_period_M() -> PeriodMatrix:
         ["f", "h", "0", "f"],
         ["b", "c", "c", "b"],
     ])
-
-
-def _dungeon_d_factored(n: int, period_n: PeriodMatrix) -> FactoredRF:
-    """Dungeon-D's value at order n, kept in factored form.
-
-    Orders 0 and 1 are immediate; larger orders translate to a reduced
-    diamond with the 4x4 period N, passed as `period_n`.
-    """
-    if n == 0:
-        return FactoredRF(1)
-    value = evaluate_factored(AztecInstance(2 * n - 2, period_n))
-    return value * FactoredRF.from_rf(parse("x^2+y^2")) ** (n * n)
 
 
 # ---------------------------------------------------------------------------
@@ -264,12 +252,7 @@ def dragon_period() -> PeriodMatrix:
 
 def dragon_unit_period() -> PeriodMatrix:
     """0-1 period whose diamond values count the dragon regions' tilings."""
-    return PeriodMatrix.from_strings([
-        ["1", "1", "1", "1"],
-        ["1", "0", "1", "1"],
-        ["0", "1", "1", "1"],
-        ["1", "1", "1", "1"],
-    ])
+    return dragon_period().substitute({"a": RF.const(1)})
 
 
 # ---------------------------------------------------------------------------
@@ -395,48 +378,48 @@ def checkered_count(n: int) -> RF:
 # ---------------------------------------------------------------------------
 # Family dispatcher
 
-_FAMILY_PERIODS = {
-    "dungeon-D": dungeon_period_N,
-    "dungeon-E": halfweight_period_B,
-    "hexsquare": hexsquare_period,
-    "dragon": dragon_period,
-    "checkered": checkered_period,
+# name: (period, outer factor base, n -> (diamond order, exponent of base)).
+# dungeon-D carries the two-parameter x,y weight (period N); dungeon-E is
+# the unweighted count (period B, which has no variables); the checkered
+# pattern's n is the diamond order itself.
+_FAMILIES = {
+    "dungeon-D": (dungeon_period_N, "x^2+y^2",
+                  lambda n: (max(2 * n - 2, 0), n * n)),
+    "dungeon-E": (halfweight_period_B, "2",
+                  lambda n: (2 * n + 1, (n + 1) * (n + 1))),
+    "hexsquare": (hexsquare_period, "1", lambda n: (2 * n, 0)),
+    "dragon": (dragon_period, "1", lambda n: (2 * n, 0)),
+    "checkered": (checkered_period, "1", lambda n: (n, 0)),
 }
 
-FAMILY_NAMES = tuple(_FAMILY_PERIODS)
+FAMILY_NAMES = tuple(_FAMILIES)
 
 
 @lru_cache(maxsize=None)
 def _family_period(family: str) -> PeriodMatrix:
     """The family's period, built once; family_value never changes it."""
-    return _FAMILY_PERIODS[family]()
+    return _FAMILIES[family][0]()
 
 
 def family_value(family: str, n: int,
                  bindings: Optional[Dict[str, RF]] = None) -> RF:
     """Evaluate a named family at order n via the reduction pipeline.
 
-    Families indexed by region order run on the translated diamond order
-    (2n for hexsquare and dragon); the checkered pattern's n is the diamond order itself.
-    dungeon-D carries the two-parameter x,y weight (period N); dungeon-E is
-    the unweighted count (period B, which has no variables).  Bindings
-    substitute values for the pattern's free variables; a binding of a
-    variable the family's period does not have raises ValueError.
+    The value is the outer factor times the family's period evaluated on
+    the translated diamond order, both read from `_FAMILIES`.  Bindings
+    substitute values for the pattern's free variables in that factored
+    value, which is expanded once; a binding of a variable the family's
+    period does not have raises ValueError.
     """
-    if family not in _FAMILY_PERIODS:
+    if family not in _FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     period = _family_period(family)
     period.check_bindings(bindings or {})
-    if family == "dungeon-D":
-        value = _dungeon_d_factored(n, period)
-        # substituting factor by factor never expands the symbolic value
-        return (value.substitute(bindings) if bindings else value).to_rf()
-    if family == "dungeon-E":
-        # the unweighted count: 2^((n+1)^2) times the order 2n+1 value on B
-        value, _ = evaluate(AztecInstance(2 * n + 1, period))
-        return RF.const(2) ** ((n + 1) * (n + 1)) * value
-    if bindings:
-        period = period.substitute(bindings)
-    order = n if family == "checkered" else 2 * n
-    value, _ = evaluate(AztecInstance(order, period))
-    return value
+    if n < 0:
+        raise ValueError("order must be nonnegative")
+    _, base, translate = _FAMILIES[family]
+    order, exponent = translate(n)
+    value = (evaluate_factored(AztecInstance(order, period))
+             * FactoredRF.from_rf(parse(base)) ** exponent)
+    # substituting factor by factor never expands the symbolic value
+    return (value.substitute(bindings) if bindings else value).to_rf()

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .aztec import (AztecInstance, PeriodMatrix, _read_part, _reduce_rounds,
+from .aztec import (AztecInstance, PeriodMatrix, _product, _read_part, _reduce,
                     _rounds)
 from .rational import FactoredRF, RationalFunction
 
@@ -131,30 +131,36 @@ def _square_candidates(factors: List[FactoredRF]) -> List[Fraction]:
     return sorted(set(cands), key=lambda s: (s != 1, s))
 
 
-def detect_q_shift(aq: PeriodMatrix, var: str = "q",
+def detect_q_shift(aq: PeriodMatrix,
                    max_iter: int = DEFAULT_MAX_ITER) -> OrbitReport:
     """Smallest k with shuffle^k(A(q)) = A(sigma * q) for a candidate sigma.
 
-    Candidate multipliers are the integer squares up to 100 together with
-    squares of any constant per-step factors encountered along the orbit.
-    Each candidate is compared entry by entry in factored form, and sigma*q
-    is substituted into an entry of A only when a comparison reaches it;
-    the first entry that differs settles a candidate, so no shifted copy
-    of A is built.  A matrix without the parameter is handled by the same
-    loop, since substitution is then the identity (sigma = 1).
+    q is the one variable of A; a matrix with two or more variables raises
+    ValueError.  Candidate multipliers are the integer squares up to 100
+    together with squares of any constant per-step factors encountered
+    along the orbit.  Each candidate is compared entry by entry in factored
+    form, and sigma*q is substituted into an entry of A only when a
+    comparison reaches it; the first entry that differs settles a
+    candidate, so no shifted copy of A is built.  A matrix without a
+    variable is handled by the same loop, since substitution is then the
+    identity (sigma = 1).
     """
-    return _search(aq, max_iter, [_q_shift_test(aq, var)])
+    return _search(aq, max_iter, [_q_shift_test(aq)])
 
 
-def _q_shift_test(aq: PeriodMatrix, var: str):
-    q = RF.var(var)
+def _q_shift_test(aq: PeriodMatrix):
+    variables = sorted(aq.variables())
+    if len(variables) > 1:
+        raise ValueError("a q-shift needs at most one variable, the period "
+                         f"has {len(variables)}: {', '.join(variables)}")
+    params = [(v, RF.var(v)) for v in variables]
     shifted = {}
 
     def entry(sigma: Fraction, i: int, j: int) -> FactoredRF:
         key = (sigma, i, j)
         if key not in shifted:
             shifted[key] = aq.entries[i][j].substitute(
-                {var: RF.const(sigma) * q})
+                {v: RF.const(sigma) * q for v, q in params})
         return shifted[key]
 
     def match(cur, factors):
@@ -173,10 +179,9 @@ def detect_orbit(a: PeriodMatrix,
 
     Both tests run on one walk of the orbit.
     """
-    variables = a.variables()
     tests = [_proportional_test(a)]
-    if len(variables) == 1:
-        tests.append(_q_shift_test(a, next(iter(variables))))
+    if len(a.variables()) == 1:
+        tests.append(_q_shift_test(a))
     return _search(a, max_iter, tests)
 
 
@@ -198,7 +203,8 @@ def recurrence_constant(a: PeriodMatrix, n: int, k: int,
     """
     if k < 1 or n < k:
         raise ValueError("need n >= k >= 1")
-    total, inst = _reduce_rounds(AztecInstance(n, a), k)
+    steps, inst = _reduce(AztecInstance(n, a), k)
+    total = _product(steps)
     m = n - k
     if m:
         c = proportionality_scalar(_read_part(a, m),

@@ -32,10 +32,6 @@ from sympy.polys.orderings import grlex as _grlex
 from sympy.polys.polyerrors import HeuristicGCDFailed as _HeuristicGCDFailed
 from sympy.polys.rings import PolyElement, PolyRing
 
-# Arbitrary-precision rational coefficients.  Invariants (reduced form,
-# positive denominator, 0 == 0/1) are maintained by Fraction itself.
-BigRational = Fraction
-
 ExpVec = Tuple[int, ...]
 
 
@@ -303,11 +299,6 @@ def poly_cofactors(f: MultiPoly, g: MultiPoly
     return (_from_ring(vs, h, Fraction(1, lc)),
             _from_ring(vs, fq, f.content * lc),
             _from_ring(vs, gq, g.content * lc))
-
-
-def poly_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
-    """Monic GCD of two polynomials (1 for coprime nonzero inputs)."""
-    return poly_cofactors(f, g)[0]
 
 
 def poly_sqrt(p: MultiPoly) -> Optional[MultiPoly]:

@@ -6,11 +6,11 @@ import time
 
 import pytest
 
-from matchgen.aztec import PeriodMatrix
+from matchgen.aztec import AztecInstance, PeriodMatrix, evaluate, to_graph
 from matchgen.cli import MAX_ITER, MAX_TRIALS, _integer_factorization, main
 from matchgen.exprs import parse
 from matchgen.families import dungeon_period_N
-from matchgen.graphs import WeightedGraph, graph_to_json
+from matchgen.graphs import WeightedGraph, graph_to_json, oracle_mgf
 from matchgen.rational import RationalFunction as RF
 
 
@@ -59,6 +59,18 @@ def test_compute_period_with_trace(capsys, tmp_path):
         prod = prod * f
     assert prod == parse("64")
     assert [step["order"] for step in data["trace"]] == [3, 2, 1]
+
+
+def test_compute_period_with_bindings(capsys, tmp_path):
+    path = period_file(tmp_path, [["a", "b"], ["c", "d"]])
+    code, data = run_json(capsys, "compute", "--period", path, "--n", "3",
+                          "--bind", "a=1,b=2,c=3,d=5")
+    assert code == 0
+    inst = AztecInstance(3, PeriodMatrix.from_strings([["1", "2"],
+                                                       ["3", "5"]]))
+    value, _ = evaluate(inst)
+    assert parse(data["value"]) == value == oracle_mgf(to_graph(inst))
+    assert "factorization" in data
 
 
 def test_compute_trace_requires_period(capsys):
@@ -136,6 +148,16 @@ def test_oracle(capsys, tmp_path):
     code, data = run_json(capsys, "oracle", str(path))
     assert code == 0
     assert parse(data["value"]) == parse("w*y+x*z")
+    assert "factorization" not in data
+
+
+def test_oracle_factorization(capsys, tmp_path):
+    inst = AztecInstance(2, PeriodMatrix.constant(1))
+    path = tmp_path / "graph.json"
+    path.write_text(graph_to_json(to_graph(inst)))
+    code, data = run_json(capsys, "oracle", str(path))
+    assert code == 0
+    assert data == {"value": "8", "factorization": [[2, 3]]}
 
 
 def test_integer_factorization():
@@ -261,6 +283,9 @@ def test_wrong_json_shape_is_a_json_error(capsys, tmp_path, command, text,
     pytest.param(["compute", "--family", "checkered", "--n", "12",
                   "--bind", "q=2"], '{"value": "6561/4"}\n',
                  id="checkered-family"),
+    pytest.param(["compute", "--family", "dragon", "--n", "3", "--bind", "a=1"],
+                 '{"value": "4096", "factorization": [[2, 12]]}\n',
+                 id="dragon-family"),
 ])
 def test_golden_output(capsys, tmp_path, argv, expected):
     periods = {"abcd": PeriodMatrix.from_strings([["a", "b"], ["c", "d"]]),

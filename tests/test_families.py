@@ -5,7 +5,7 @@ import pytest
 from matchgen import families
 from matchgen.aztec import AztecInstance, PeriodMatrix, evaluate, to_graph
 from matchgen.exprs import parse
-from matchgen.families import (_CHECKERED01, _CHECKERED_EXP,
+from matchgen.families import (_CHECKERED01, _CHECKERED_EXP, FAMILY_NAMES,
                                ColumnPairMatrix, checkered_closed_form,
                                checkered_count, checkered_period, dragon_unit_period,
                                family_value,
@@ -44,7 +44,7 @@ def test_dungeon_e_counts():
 def test_dungeon_spec_validation():
     with pytest.raises(ValueError):
         family_value("dungeon-F", 1)
-    for family in ("dungeon-D", "dungeon-E"):
+    for family in FAMILY_NAMES:
         with pytest.raises(ValueError, match="order must be nonnegative"):
             family_value(family, -1)
 
@@ -126,6 +126,9 @@ def test_hexsquare_exponent_is_not_n_times_n_plus_1():
 def test_dragon_values_and_counts():
     for n in range(4):
         assert family_value("dragon", n) == parse("1+a^2") ** (n * (n + 1))
+    assert dragon_unit_period() == PeriodMatrix.from_strings([
+        ["1", "1", "1", "1"], ["1", "0", "1", "1"],
+        ["0", "1", "1", "1"], ["1", "1", "1", "1"]])
     for n in range(1, 5):
         v, _ = evaluate(AztecInstance(2 * n, dragon_unit_period()))
         assert v == RF.const(2 ** (n * (n + 1)))
@@ -156,6 +159,24 @@ def test_checkered_exponent_gaps_match_01_period():
     for i in range(20):
         for j in range(20):
             assert (_CHECKERED_EXP[i][j] is None) == (_CHECKERED01[i][j] == 0)
+
+
+@pytest.mark.parametrize("family,orders,name,values", [
+    ("checkered", (3, 7, 12), "q", ("-1", "1/3", "2", "-3")),
+    ("dragon", (0, 1, 3), "a", ("0", "-1", "-1/2", "2")),
+    ("hexsquare", (1, 2, 4), "a", ("0", "1", "-1/2", "2")),
+])
+def test_family_binds_like_binding_the_period_first(family, orders, name,
+                                                    values):
+    # the reference binds the period first, then runs the pipeline
+    period = families._family_period(family)
+    diamond = 1 if family == "checkered" else 2
+    for n in orders:
+        for text in values:
+            bindings = {name: parse(text)}
+            first, _ = evaluate(AztecInstance(diamond * n,
+                                              period.substitute(bindings)))
+            assert family_value(family, n, bindings) == first, (n, text)
 
 
 def test_family_dispatcher_errors():

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matchgen.aztec import (AztecInstance, PeriodMatrix, _reduce_rounds,
-                            evaluate, to_graph)
+from matchgen.aztec import (AztecInstance, PeriodMatrix, _reduce, evaluate,
+                            to_graph)
 from matchgen.exprs import parse
 from matchgen.graphs import (SizeCapExceeded, WeightedGraph,
                              enumerate_matchings, graph_from_json,
@@ -144,7 +144,7 @@ def test_split_vertex_preserves_value():
 def test_factored_edge_weights():
     inst = AztecInstance(3, PeriodMatrix([[parse("a"), RF.const(1)],
                                           [RF.const(1), parse("b")]]))
-    factor, reached = _reduce_rounds(inst, 1)
+    [(_, factor)], reached = _reduce(inst, 1)
     assert factor * oracle_mgf(to_graph(reached)) == evaluate(inst)[0]
     with pytest.raises(TypeError):
         WeightedGraph().add_edge(1, 2, "x")

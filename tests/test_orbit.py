@@ -57,18 +57,26 @@ def test_dungeon_period_returns_after_twelve_steps():
 
 
 def test_q_shift_detection():
-    rep = detect_q_shift(checkered_period(), var="q")
+    rep = detect_q_shift(checkered_period())
     assert rep.kind == "q_shift"
     assert rep.period_length == 30
     assert rep.sigma == 9
     # on a constant matrix the substitution is trivial; sigma must be 1
-    crep = detect_q_shift(PeriodMatrix.constant(2), var="q")
+    crep = detect_q_shift(PeriodMatrix.constant(2))
     assert crep.kind == "q_shift" and crep.sigma == 1
+
+
+def test_q_shift_reads_the_variable_off_the_period():
+    t_period = checkered_period().substitute({"q": RF.var("t")})
+    rep = detect_q_shift(t_period)
+    assert (rep.kind, rep.period_length, rep.sigma) == ("q_shift", 30, 9)
+    with pytest.raises(ValueError, match="at most one variable"):
+        detect_q_shift(PeriodMatrix.from_strings([["a", "b"], ["1", "1"]]))
 
 
 def test_q_shift_search_without_a_match():
     # every candidate sigma is carried through 29 steps and none matches
-    rep = detect_q_shift(checkered_period(), var="q", max_iter=29)
+    rep = detect_q_shift(checkered_period(), max_iter=29)
     assert rep.kind == "none"
     assert len(rep.per_step_factors) == 29
 
@@ -80,7 +88,7 @@ def test_q_shift_substitutes_only_compared_entries(monkeypatch):
             cls, "substitute",
             lambda self, b, substitute=cls.substitute:
             calls.append(1) or substitute(self, b))
-    rep = detect_q_shift(checkered_period(), var="q")
+    rep = detect_q_shift(checkered_period())
     assert (rep.kind, rep.period_length, rep.sigma) == ("q_shift", 30, 9)
     # a full shifted copy of the 20x20 period per candidate would be
     # 400 substitutions each
