@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .cellular import whole_cell
 from .exprs import parse
@@ -29,8 +29,9 @@ class ZeroCellFactor(ArithmeticError):
 
     Raised before anything is divided.  `order` is the diamond order of a
     failing reduction round and `step` the 1-based step of a failing orbit
-    round (a direct `shuffle` is step 1); the other one is None.  A
-    reduction only inverts the blocks its edge array uses.
+    round (a direct `shuffle` is step 1); the other one is None.  An orbit
+    records a zero block when it walks it, and a reduction raises only on
+    the blocks its order uses.
     """
 
     def __init__(self, order: Optional[int], block_row: int, block_col: int,
@@ -133,58 +134,150 @@ class PeriodMatrix:
         return m
 
 
-def _read_part(p: PeriodMatrix, m: int) -> PeriodMatrix:
-    """The top-left min(k, 2m) x min(l, 2m) part of p.
+def _read_part(rows: List[list], m: int) -> List[list]:
+    """The top-left min(k, 2m) x min(l, 2m) part of a period's rows.
 
-    This is the only part the order-m edge array reads.  A reduction round
-    at order m cuts the period to it first, so that no unused block is
-    inverted; the shuffle of a cut period then has a last row and column
-    that wrap around the cut and differ from the shuffle of the whole
-    period, but the order m-1 array never reads them.
+    This is the only part the order-m edge array reads.  An orbit of
+    finite reach R cuts step j's period to its part for order R - j, so
+    that a cold reduction inverts no block its orders leave unused; the
+    shuffle of a cut period then has a last row and column that wrap
+    around the cut and differ from the shuffle of the whole period, but
+    no order up to the reach reads them at the next step.
     """
-    if 2 * m >= max(p.k, p.l):
-        return p
-    return PeriodMatrix([row[:2 * m] for row in p.entries[:2 * m]])
+    return [row[:2 * m] for row in rows[:2 * m]]
 
 
-def _rounds(period: PeriodMatrix, orders: Iterable[Optional[int]]
-            ) -> Iterator[Tuple[FactoredRF, PeriodMatrix]]:
-    """Yield (factor, successor) for one complementation round per order.
+def _step(rows: List[list]) -> Tuple[List[list], List[list]]:
+    """One shuffle step on a period's rows: its block factors and successor.
 
-    An int m is a reduction round at order m on `_read_part(period, m)`:
-    block (i, j) of the order-m edge array uses period block
-    (i mod kb, j mod lb), so each block factor is raised to the number of
-    array blocks that use it.  None is an orbit step: the whole period,
-    each block factor once.  Block [[a,b],[c,d]] is the cell a, b, d, c
-    in cyclic order, so its factor a*d + b*c and its new weights come from
-    one `whole_cell` call.  A zero factor raises ZeroCellFactor naming the
-    order, or the 1-based step of an orbit, and the block.
+    Block [[a,b],[c,d]] is the cell a, b, d, c in cyclic order, so its
+    factor a*d + b*c and its new weights come from one `whole_cell` call.
+    A zero block, or an undefined one (with a None entry), has factor
+    None, and the successor entries it would produce are None.
     """
-    for step, m in enumerate(orders, 1):
-        if m is not None:
-            period = _read_part(period, m)
-        k, l = period.k, period.l
-        kb, lb = k // 2, l // 2
-        row_mult, col_mult = ([1 if m is None else m // size + (i < m % size)
-                               for i in range(size)] for size in (kb, lb))
-        factor = FactoredRF(1)
-        inv = [[None] * l for _ in range(k)]
-        for bi in range(kb):
-            upper, lower = period.entries[2 * bi:2 * bi + 2]
-            for bj in range(lb):
-                cols = slice(2 * bj, 2 * bj + 2)
-                (a, b), (c, d) = upper[cols], lower[cols]
-                try:
-                    delta, (na, nb, nd, nc) = whole_cell((a, b, d, c))
-                except ZeroDivisionError:
-                    raise ZeroCellFactor(m, bi, bj,
-                                         step if m is None else None) from None
-                factor = factor * delta ** (row_mult[bi] * col_mult[bj])
+    k, l = len(rows), len(rows[0])
+    factors, inv = [], [[None] * l for _ in range(k)]
+    for bi in range(k // 2):
+        upper, lower = rows[2 * bi:2 * bi + 2]
+        row = []
+        for bj in range(l // 2):
+            cols = slice(2 * bj, 2 * bj + 2)
+            (a, b), (c, d) = upper[cols], lower[cols]
+            try:
+                if a is None or b is None or c is None or d is None:
+                    raise ZeroDivisionError
+                delta, (na, nb, nd, nc) = whole_cell((a, b, d, c))
+            except ZeroDivisionError:
+                delta = None
+            else:
                 inv[2 * bi][cols] = na, nb
                 inv[2 * bi + 1][cols] = nc, nd
-        period = PeriodMatrix([[inv[(i + 1) % k][(j + 1) % l]
-                                for j in range(l)] for i in range(k)])
-        yield factor, period
+            row.append(delta)
+        factors.append(row)
+    return factors, [[inv[(i + 1) % k][(j + 1) % l] for j in range(l)]
+                     for i in range(k)]
+
+
+class _Orbit:
+    """The shuffle orbit P_0, P_1 = shuffle(P_0), ... of a period, walked once.
+
+    Step j keeps its block size (kb, lb), the 2-D prefix-product table S of
+    its block factors (S[i][j] multiplies the factors of the blocks above
+    block row i and left of block column j) and its zero or undefined
+    blocks in row-major order, which the table skips.  Of the periods it
+    keeps only the frontier, the one the next step starts from.  With a
+    finite `reach` R, step j first cuts its period to
+    `_read_part(., R - j)`, which every order up to R reads the same; with
+    reach None nothing is cut.
+    """
+
+    def __init__(self, period: PeriodMatrix, reach: Optional[int] = None):
+        self.reach = reach
+        self.frontier: List[list] = period.entries
+        self.steps: List[tuple] = []
+
+    def _extend(self, count: int):
+        """Walk until `count` steps are known."""
+        while len(self.steps) < count:
+            rows = self.frontier
+            if self.reach is not None:
+                rows = _read_part(rows, self.reach - len(self.steps))
+            factors, self.frontier = _step(rows)
+            kb, lb = len(rows) // 2, len(rows[0]) // 2
+            table, bad = [[FactoredRF(1)] * (lb + 1)], []
+            for bi, row in enumerate(factors):
+                acc, prefix = FactoredRF(1), [FactoredRF(1)]
+                for bj, delta in enumerate(row):
+                    if delta is None:
+                        bad.append((bi, bj))
+                    else:
+                        acc = acc * delta
+                    prefix.append(acc)
+                table.append([s * t for s, t in zip(table[-1], prefix)])
+            self.steps.append((kb, lb, table, bad))
+
+    def reduction(self, n: int, rounds: int) -> List[Tuple[int, FactoredRF]]:
+        """(order, factor) for the first `rounds` reduction rounds from n.
+
+        Block (i, j) of the order-m edge array uses period block
+        (i mod kb, j mod lb), so with a, r = divmod(m, kb) and
+        b, c = divmod(m, lb) block (i, j) of the step is used
+        (a + [i < r]) * (b + [j < c]) times, and the step's factor is
+        S[kb][lb]^(ab) * S[kb][c]^a * S[r][lb]^b * S[r][c].  A zero or
+        undefined block the order uses raises ZeroCellFactor naming the
+        order and the first such block in row-major order.
+        """
+        out = []
+        for j in range(rounds):
+            self._extend(j + 1)
+            m = n - j
+            kb, lb, table, bad = self.steps[j]
+            used = [(bi, bj) for bi, bj in bad if bi < m and bj < m]
+            if used:
+                raise ZeroCellFactor(m, *used[0])
+            a, r = divmod(m, kb)
+            b, c = divmod(m, lb)
+            out.append((m, table[kb][lb] ** (a * b) * table[kb][c] ** a
+                        * table[r][lb] ** b * table[r][c]))
+        return out
+
+
+# the orbit `evaluate` read last, keyed on (k, l, entries) of its period
+_LAST_ORBIT: dict = {}
+
+
+def _cached_steps(inst: AztecInstance) -> List[Tuple[int, FactoredRF]]:
+    """All n reduction rounds of inst, read off the orbit of its period.
+
+    The orbit the last call read is kept.  A call on another period walks
+    an orbit of reach n, exactly the cells a reduction from n reads; an
+    order above the kept orbit's reach walks the period's orbit uncut.
+    """
+    period, n = inst.period, inst.n
+    key = (period.k, period.l, tuple(map(tuple, period.entries)))
+    orbit = _LAST_ORBIT.get(key)
+    if orbit is None or (orbit.reach is not None and n > orbit.reach):
+        orbit = _Orbit(period, n if orbit is None else None)
+        _LAST_ORBIT.clear()
+        _LAST_ORBIT[key] = orbit
+    return orbit.reduction(n, n)
+
+
+def _orbit_step(p: PeriodMatrix, step: int = 1
+                ) -> Tuple[FactoredRF, PeriodMatrix]:
+    """The factor of one orbit step from p, each block's once, and shuffle(p).
+
+    A zero block raises ZeroCellFactor naming the 1-based `step` and the
+    first such block in row-major order.
+    """
+    factors, successor = _step(p.entries)
+    total = FactoredRF(1)
+    for bi, row in enumerate(factors):
+        for bj, delta in enumerate(row):
+            if delta is None:
+                raise ZeroCellFactor(None, bi, bj, step=step)
+            total = total * delta
+    return total, PeriodMatrix(successor)
 
 
 def shuffle(p: PeriodMatrix) -> PeriodMatrix:
@@ -194,7 +287,7 @@ def shuffle(p: PeriodMatrix) -> PeriodMatrix:
     [[d,c],[b,a]] / (a*d + b*c), then all columns are shifted up one row
     and all rows one column left.
     """
-    return next(_rounds(p, [None]))[1]
+    return _orbit_step(p)[1]
 
 
 class AztecInstance:
@@ -288,8 +381,9 @@ def reduce_step(inst: AztecInstance) -> Tuple[RF, AztecInstance]:
     Returns (factor, successor) with
     M(order n; weights) = factor * M(order n-1; successor weights).
     The factor is the product of the block factors of all n^2 blocks of the
-    edge array, computed per distinct period block with multiplicities.
-    The successor period is the shuffle of `_read_part(inst.period, n)`.
+    edge array, read off the prefix table of the period's blocks.  The
+    successor period is the shuffle of the part the order-n array reads
+    (`_read_part`), at every order including 1.
     """
     [(_, factor)], succ = _reduce(inst, 1)
     return factor.to_rf(), succ
@@ -301,15 +395,15 @@ def _reduce(inst: AztecInstance, rounds: int
 
     Returns the steps, one (order, factor) pair per round in the order the
     rounds ran, each factor in factored form, and the instance reached, so
-    M(inst) = _product(steps) * M(reached).
+    M(inst) = _product(steps) * M(reached).  The rounds walk a private
+    orbit of reach n, whose frontier is the reached period.
     """
     if rounds > inst.n:
         raise ValueError("cannot reduce order 0")
-    orders = range(inst.n, inst.n - rounds, -1)
-    steps, period = [], inst.period
-    for m, (factor, period) in zip(orders, _rounds(period, orders)):
-        steps.append((m, factor))
-    return steps, AztecInstance(inst.n - rounds, period)
+    orbit = _Orbit(inst.period, inst.n)
+    steps = orbit.reduction(inst.n, rounds)
+    return steps, AztecInstance(inst.n - rounds,
+                                PeriodMatrix(orbit.frontier))
 
 
 def _product(steps: List[Tuple[int, FactoredRF]]) -> FactoredRF:
@@ -319,8 +413,12 @@ def _product(steps: List[Tuple[int, FactoredRF]]) -> FactoredRF:
 
 def evaluate(inst: AztecInstance
              ) -> Tuple[RF, List[Tuple[int, FactoredRF]]]:
-    """Exact matching generating function and the steps of `_reduce`."""
-    steps, _ = _reduce(inst, inst.n)
+    """Exact matching generating function and its (order, factor) steps.
+
+    The steps are read off the cached orbit of the period, so orders on
+    one period share its walk.
+    """
+    steps = _cached_steps(inst)
     return _product(steps).to_rf(), steps
 
 
@@ -330,7 +428,7 @@ def evaluate_factored(inst: AztecInstance) -> FactoredRF:
     Same pipeline as evaluate, but the product of step factors is never
     expanded; useful when the value has small factors at high powers.
     """
-    return _product(_reduce(inst, inst.n)[0])
+    return _product(_cached_steps(inst))
 
 
 def row_classes(n: int) -> List[List[int]]:

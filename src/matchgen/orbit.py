@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .aztec import (AztecInstance, PeriodMatrix, _product, _read_part, _reduce,
-                    _rounds)
+from .aztec import (AztecInstance, PeriodMatrix, _orbit_step, _product,
+                    _read_part, _reduce)
 from .rational import FactoredRF, RationalFunction
 
 RF = RationalFunction
@@ -88,8 +88,9 @@ def _search(a: PeriodMatrix, max_iter: int, tests) -> OrbitReport:
     test that hits, with the factors up to its step.
     """
     factors: List[FactoredRF] = []
-    active, hit = list(tests), None
-    for k, (factor, cur) in enumerate(_rounds(a, [None] * max_iter), 1):
+    active, hit, cur = list(tests), None, a
+    for k in range(1, max_iter + 1):
+        factor, cur = _orbit_step(cur, k)
         factors.append(factor)
         for rank, (kind, match) in enumerate(active):
             found = match(cur, factors)
@@ -207,8 +208,9 @@ def recurrence_constant(a: PeriodMatrix, n: int, k: int,
     total = _product(steps)
     m = n - k
     if m:
-        c = proportionality_scalar(_read_part(a, m),
-                                   _read_part(inst.period, m))
+        c = proportionality_scalar(
+            PeriodMatrix(_read_part(a.entries, m)),
+            PeriodMatrix(_read_part(inst.period.entries, m)))
         if c is None:
             raise ValueError(f"shuffle^{k} of the matrix is not a scalar "
                              "multiple of it")

@@ -13,9 +13,10 @@ from matchgen.aztec import (AztecInstance, PeriodMatrix, ZeroCellFactor,
                             evaluate, evaluate_factored, reduce_step,
                             row_classes, scale_col_class, scale_row_class,
                             shuffle, to_graph)
-from matchgen import rational
+from matchgen import aztec, rational
 from matchgen.exprs import parse
-from matchgen.families import hexsquare_period, weighted_dungeon_period_M
+from matchgen.families import (checkered_period, dungeon_period_N,
+                               hexsquare_period, weighted_dungeon_period_M)
 from matchgen.graphs import oracle_mgf
 from matchgen.orbit import recurrence_constant
 from matchgen.rational import FactoredRF
@@ -129,6 +130,97 @@ def test_zero_weight_periods_match_oracle_or_raise():
             except ZeroCellFactor:
                 continue
             assert val == oracle_mgf(to_graph(inst))
+
+
+def test_unused_degenerate_block_raises_whatever_order_comes_first():
+    p = PeriodMatrix([[1, 1, 1, 1], [1, 1, 1, 1], [0, 0, 1, 1], [1, 1, 1, 1]])
+    aztec._LAST_ORBIT.clear()
+    with pytest.raises(ZeroCellFactor) as exc:
+        evaluate(AztecInstance(2, p))
+    assert str(exc.value) == "zero cell-factor at order 2, block (1,0)"
+    assert evaluate(AztecInstance(1, p))[0] == RF.const(2)
+
+
+def _outcome(inst):
+    """The factored value of inst, or the message of its ZeroCellFactor."""
+    try:
+        return evaluate_factored(inst)
+    except ZeroCellFactor as exc:
+        return str(exc)
+
+
+def test_zero_cell_factor_does_not_depend_on_the_cached_orbit():
+    rng = random.Random(4)
+    weights = [Fraction(w, 2) for w in (0, 1, 2, 3, 4, 6)]
+    for _ in range(150):
+        k, l = rng.choice((4, 6, 8)), rng.choice((2, 4, 6, 8))
+        p = PeriodMatrix([[rng.choice(weights) for _ in range(l)]
+                          for _ in range(k)])
+        runs = []
+        for orders in ((1, 2, 3), (3, 2, 1)):
+            aztec._LAST_ORBIT.clear()
+            runs.append({n: _outcome(AztecInstance(n, p)) for n in orders})
+        assert runs[0] == runs[1]
+
+
+def _three_runs(period, orders):
+    """Factored values at `orders`: cold each, ascending, descending."""
+    runs = []
+    for sequence, cold in ((orders, True), (orders, False),
+                           (orders[::-1], False)):
+        aztec._LAST_ORBIT.clear()
+        values = {}
+        for n in sequence:
+            if cold:
+                aztec._LAST_ORBIT.clear()
+            values[n] = evaluate_factored(AztecInstance(n, period))
+        runs.append(values)
+    return runs
+
+
+@pytest.mark.parametrize("period, orders", [
+    pytest.param(checkered_period(), range(1, 41), id="checkered"),
+    pytest.param(dungeon_period_N(), range(0, 21), id="N"),
+    pytest.param(weighted_dungeon_period_M(), range(0, 21), id="M"),
+    pytest.param(hexsquare_period(), range(0, 21), id="hexsquare"),
+])
+def test_values_do_not_depend_on_the_order_of_calls(period, orders):
+    cold, ascending, descending = _three_runs(period, list(orders))
+    assert cold == ascending == descending
+
+
+@pytest.mark.parametrize("size", [4, 6])
+def test_random_values_do_not_depend_on_the_order_of_calls(size):
+    rng = random.Random(size)
+    for _ in range(3):
+        p = PeriodMatrix([[Fraction(rng.randint(1, 5), rng.randint(1, 3))
+                           for _ in range(size)] for _ in range(size)])
+        cold, ascending, descending = _three_runs(p, list(range(1, 9)))
+        assert cold == ascending == descending
+
+
+def test_one_orbit_walk_bounds_the_cell_moves(monkeypatch):
+    calls = []
+    cell = aztec.whole_cell
+
+    def counted(w):
+        calls.append(w)
+        return cell(w)
+
+    monkeypatch.setattr(aztec, "whole_cell", counted)
+    aztec._LAST_ORBIT.clear()
+    period = checkered_period()
+    for n in [*range(1, 16), *range(31, 36)]:
+        evaluate(AztecInstance(n, period))
+    # an orbit of reach 1 (one block), then one uncut walk of 35 steps
+    assert len(calls) <= 3740
+    calls.clear()
+    rng = random.Random(40)
+    big = PeriodMatrix([[rng.randint(1, 5) for _ in range(40)]
+                        for _ in range(40)])
+    evaluate(AztecInstance(2, big))
+    # a cold order-2 call reads four blocks, then one
+    assert len(calls) == 5
 
 
 def test_reduce_step_identity():

@@ -149,6 +149,12 @@ def test_checkered_pipeline_matches_closed_form():
         assert v == checkered_closed_form(n)
 
 
+def test_checkered_counts_past_two_q_shift_periods():
+    one = {"q": RF.const(1)}
+    for n in range(1, 61):
+        assert family_value("checkered", n, one) == checkered_count(n)
+
+
 def test_checkered_period_zero_pattern():
     p = checkered_period()
     zeros = sum(1 for row in p.entries for e in row if e.is_zero())

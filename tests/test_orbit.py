@@ -224,18 +224,17 @@ def test_search_prefers_earlier_tests():
 
 
 def test_detect_orbit_walks_the_orbit_once(monkeypatch):
-    yielded = []
-    rounds = orbit._rounds
+    walked = []
+    orbit_step = orbit._orbit_step
 
-    def counted(period, orders):
-        for item in rounds(period, orders):
-            yielded.append(item)
-            yield item
+    def counted(p, step):
+        walked.append(step)
+        return orbit_step(p, step)
 
-    monkeypatch.setattr(orbit, "_rounds", counted)
+    monkeypatch.setattr(orbit, "_orbit_step", counted)
     rep = detect_orbit(checkered_period())
     # no proportional hit within 40 steps, so the one walk runs to the end
-    assert len(yielded) == 40
+    assert walked == list(range(1, 41))
     assert rep.to_json() == detect_q_shift(checkered_period()).to_json()
     assert detect_orbit(PeriodMatrix.constant(2)).to_json() == \
         detect_proportional(PeriodMatrix.constant(2)).to_json()
