@@ -147,31 +147,45 @@ def _read_part(rows: List[list], m: int) -> List[list]:
     return [row[:2 * m] for row in rows[:2 * m]]
 
 
+def _cell(a, b, c, d) -> Optional[tuple]:
+    """`whole_cell` on block [[a,b],[c,d]], or None if it has no factor.
+
+    The block is the cell a, b, d, c in cyclic order.  A zero block, or an
+    undefined one (with a None entry), gives None.
+    """
+    if a is None or b is None or c is None or d is None:
+        return None
+    try:
+        return whole_cell((a, b, d, c))
+    except ZeroDivisionError:
+        return None
+
+
 def _step(rows: List[list]) -> Tuple[List[list], List[list]]:
     """One shuffle step on a period's rows: its block factors and successor.
 
-    Block [[a,b],[c,d]] is the cell a, b, d, c in cyclic order, so its
-    factor a*d + b*c and its new weights come from one `whole_cell` call.
-    A zero block, or an undefined one (with a None entry), has factor
-    None, and the successor entries it would produce are None.
+    Block [[a,b],[c,d]] gets its factor a*d + b*c and its new weights from
+    one `_cell` call per distinct (a, b, c, d), since the blocks of a
+    periodic pattern repeat.  A zero or undefined block has factor None,
+    and the successor entries it would produce are None.
     """
     k, l = len(rows), len(rows[0])
-    factors, inv = [], [[None] * l for _ in range(k)]
+    factors, inv, cells = [], [[None] * l for _ in range(k)], {}
     for bi in range(k // 2):
         upper, lower = rows[2 * bi:2 * bi + 2]
         row = []
         for bj in range(l // 2):
             cols = slice(2 * bj, 2 * bj + 2)
-            (a, b), (c, d) = upper[cols], lower[cols]
-            try:
-                if a is None or b is None or c is None or d is None:
-                    raise ZeroDivisionError
-                delta, (na, nb, nd, nc) = whole_cell((a, b, d, c))
-            except ZeroDivisionError:
-                delta = None
-            else:
-                inv[2 * bi][cols] = na, nb
-                inv[2 * bi + 1][cols] = nc, nd
+            block = (*upper[cols], *lower[cols])
+            if block not in cells:
+                cells[block] = _cell(*block)
+            cell = cells[block]
+            if cell is None:
+                row.append(None)
+                continue
+            delta, (na, nb, nd, nc) = cell
+            inv[2 * bi][cols] = na, nb
+            inv[2 * bi + 1][cols] = nc, nd
             row.append(delta)
         factors.append(row)
     return factors, [[inv[(i + 1) % k][(j + 1) % l] for j in range(l)]
@@ -267,16 +281,19 @@ def _orbit_step(p: PeriodMatrix, step: int = 1
                 ) -> Tuple[FactoredRF, PeriodMatrix]:
     """The factor of one orbit step from p, each block's once, and shuffle(p).
 
-    A zero block raises ZeroCellFactor naming the 1-based `step` and the
-    first such block in row-major order.
+    Equal block factors are multiplied in once, as a power.  A zero block
+    raises ZeroCellFactor naming the 1-based `step` and the first such
+    block in row-major order.
     """
     factors, successor = _step(p.entries)
-    total = FactoredRF(1)
+    counts: dict = {}
     for bi, row in enumerate(factors):
         for bj, delta in enumerate(row):
             if delta is None:
                 raise ZeroCellFactor(None, bi, bj, step=step)
-            total = total * delta
+            counts[delta] = counts.get(delta, 0) + 1
+    total = math.prod((delta ** count for delta, count in counts.items()),
+                      start=FactoredRF(1))
     return total, PeriodMatrix(successor)
 
 

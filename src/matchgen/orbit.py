@@ -118,20 +118,6 @@ def detect_proportional(a: PeriodMatrix,
     return _search(a, max_iter, [_proportional_test(a)])
 
 
-def _square_candidates(factors: List[FactoredRF]) -> List[Fraction]:
-    """Integer squares up to 100 plus squares of constant step factors."""
-    cands = [Fraction(i * i) for i in range(1, 11)]
-    for f in factors:
-        if not f.factors:
-            v = f.coeff
-            if v > 0:
-                for s in (v * v, 1 / (v * v)):
-                    if s not in cands:
-                        cands.append(s)
-    # sigma = 1 first, so a parameter-free matrix reports the identity shift
-    return sorted(set(cands), key=lambda s: (s != 1, s))
-
-
 def detect_q_shift(aq: PeriodMatrix,
                    max_iter: int = DEFAULT_MAX_ITER) -> OrbitReport:
     """Smallest k with shuffle^k(A(q)) = A(sigma * q) for a candidate sigma.
@@ -156,18 +142,35 @@ def _q_shift_test(aq: PeriodMatrix):
                          f"has {len(variables)}: {', '.join(variables)}")
     params = [(v, RF.var(v)) for v in variables]
     shifted = {}
+    squares = {Fraction(i * i) for i in range(1, 11)}
+    folded = 0
 
-    def entry(sigma: Fraction, i: int, j: int) -> FactoredRF:
-        key = (sigma, i, j)
+    def entry(sigma: Fraction, e: FactoredRF) -> FactoredRF:
+        # keyed on the entry's value: a periodic pattern repeats its entries
+        key = (sigma, e)
         if key not in shifted:
-            shifted[key] = aq.entries[i][j].substitute(
+            shifted[key] = e.substitute(
                 {v: RF.const(sigma) * q for v, q in params})
         return shifted[key]
 
+    def candidates(factors: List[FactoredRF]) -> List[Fraction]:
+        """Integer squares up to 100 plus squares of constant step factors.
+
+        Each step factor is folded in once, on the first call that sees it.
+        """
+        nonlocal folded
+        for f in factors[folded:]:
+            if not f.factors and f.coeff > 0:
+                squares.update((f.coeff ** 2, 1 / f.coeff ** 2))
+        folded = len(factors)
+        # sigma = 1 first, so a parameter-free matrix reports the identity
+        return sorted(squares, key=lambda s: (s != 1, s))
+
     def match(cur, factors):
-        for sigma in _square_candidates(factors):
-            if all(cur.entries[i][j] == entry(sigma, i, j)
-                   for i in range(aq.k) for j in range(aq.l)):
+        for sigma in candidates(factors):
+            if all(c == entry(sigma, e)
+                   for cur_row, row in zip(cur.entries, aq.entries)
+                   for c, e in zip(cur_row, row)):
                 return {"sigma": sigma}
         return None
 

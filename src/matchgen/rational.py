@@ -400,6 +400,9 @@ class RationalFunction:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
+        # a constant hashes as its Fraction, which it compares equal to
+        if self.is_const():
+            return hash(self.as_const())
         return hash((self.num, self.den))
 
     # -- arithmetic ---------------------------------------------------
@@ -624,12 +627,13 @@ class FactoredRF:
     and never factors the other.
     """
 
-    __slots__ = ("coeff", "factors")
+    __slots__ = ("coeff", "factors", "_hash")
 
     def __init__(self, coeff=Fraction(1), factors=None):
         object.__setattr__(self, "coeff", Fraction(coeff))
         object.__setattr__(self, "factors",
                            dict(factors or {}) if self.coeff else {})
+        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, *a):
         raise AttributeError("FactoredRF is immutable")
@@ -699,9 +703,9 @@ class FactoredRF:
                 factors[f] = new
             else:
                 factors.pop(f, None)
-        coeff = self.coeff * (other.coeff if sign > 0
-                              else Fraction(1) / other.coeff)
-        return FactoredRF(coeff, factors)
+        coeff = (self.coeff * other.coeff if sign > 0
+                 else self.coeff / other.coeff)
+        return _factored(coeff, factors)
 
     @staticmethod
     def _coerce(x) -> "FactoredRF":
@@ -735,8 +739,8 @@ class FactoredRF:
     def inverse(self) -> "FactoredRF":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        return FactoredRF(Fraction(1) / self.coeff,
-                          {f: -e for f, e in self.factors.items()})
+        return _factored(1 / self.coeff,
+                         {f: -e for f, e in self.factors.items()})
 
     def __pow__(self, n: int):
         if n == 0:
@@ -745,11 +749,11 @@ class FactoredRF:
             if n < 0:
                 raise ZeroDivisionError("negative power of zero")
             return self
-        return FactoredRF(self.coeff ** n,
-                          {f: e * n for f, e in self.factors.items()})
+        return _factored(self.coeff ** n,
+                         {f: e * n for f, e in self.factors.items()})
 
     def __neg__(self):
-        return FactoredRF(-self.coeff, self.factors)
+        return _factored(-self.coeff, self.factors)
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -787,10 +791,29 @@ class FactoredRF:
         return self.coeff == other.coeff and self.factors == other.factors
 
     def __hash__(self):
-        return hash((self.coeff, frozenset(self.factors.items())))
+        # a constant hashes as its Fraction, which it compares equal to
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash(
+                (self.coeff, frozenset(self.factors.items()))
+                if self.factors else self.coeff))
+        return self._hash
 
     def __str__(self):
         return str(self.to_rf())
 
     def __repr__(self):
         return f"FactoredRF({self})"
+
+
+def _factored(coeff: Fraction, factors: Dict[MultiPoly, int]) -> FactoredRF:
+    """A FactoredRF from parts already in canonical form, taken uncopied.
+
+    coeff is a nonzero Fraction and factors maps monic irreducibles to
+    nonzero exponents.  No FactoredRF changes its factors dict, so the
+    dict may be one another value holds.
+    """
+    out = object.__new__(FactoredRF)
+    object.__setattr__(out, "coeff", coeff)
+    object.__setattr__(out, "factors", factors)
+    object.__setattr__(out, "_hash", None)
+    return out

@@ -14,6 +14,7 @@ from matchgen.aztec import (AztecInstance, PeriodMatrix, ZeroCellFactor,
                             row_classes, scale_col_class, scale_row_class,
                             shuffle, to_graph)
 from matchgen import aztec, rational
+from matchgen.cellular import whole_cell
 from matchgen.exprs import parse
 from matchgen.families import (checkered_period, dungeon_period_N,
                                hexsquare_period, weighted_dungeon_period_M)
@@ -199,7 +200,8 @@ def test_random_values_do_not_depend_on_the_order_of_calls(size):
         assert cold == ascending == descending
 
 
-def test_one_orbit_walk_bounds_the_cell_moves(monkeypatch):
+def _count_cell_moves(monkeypatch) -> list:
+    """The weights of every `whole_cell` call the aztec module makes."""
     calls = []
     cell = aztec.whole_cell
 
@@ -208,12 +210,29 @@ def test_one_orbit_walk_bounds_the_cell_moves(monkeypatch):
         return cell(w)
 
     monkeypatch.setattr(aztec, "whole_cell", counted)
-    aztec._LAST_ORBIT.clear()
+    return calls
+
+
+def _blocks(rows) -> set:
+    """The distinct 2x2 blocks (a, b, c, d) of a period's rows."""
+    return {(*rows[i][j:j + 2], *rows[i + 1][j:j + 2])
+            for i in range(0, len(rows), 2)
+            for j in range(0, len(rows[0]), 2)}
+
+
+def test_one_orbit_walk_bounds_the_cell_moves(monkeypatch):
     period = checkered_period()
+    # an orbit of reach 1 (one block), then one uncut walk of 35 steps
+    # with one cell move per distinct block of each step
+    expected, p = 1, period
+    for _ in range(35):
+        expected, p = expected + len(_blocks(p.entries)), shuffle(p)
+    assert expected == 288
+    calls = _count_cell_moves(monkeypatch)
+    aztec._LAST_ORBIT.clear()
     for n in [*range(1, 16), *range(31, 36)]:
         evaluate(AztecInstance(n, period))
-    # an orbit of reach 1 (one block), then one uncut walk of 35 steps
-    assert len(calls) <= 3740
+    assert len(calls) == expected
     calls.clear()
     rng = random.Random(40)
     big = PeriodMatrix([[rng.randint(1, 5) for _ in range(40)]
@@ -221,6 +240,63 @@ def test_one_orbit_walk_bounds_the_cell_moves(monkeypatch):
     evaluate(AztecInstance(2, big))
     # a cold order-2 call reads four blocks, then one
     assert len(calls) == 5
+
+
+def test_equal_blocks_make_one_cell_move_per_step(monkeypatch):
+    base = PeriodMatrix.from_strings([["a", "b"], ["c", "d"]])
+    tiled = PeriodMatrix([row * 4 for row in base.entries] * 3)
+    aztec._LAST_ORBIT.clear()
+    expected = evaluate_factored(AztecInstance(6, base))
+    calls = _count_cell_moves(monkeypatch)
+    aztec._LAST_ORBIT.clear()
+    assert evaluate_factored(AztecInstance(6, tiled)) == expected
+    assert len(calls) == 6
+    calls.clear()
+    factor, succ = aztec._orbit_step(tiled)
+    assert len(calls) == 1
+    base_factor, base_succ = aztec._orbit_step(base)
+    assert factor == base_factor ** 12
+    assert succ == PeriodMatrix([row * 4 for row in base_succ.entries] * 3)
+
+
+def _reference_step(rows):
+    """`aztec._step` with one `whole_cell` call per block position."""
+    k, l = len(rows), len(rows[0])
+    factors, inv = [], [[None] * l for _ in range(k)]
+    for i in range(0, k, 2):
+        row = []
+        for j in range(0, l, 2):
+            (a, b), (c, d) = rows[i][j:j + 2], rows[i + 1][j:j + 2]
+            delta = None
+            if not any(e is None for e in (a, b, c, d)):
+                try:
+                    delta, (na, nb, nd, nc) = whole_cell((a, b, d, c))
+                except ZeroDivisionError:
+                    pass
+                else:
+                    inv[i][j:j + 2] = na, nb
+                    inv[i + 1][j:j + 2] = nc, nd
+            row.append(delta)
+        factors.append(row)
+    return factors, [[inv[(i + 1) % k][(j + 1) % l] for j in range(l)]
+                     for i in range(k)]
+
+
+def test_step_matches_a_cell_move_per_block(monkeypatch):
+    rng = random.Random(14)
+    pool = [FactoredRF(w) for w in (0, 1, -1, 2, Fraction(1, 2))]
+    pool += [parse("a"), parse("a+1"), None]
+    calls = _count_cell_moves(monkeypatch)
+    for _ in range(60):
+        k, l = rng.choice((2, 4, 6, 8)), rng.choice((2, 4, 6, 8))
+        # a few entries each, so that blocks repeat and some are zero
+        entries = rng.sample(pool, 3)
+        rows = [[rng.choice(entries) for _ in range(l)] for _ in range(k)]
+        expected = _reference_step(rows)
+        calls.clear()
+        assert aztec._step(rows) == expected
+        assert len(calls) == sum(not any(e is None for e in block)
+                                 for block in _blocks(rows))
 
 
 def test_reduce_step_identity():

@@ -90,9 +90,10 @@ def test_q_shift_substitutes_only_compared_entries(monkeypatch):
             calls.append(1) or substitute(self, b))
     rep = detect_q_shift(checkered_period())
     assert (rep.kind, rep.period_length, rep.sigma) == ("q_shift", 30, 9)
-    # a full shifted copy of the 20x20 period per candidate would be
-    # 400 substitutions each
-    assert len(calls) <= 500
+    # one substitution per candidate and distinct entry compared: the 20x20
+    # period has 8 distinct entries, and a full shifted copy per candidate
+    # would be 400 substitutions each
+    assert len(calls) <= 41
 
 
 @pytest.mark.parametrize("rows, step", [

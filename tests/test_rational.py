@@ -329,6 +329,13 @@ class TestFactoredForms:
         v = FactoredRF.from_rf(x) ** 3 / FactoredRF.from_rf(x)
         assert v.to_rf() == x * x
 
+    @pytest.mark.parametrize("c", [3, Fraction(-1, 2), 0])
+    def test_equal_constants_hash_equal(self, c):
+        values = {FactoredRF(c), RF.const(c), c, Fraction(c)}
+        assert len(values) == 1
+        # products reach the same constant through the private constructor
+        assert len({FactoredRF(c) * 1, (FactoredRF(2) * c) / 2, c}) == 1
+
     @pytest.mark.parametrize("op", [operator.add, operator.sub,
                                     operator.mul, operator.truediv])
     def test_plain_left_operand_defers_to_factored(self, op):
