@@ -270,11 +270,10 @@ def poly_cofactors(f: MultiPoly, g: MultiPoly
     """(h, f/h, g/h) for the monic GCD h of f and g (1 for coprime inputs).
 
     Polynomials that share a variable go to one `cofactors` call on their
-    primitive parts in a shared integer ring: sympy's gcd computes both
-    quotients anyway.  Its sparse heuristic gcd can give up; the dense
-    gcd, which falls back to subresultants, then answers.  The gcd is only
-    defined up to a unit, so it is made monic and its leading coefficient
-    moved into the quotients; a constant gcd leaves f and g as they are.
+    primitive parts in a shared integer ring (`_ring_cofactors`): sympy's
+    gcd computes both quotients anyway.  The gcd is only defined up to a
+    unit, so it is made monic and its leading coefficient moved into the
+    quotients; a constant gcd leaves f and g as they are.
     gcd(0, g) is monic g; gcd(0, 0) is 0, with zero quotients.
     """
     if f.is_zero():
@@ -289,16 +288,26 @@ def poly_cofactors(f: MultiPoly, g: MultiPoly
             or not set(f.variables) & set(g.variables)):
         return MultiPoly.const(1), f, g
     vs, pf, pg = _align(f, g)
-    try:
-        h, fq, gq = pf.cofactors(pg)
-    except _HeuristicGCDFailed:
-        h, fq, gq = pf.ring.dmp_inner_gcd(pf, pg)
+    h, fq, gq = _ring_cofactors(pf, pg)
     if h.is_ground:
         return MultiPoly.const(1), f, g
     lc = h.LC
     return (_from_ring(vs, h, Fraction(1, lc)),
             _from_ring(vs, fq, f.content * lc),
             _from_ring(vs, gq, g.content * lc))
+
+
+def _ring_cofactors(f: PolyElement, g: PolyElement
+                    ) -> Tuple[PolyElement, PolyElement, PolyElement]:
+    """(h, f/h, g/h) for a gcd h of two elements of one integer ring.
+
+    sympy's sparse heuristic gcd can give up; the dense gcd, which falls
+    back to subresultants, then answers.
+    """
+    try:
+        return f.cofactors(g)
+    except _HeuristicGCDFailed:
+        return f.ring.dmp_inner_gcd(f, g)
 
 
 def poly_sqrt(p: MultiPoly) -> Optional[MultiPoly]:

@@ -1,8 +1,12 @@
-"""The matchgen command line, run in process."""
+"""The matchgen command line, run in process and as `python -m matchgen`."""
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -151,6 +155,21 @@ def test_oracle(capsys, tmp_path):
     assert "factorization" not in data
 
 
+def test_python_m_matchgen(capsys, tmp_path):
+    inst = AztecInstance(2, dungeon_period_N())
+    path = tmp_path / "graph.json"
+    path.write_text(graph_to_json(to_graph(inst)))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "matchgen", "oracle", str(path)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert main(["oracle", str(path)]) == 0
+    assert proc.stdout == capsys.readouterr().out
+
+
 def test_oracle_factorization(capsys, tmp_path):
     inst = AztecInstance(2, PeriodMatrix.constant(1))
     path = tmp_path / "graph.json"
@@ -286,6 +305,10 @@ def test_wrong_json_shape_is_a_json_error(capsys, tmp_path, command, text,
     pytest.param(["compute", "--family", "dragon", "--n", "3", "--bind", "a=1"],
                  '{"value": "4096", "factorization": [[2, 12]]}\n',
                  id="dragon-family"),
+    pytest.param(["oracle", "N"],
+                 '{"value": "(x^8*y^6+3*x^6*y^8+3*x^4*y^10+x^2*y^12'
+                 '+2*x^5*y^6+2*x^3*y^8+x^2*y^6)/(x^8+4*x^6*y^2'
+                 '+6*x^4*y^4+4*x^2*y^6+y^8)"}\n', id="oracle-N3"),
 ])
 def test_golden_output(capsys, tmp_path, argv, expected):
     periods = {"abcd": PeriodMatrix.from_strings([["a", "b"], ["c", "d"]]),
@@ -295,6 +318,12 @@ def test_golden_output(capsys, tmp_path, argv, expected):
         path = tmp_path / "period.json"
         path.write_text(periods[argv[i]].to_json())
         argv = argv[:i] + [str(path)] + argv[i + 1:]
+    if argv[0] == "oracle":
+        # the oracle reads the order-3 graph of the named period
+        path = tmp_path / "graph.json"
+        path.write_text(graph_to_json(to_graph(
+            AztecInstance(3, periods[argv[1]]))))
+        argv = ["oracle", str(path)]
     assert main(argv) == 0
     out = capsys.readouterr().out
     if not expected.startswith("{"):

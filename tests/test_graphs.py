@@ -4,14 +4,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from matchgen import rational
 from matchgen.aztec import (AztecInstance, PeriodMatrix, _reduce, evaluate,
                             to_graph)
 from matchgen.exprs import parse
+from matchgen.families import dungeon_period_N
 from matchgen.graphs import (SizeCapExceeded, WeightedGraph,
                              enumerate_matchings, graph_from_json,
                              graph_to_json, matching_weight, oracle_mgf,
                              split_vertex, strip_forced)
 from matchgen.rational import RationalFunction as RF
+from matchgen.rational import poly_cofactors
 
 
 def four_cycle():
@@ -59,7 +62,11 @@ def test_enumerate_matches_oracle():
 edge_weights = st.one_of(
     st.just(RF.const(0)),
     st.fractions(min_value=-2, max_value=3, max_denominator=3).map(RF.const),
-    st.sampled_from(["x", "y", "x+1", "1/y", "x*y-1"]).map(parse))
+    st.sampled_from(["x", "y", "x+1", "1/y", "x*y-1",
+                     # denominators that share factors with each other
+                     # and with numerators
+                     "1/(x+1)", "x/(x+1)^2", "-y/(x^2+y^2)",
+                     "(x+y)/(x*y-1)"]).map(parse))
 
 
 @st.composite
@@ -95,6 +102,20 @@ def test_oracle_counts_order_5_aztec_diamond():
     g = to_graph(AztecInstance(5, PeriodMatrix.constant(1)))
     assert len(g) == 60
     assert oracle_mgf(g, size_cap=60) == RF.const(2 ** 15)
+
+
+def test_oracle_normalizes_once(monkeypatch):
+    g = to_graph(AztecInstance(3, dungeon_period_N()))
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return poly_cofactors(*args)
+
+    monkeypatch.setattr(rational, "poly_cofactors", counting)
+    value = oracle_mgf(g)
+    assert len(calls) <= 1
+    assert value == evaluate(AztecInstance(3, dungeon_period_N()))[0]
 
 
 def test_size_cap():
