@@ -14,12 +14,15 @@ from __future__ import annotations
 
 import json
 import math
+import operator
+from fractions import Fraction
+from itertools import accumulate
 from typing import List, Optional, Tuple
 
 from .cellular import whole_cell
 from .exprs import parse
 from .graphs import WeightedGraph
-from .rational import FactoredRF, RationalFunction
+from .rational import FactoredRF, RationalFunction, _factored
 
 RF = RationalFunction
 
@@ -192,43 +195,95 @@ def _step(rows: List[list]) -> Tuple[List[list], List[list]]:
                      for i in range(k)]
 
 
+_UNIT = FactoredRF(1)
+
+
+def _tables(factors: List[list]) -> tuple:
+    """Prefix tables of one step's block factors, and its zero blocks.
+
+    coeffs[i][j] multiplies the coefficients of the blocks above block
+    row i and left of block column j, and counts[f][i][j] sums the
+    exponents of the irreducible f over the same blocks, so no table
+    cell multiplies factored values.  Zero or undefined blocks (None) are
+    listed in row-major order; the tables skip them.
+    """
+    width = len(factors[0]) + 1
+    coeffs = [[Fraction(1)] * width]
+    counts = {f: [[0] * width] for row in factors for delta in row
+              if delta is not None for f in delta.factors}
+    bad = []
+    for bi, row in enumerate(factors):
+        bad += [(bi, bj) for bj, delta in enumerate(row) if delta is None]
+        row = [_UNIT if delta is None else delta for delta in row]
+        prefix = accumulate((delta.coeff for delta in row), operator.mul,
+                            initial=Fraction(1))
+        coeffs.append([s * t for s, t in zip(coeffs[-1], prefix)])
+        for f, table in counts.items():
+            prefix = accumulate((delta.factors.get(f, 0) for delta in row),
+                                initial=0)
+            table.append([s + t for s, t in zip(table[-1], prefix)])
+    return coeffs, counts, bad
+
+
 class _Orbit:
     """The shuffle orbit P_0, P_1 = shuffle(P_0), ... of a period, walked once.
 
-    Step j keeps its block size (kb, lb), the 2-D prefix-product table S of
-    its block factors (S[i][j] multiplies the factors of the blocks above
-    block row i and left of block column j) and its zero or undefined
-    blocks in row-major order, which the table skips.  Of the periods it
-    keeps only the frontier, the one the next step starts from.  With a
-    finite `reach` R, step j first cuts its period to
-    `_read_part(., R - j)`, which every order up to R reads the same; with
-    reach None nothing is cut.
+    `periods[j]` holds the rows step j starts from.  With a finite `reach`
+    R, step j first cuts them to `_read_part(., R - j)`, which every order
+    up to R reads the same; with reach None nothing is cut, and periods[j]
+    is shuffle^j of the period.  Step j keeps its block size (kb, lb) and
+    the `_tables` of its block factors, from which `factor` builds the
+    factor of any multiset of its blocks that an order or an orbit step
+    uses, each factor once.
     """
 
     def __init__(self, period: PeriodMatrix, reach: Optional[int] = None):
         self.reach = reach
-        self.frontier: List[list] = period.entries
+        self.periods: List[List[list]] = [period.entries]
         self.steps: List[tuple] = []
 
     def _extend(self, count: int):
         """Walk until `count` steps are known."""
         while len(self.steps) < count:
-            rows = self.frontier
+            rows = self.periods[-1]
             if self.reach is not None:
                 rows = _read_part(rows, self.reach - len(self.steps))
-            factors, self.frontier = _step(rows)
-            kb, lb = len(rows) // 2, len(rows[0]) // 2
-            table, bad = [[FactoredRF(1)] * (lb + 1)], []
-            for bi, row in enumerate(factors):
-                acc, prefix = FactoredRF(1), [FactoredRF(1)]
-                for bj, delta in enumerate(row):
-                    if delta is None:
-                        bad.append((bi, bj))
-                    else:
-                        acc = acc * delta
-                    prefix.append(acc)
-                table.append([s * t for s, t in zip(table[-1], prefix)])
-            self.steps.append((kb, lb, table, bad))
+            factors, successor = _step(rows)
+            self.periods.append(successor)
+            self.steps.append((len(rows) // 2, len(rows[0]) // 2,
+                               *_tables(factors)))
+
+    def factor(self, j: int, a: int = 1, r: int = 0, b: int = 1,
+               c: int = 0) -> FactoredRF:
+        """The product of step j's block factors, each block's once by default.
+
+        Block (i, i') is taken (a + [i < r]) * (b + [i' < c]) times, so the
+        exponent of each irreducible is the rectangle sum
+        S[kb][lb]*ab + S[kb][c]*a + S[r][lb]*b + S[r][c] of its count table
+        S, and the coefficient the same rectangle product of the
+        coefficient table.
+        """
+        kb, lb, coeffs, counts, _ = self.steps[j]
+        exponents = {}
+        for f, s in counts.items():
+            e = s[kb][lb] * a * b + s[kb][c] * a + s[r][lb] * b + s[r][c]
+            if e:
+                exponents[f] = e
+        coeff = (coeffs[kb][lb] ** (a * b) * coeffs[kb][c] ** a
+                 * coeffs[r][lb] ** b * coeffs[r][c])
+        return _factored(coeff, exponents)
+
+    def step_factor(self, j: int) -> FactoredRF:
+        """The factor of orbit step j + 1, each block's once.
+
+        A zero or undefined block raises ZeroCellFactor naming the 1-based
+        step and the first such block in row-major order.
+        """
+        self._extend(j + 1)
+        bad = self.steps[j][-1]
+        if bad:
+            raise ZeroCellFactor(None, *bad[0], step=j + 1)
+        return self.factor(j)
 
     def reduction(self, n: int, rounds: int) -> List[Tuple[int, FactoredRF]]:
         """(order, factor) for the first `rounds` reduction rounds from n.
@@ -236,65 +291,48 @@ class _Orbit:
         Block (i, j) of the order-m edge array uses period block
         (i mod kb, j mod lb), so with a, r = divmod(m, kb) and
         b, c = divmod(m, lb) block (i, j) of the step is used
-        (a + [i < r]) * (b + [j < c]) times, and the step's factor is
-        S[kb][lb]^(ab) * S[kb][c]^a * S[r][lb]^b * S[r][c].  A zero or
-        undefined block the order uses raises ZeroCellFactor naming the
-        order and the first such block in row-major order.
+        (a + [i < r]) * (b + [j < c]) times.  A zero or undefined block
+        the order uses raises ZeroCellFactor naming the order and the
+        first such block in row-major order.
         """
         out = []
         for j in range(rounds):
             self._extend(j + 1)
             m = n - j
-            kb, lb, table, bad = self.steps[j]
+            kb, lb, *_, bad = self.steps[j]
             used = [(bi, bj) for bi, bj in bad if bi < m and bj < m]
             if used:
                 raise ZeroCellFactor(m, *used[0])
-            a, r = divmod(m, kb)
-            b, c = divmod(m, lb)
-            out.append((m, table[kb][lb] ** (a * b) * table[kb][c] ** a
-                        * table[r][lb] ** b * table[r][c]))
+            out.append((m, self.factor(j, *divmod(m, kb), *divmod(m, lb))))
         return out
 
 
-# the orbit `evaluate` read last, keyed on (k, l, entries) of its period
+# the orbit read last, keyed on (k, l, entries) of its period
 _LAST_ORBIT: dict = {}
 
 
-def _cached_steps(inst: AztecInstance) -> List[Tuple[int, FactoredRF]]:
-    """All n reduction rounds of inst, read off the orbit of its period.
+def _kept_orbit(period: PeriodMatrix, reach: Optional[int]) -> _Orbit:
+    """An orbit of period that serves every order up to reach (None: all).
 
-    The orbit the last call read is kept.  A call on another period walks
-    an orbit of reach n, exactly the cells a reduction from n reads; an
-    order above the kept orbit's reach walks the period's orbit uncut.
+    The orbit the last call returned is kept.  A call on another period
+    walks an orbit of this reach, exactly the cells a reduction from that
+    order reads; a call beyond the kept orbit's reach walks the period's
+    orbit uncut.  Evaluation, orbit search, recurrence constants and
+    shuffle all read the kept orbit, so they share its walk.
     """
-    period, n = inst.period, inst.n
     key = (period.k, period.l, tuple(map(tuple, period.entries)))
     orbit = _LAST_ORBIT.get(key)
-    if orbit is None or (orbit.reach is not None and n > orbit.reach):
-        orbit = _Orbit(period, n if orbit is None else None)
+    if orbit is None or orbit.reach is not None and (
+            reach is None or reach > orbit.reach):
+        orbit = _Orbit(period, reach if orbit is None else None)
         _LAST_ORBIT.clear()
         _LAST_ORBIT[key] = orbit
-    return orbit.reduction(n, n)
+    return orbit
 
 
-def _orbit_step(p: PeriodMatrix, step: int = 1
-                ) -> Tuple[FactoredRF, PeriodMatrix]:
-    """The factor of one orbit step from p, each block's once, and shuffle(p).
-
-    Equal block factors are multiplied in once, as a power.  A zero block
-    raises ZeroCellFactor naming the 1-based `step` and the first such
-    block in row-major order.
-    """
-    factors, successor = _step(p.entries)
-    counts: dict = {}
-    for bi, row in enumerate(factors):
-        for bj, delta in enumerate(row):
-            if delta is None:
-                raise ZeroCellFactor(None, bi, bj, step=step)
-            counts[delta] = counts.get(delta, 0) + 1
-    total = math.prod((delta ** count for delta, count in counts.items()),
-                      start=FactoredRF(1))
-    return total, PeriodMatrix(successor)
+def _cached_steps(inst: AztecInstance) -> List[Tuple[int, FactoredRF]]:
+    """All n reduction rounds of inst, read off the kept orbit."""
+    return _kept_orbit(inst.period, inst.n).reduction(inst.n, inst.n)
 
 
 def shuffle(p: PeriodMatrix) -> PeriodMatrix:
@@ -302,9 +340,12 @@ def shuffle(p: PeriodMatrix) -> PeriodMatrix:
 
     Each 2x2 block [[a,b],[c,d]] (top-left at even indices) becomes
     [[d,c],[b,a]] / (a*d + b*c), then all columns are shifted up one row
-    and all rows one column left.
+    and all rows one column left.  The result is step 1 of p's kept
+    uncut orbit; a zero block raises ZeroCellFactor naming orbit step 1.
     """
-    return _orbit_step(p)[1]
+    orbit = _kept_orbit(p, None)
+    orbit.step_factor(0)
+    return PeriodMatrix(orbit.periods[1])
 
 
 class AztecInstance:
@@ -413,14 +454,14 @@ def _reduce(inst: AztecInstance, rounds: int
     Returns the steps, one (order, factor) pair per round in the order the
     rounds ran, each factor in factored form, and the instance reached, so
     M(inst) = _product(steps) * M(reached).  The rounds walk a private
-    orbit of reach n, whose frontier is the reached period.
+    orbit of reach n, whose last period is the reached one.
     """
     if rounds > inst.n:
         raise ValueError("cannot reduce order 0")
     orbit = _Orbit(inst.period, inst.n)
     steps = orbit.reduction(inst.n, rounds)
     return steps, AztecInstance(inst.n - rounds,
-                                PeriodMatrix(orbit.frontier))
+                                PeriodMatrix(orbit.periods[rounds]))
 
 
 def _product(steps: List[Tuple[int, FactoredRF]]) -> FactoredRF:

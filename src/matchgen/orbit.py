@@ -16,8 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .aztec import (AztecInstance, PeriodMatrix, _orbit_step, _product,
-                    _read_part, _reduce)
+from .aztec import PeriodMatrix, _kept_orbit, _product, _read_part
 from .rational import FactoredRF, RationalFunction
 
 RF = RationalFunction
@@ -62,12 +61,16 @@ def proportionality_scalar(a: PeriodMatrix,
     Zero entries must sit at the same positions; c is read off the first
     nonzero pair and then checked against every entry.
     """
-    if (a.k, a.l) != (b.k, b.l):
+    return _scalar(a.entries, b.entries)
+
+
+def _scalar(a: List[list], b: List[list]) -> Optional[FactoredRF]:
+    """proportionality_scalar on the rows of two periods."""
+    if (len(a), len(a[0])) != (len(b), len(b[0])):
         return None
     c = None
-    for i in range(a.k):
-        for j in range(a.l):
-            ea, eb = a.entries[i][j], b.entries[i][j]
+    for row_a, row_b in zip(a, b):
+        for ea, eb in zip(row_a, row_b):
             if ea.is_zero() != eb.is_zero():
                 return None
             if ea.is_zero():
@@ -80,20 +83,22 @@ def proportionality_scalar(a: PeriodMatrix,
 
 
 def _search(a: PeriodMatrix, max_iter: int, tests) -> OrbitReport:
-    """Walk the shuffle orbit of a once, for up to max_iter steps.
+    """Read up to max_iter steps of the kept uncut orbit of a.
 
-    `tests` lists (kind, match) pairs, earlier ones preferred.  After each
-    step, match(successor, per-step factors so far) returns the report
-    fields of a hit or None.  The report is the first hit of the first
-    test that hits, with the factors up to its step.
+    `tests` lists (kind, match) pairs, earlier ones preferred.  After step
+    k, match(rows of shuffle^k(a), per-step factors so far) returns the
+    report fields of a hit or None.  The report is the first hit of the
+    first test that hits, with the factors up to its step.  Steps that
+    an earlier call walked on the same period are read, not walked again;
+    a zero block raises ZeroCellFactor naming the first step that has one.
     """
+    orbit = _kept_orbit(a, None)
     factors: List[FactoredRF] = []
-    active, hit, cur = list(tests), None, a
+    active, hit = list(tests), None
     for k in range(1, max_iter + 1):
-        factor, cur = _orbit_step(cur, k)
-        factors.append(factor)
+        factors.append(orbit.step_factor(k - 1))
         for rank, (kind, match) in enumerate(active):
-            found = match(cur, factors)
+            found = match(orbit.periods[k], factors)
             if found is not None:
                 hit = OrbitReport(kind, k, per_step_factors=factors[:],
                                   **found)
@@ -106,7 +111,7 @@ def _search(a: PeriodMatrix, max_iter: int, tests) -> OrbitReport:
 
 def _proportional_test(a: PeriodMatrix):
     def match(cur, factors):
-        c = proportionality_scalar(a, cur)
+        c = _scalar(a.entries, cur)
         return None if c is None else {"scalar": c.to_rf()}
 
     return "proportional", match
@@ -143,6 +148,8 @@ def _q_shift_test(aq: PeriodMatrix):
     params = [(v, RF.var(v)) for v in variables]
     shifted = {}
     squares = {Fraction(i * i) for i in range(1, 11)}
+    # sigma = 1 first, so a parameter-free matrix reports the identity
+    ordered = sorted(squares, key=lambda s: (s != 1, s))
     folded = 0
 
     def entry(sigma: Fraction, e: FactoredRF) -> FactoredRF:
@@ -156,20 +163,23 @@ def _q_shift_test(aq: PeriodMatrix):
     def candidates(factors: List[FactoredRF]) -> List[Fraction]:
         """Integer squares up to 100 plus squares of constant step factors.
 
-        Each step factor is folded in once, on the first call that sees it.
+        Each step factor is folded in once, on the first call that sees it,
+        and the candidates are sorted again only when it adds a square.
         """
-        nonlocal folded
+        nonlocal folded, ordered
+        size = len(squares)
         for f in factors[folded:]:
             if not f.factors and f.coeff > 0:
                 squares.update((f.coeff ** 2, 1 / f.coeff ** 2))
         folded = len(factors)
-        # sigma = 1 first, so a parameter-free matrix reports the identity
-        return sorted(squares, key=lambda s: (s != 1, s))
+        if len(squares) > size:
+            ordered = sorted(squares, key=lambda s: (s != 1, s))
+        return ordered
 
     def match(cur, factors):
         for sigma in candidates(factors):
             if all(c == entry(sigma, e)
-                   for cur_row, row in zip(cur.entries, aq.entries)
+                   for cur_row, row in zip(cur, aq.entries)
                    for c, e in zip(cur_row, row)):
                 return {"sigma": sigma}
         return None
@@ -193,13 +203,14 @@ def recurrence_constant(a: PeriodMatrix, n: int, k: int,
                         factored: bool = False):
     """The constant K with M(order n; a) = K * M(order n - k; a).
 
-    Runs k reduction rounds from order n, multiplies their step factors,
-    and absorbs the proportionality scalar c of shuffle^k(a) = c * a: the
-    order n - k diamond has (n - k)(n - k + 1) matched edges, so scaling
-    every weight by c scales its value by c to that power.  Only the part
-    the order n - k array reads (`_read_part`) of a and of the reached
-    period is compared; at n = k nothing is compared, since c enters to
-    the power 0.
+    Reads k reduction rounds from order n off the kept orbit of a (the
+    one `evaluate` and `detect_proportional` read, so rounds they walked
+    are not walked again), multiplies their step factors, and absorbs the
+    proportionality scalar c of shuffle^k(a) = c * a: the order n - k
+    diamond has (n - k)(n - k + 1) matched edges, so scaling every weight
+    by c scales its value by c to that power.  Only the part the order
+    n - k array reads (`_read_part`) of a and of the orbit's period k is
+    compared; at n = k nothing is compared, since c enters to the power 0.
 
     With factored=True the constant comes back as a FactoredRF; its
     expanded form can be enormous (high powers of the block factors) even
@@ -207,13 +218,11 @@ def recurrence_constant(a: PeriodMatrix, n: int, k: int,
     """
     if k < 1 or n < k:
         raise ValueError("need n >= k >= 1")
-    steps, inst = _reduce(AztecInstance(n, a), k)
-    total = _product(steps)
+    orbit = _kept_orbit(a, n)
+    total = _product(orbit.reduction(n, k))
     m = n - k
     if m:
-        c = proportionality_scalar(
-            PeriodMatrix(_read_part(a.entries, m)),
-            PeriodMatrix(_read_part(inst.period.entries, m)))
+        c = _scalar(_read_part(a.entries, m), _read_part(orbit.periods[k], m))
         if c is None:
             raise ValueError(f"shuffle^{k} of the matrix is not a scalar "
                              "multiple of it")

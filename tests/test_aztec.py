@@ -19,7 +19,8 @@ from matchgen.exprs import parse
 from matchgen.families import (checkered_period, dungeon_period_N,
                                hexsquare_period, weighted_dungeon_period_M)
 from matchgen.graphs import oracle_mgf
-from matchgen.orbit import recurrence_constant
+from matchgen.orbit import (detect_proportional, detect_q_shift,
+                            recurrence_constant)
 from matchgen.rational import FactoredRF
 from matchgen.rational import RationalFunction as RF
 
@@ -252,9 +253,13 @@ def test_equal_blocks_make_one_cell_move_per_step(monkeypatch):
     assert evaluate_factored(AztecInstance(6, tiled)) == expected
     assert len(calls) == 6
     calls.clear()
-    factor, succ = aztec._orbit_step(tiled)
+    aztec._LAST_ORBIT.clear()
+    succ = shuffle(tiled)
+    # the orbit search reads the step that shuffle walked
+    [factor] = detect_proportional(tiled, max_iter=1).per_step_factors
     assert len(calls) == 1
-    base_factor, base_succ = aztec._orbit_step(base)
+    base_succ = shuffle(base)
+    [base_factor] = detect_proportional(base, max_iter=1).per_step_factors
     assert factor == base_factor ** 12
     assert succ == PeriodMatrix([row * 4 for row in base_succ.entries] * 3)
 
@@ -297,6 +302,130 @@ def test_step_matches_a_cell_move_per_block(monkeypatch):
         assert aztec._step(rows) == expected
         assert len(calls) == sum(not any(e is None for e in block)
                                  for block in _blocks(rows))
+
+
+def _naive_steps(period, n):
+    """(order, factor) for each round of a reduction from n, each factor the
+    product of the block factors its order uses, one at a time, or the
+    message of the ZeroCellFactor the first used zero block raises."""
+    rows, steps = period.entries, []
+    for m in range(n, 0, -1):
+        factors, successor = _reference_step(aztec._read_part(rows, m))
+        kb, lb = len(factors), len(factors[0])
+        total = FactoredRF(1)
+        for i in range(m):
+            for j in range(m):
+                delta = factors[i % kb][j % lb]
+                if delta is None:
+                    return f"zero cell-factor at order {m}, block ({i},{j})"
+                total = total * delta
+        steps.append((m, total))
+        rows = successor
+    return steps
+
+
+def _naive_orbit(period, steps):
+    """The factors of an orbit walk, each block's once, or the message of
+    the ZeroCellFactor its first zero block raises."""
+    rows, out = period.entries, []
+    for step in range(1, steps + 1):
+        factors, rows = _reference_step(rows)
+        total = FactoredRF(1)
+        for i, row in enumerate(factors):
+            for j, delta in enumerate(row):
+                if delta is None:
+                    return (f"zero cell-factor at orbit step {step}, "
+                            f"block ({i},{j})")
+                total = total * delta
+        out.append(total)
+    return out
+
+
+def _or_message(fn):
+    try:
+        return fn()
+    except ZeroCellFactor as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("pool, sizes", [
+    pytest.param((0, 1, 2, 3, Fraction(1, 2)), (2, 4, 6, 8), id="numeric"),
+    pytest.param((0, 1, 2, "a", "a+1", "1/b"), (2, 4), id="symbolic"),
+])
+def test_count_tables_match_the_naive_block_products(pool, sizes):
+    rng = random.Random(16)
+    pool = [parse(e) if isinstance(e, str) else FactoredRF(e) for e in pool]
+    for _ in range(20):
+        k, l = rng.choice(sizes), rng.choice(sizes)
+        entries = rng.sample(pool, 4)
+        p = PeriodMatrix([[rng.choice(entries) for _ in range(l)]
+                          for _ in range(k)])
+        aztec._LAST_ORBIT.clear()
+        for n in range(1, 9):
+            assert _or_message(lambda: aztec._cached_steps(
+                AztecInstance(n, p))) == _naive_steps(p, n)
+        aztec._LAST_ORBIT.clear()
+        report = _or_message(lambda: detect_proportional(p, max_iter=3))
+        expected = _naive_orbit(p, 3)
+        if isinstance(report, str):
+            assert report == expected
+        else:
+            steps = len(report.per_step_factors)
+            assert report.per_step_factors == expected[:steps]
+
+
+def test_detection_and_recurrence_read_the_walked_orbit(monkeypatch):
+    period, n_period = checkered_period(), dungeon_period_N()
+    aztec._LAST_ORBIT.clear()
+    q_shift = detect_q_shift(period).to_json()
+    aztec._LAST_ORBIT.clear()
+    constant = recurrence_constant(n_period, 14, 12, factored=True)
+    calls = _count_cell_moves(monkeypatch)
+    aztec._LAST_ORBIT.clear()
+    for n in [*range(1, 16), *range(31, 36)]:
+        evaluate(AztecInstance(n, period))
+    assert len(calls) == 288
+    calls.clear()
+    assert detect_q_shift(period).to_json() == q_shift
+    assert calls == []
+    detect_proportional(n_period)
+    calls.clear()
+    assert recurrence_constant(n_period, 14, 12, factored=True) == constant
+    assert calls == []
+
+
+def _result(fn):
+    """A value or an OrbitReport's JSON, or the message fn raises."""
+    try:
+        value = fn()
+    except (ZeroCellFactor, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return value.to_json() if hasattr(value, "to_json") else value
+
+
+def test_detection_and_recurrence_do_not_depend_on_the_kept_orbit():
+    rng = random.Random(4)
+    weights = [Fraction(w, 2) for w in (0, 1, 2, 3, 4, 6)]
+    for _ in range(150):
+        k, l = rng.choice((4, 6, 8)), rng.choice((2, 4, 6, 8))
+        p = PeriodMatrix([[rng.choice(weights) for _ in range(l)]
+                          for _ in range(k)])
+        calls = [lambda: recurrence_constant(p, 3, 1, factored=True),
+                 lambda: recurrence_constant(p, 3, 2, factored=True),
+                 lambda: recurrence_constant(p, 2, 2, factored=True),
+                 lambda: detect_proportional(p, max_iter=3),
+                 lambda: detect_q_shift(p, max_iter=3)]
+        cold = []
+        for fn in calls:
+            aztec._LAST_ORBIT.clear()
+            cold.append(_result(fn))
+        # ascending orders leave an uncut orbit, descending ones an orbit
+        # of reach 3; the recurrences read it, the searches walk it uncut
+        for orders in ((1, 2, 3), (3, 2, 1)):
+            aztec._LAST_ORBIT.clear()
+            for n in orders:
+                _outcome(AztecInstance(n, p))
+            assert [_result(fn) for fn in calls] == cold
 
 
 def test_reduce_step_identity():

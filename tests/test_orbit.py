@@ -9,7 +9,7 @@ from matchgen.aztec import (AztecInstance, PeriodMatrix, ZeroCellFactor,
 from matchgen.exprs import parse
 from matchgen.families import checkered_period, dungeon_period_N
 from matchgen.graphs import oracle_mgf
-from matchgen import orbit
+from matchgen import aztec, orbit
 from matchgen.orbit import (class_exponent, detect_orbit, detect_proportional,
                             detect_q_shift, equivalence_reduce,
                             ledger_multiplier, line_edge_count,
@@ -225,17 +225,16 @@ def test_search_prefers_earlier_tests():
 
 
 def test_detect_orbit_walks_the_orbit_once(monkeypatch):
+    aztec._LAST_ORBIT.clear()
+    q_shift = detect_q_shift(checkered_period()).to_json()
     walked = []
-    orbit_step = orbit._orbit_step
-
-    def counted(p, step):
-        walked.append(step)
-        return orbit_step(p, step)
-
-    monkeypatch.setattr(orbit, "_orbit_step", counted)
+    step = aztec._step
+    monkeypatch.setattr(aztec, "_step",
+                        lambda rows: walked.append(1) or step(rows))
+    aztec._LAST_ORBIT.clear()
     rep = detect_orbit(checkered_period())
     # no proportional hit within 40 steps, so the one walk runs to the end
-    assert walked == list(range(1, 41))
-    assert rep.to_json() == detect_q_shift(checkered_period()).to_json()
+    assert len(walked) == 40
+    assert rep.to_json() == q_shift
     assert detect_orbit(PeriodMatrix.constant(2)).to_json() == \
         detect_proportional(PeriodMatrix.constant(2)).to_json()
