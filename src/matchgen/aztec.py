@@ -33,8 +33,9 @@ class ZeroCellFactor(ArithmeticError):
     Raised before anything is divided.  `order` is the diamond order of a
     failing reduction round and `step` the 1-based step of a failing orbit
     round (a direct `shuffle` is step 1); the other one is None.  An orbit
-    records a zero block when it walks it, and a reduction raises only on
-    the blocks its order uses.
+    walks every block of every step and records a zero block as None; a
+    reduction raises only on a block its order uses, and an orbit step on
+    any block of the step.
     """
 
     def __init__(self, order: Optional[int], block_row: int, block_col: int,
@@ -140,12 +141,10 @@ class PeriodMatrix:
 def _read_part(rows: List[list], m: int) -> List[list]:
     """The top-left min(k, 2m) x min(l, 2m) part of a period's rows.
 
-    This is the only part the order-m edge array reads.  An orbit of
-    finite reach R cuts step j's period to its part for order R - j, so
-    that a cold reduction inverts no block its orders leave unused; the
-    shuffle of a cut period then has a last row and column that wrap
-    around the cut and differ from the shuffle of the whole period, but
-    no order up to the reach reads them at the next step.
+    This is the only part the order-m edge array reads.  `reduce_step`
+    shuffles this part, so its successor has the part's shape, and
+    `recurrence_constant` compares only this part of a period and of its
+    shuffle.  An orbit walks the whole period (see `_Orbit`).
     """
     return [row[:2 * m] for row in rows[:2 * m]]
 
@@ -228,30 +227,33 @@ def _tables(factors: List[list]) -> tuple:
 class _Orbit:
     """The shuffle orbit P_0, P_1 = shuffle(P_0), ... of a period, walked once.
 
-    `periods[j]` holds the rows step j starts from.  With a finite `reach`
-    R, step j first cuts them to `_read_part(., R - j)`, which every order
-    up to R reads the same; with reach None nothing is cut, and periods[j]
-    is shuffle^j of the period.  Step j keeps its block size (kb, lb) and
+    `periods[j]` holds the rows of shuffle^j of the period, which step j
+    starts from.  Every step has the period's block size (kb, lb) and keeps
     the `_tables` of its block factors, from which `factor` builds the
     factor of any multiset of its blocks that an order or an orbit step
     uses, each factor once.
+
+    No step is cut to the part an order reads, and none needs to be.  Step
+    j serves order m = n - j, which leaves a block unused only when the
+    period has more than m block rows or more than m block columns.  The
+    successor entries of an unused block land only in rows or columns that
+    order m - 1 does not read, the row and column that wrap around
+    included.  So no used block ever reads the None a zero block leaves:
+    the used factors, and every ZeroCellFactor an order raises, are those
+    of the period cut to its read part (`_read_part`) at every step.
     """
 
-    def __init__(self, period: PeriodMatrix, reach: Optional[int] = None):
-        self.reach = reach
+    def __init__(self, period: PeriodMatrix):
+        self.kb, self.lb = period.k // 2, period.l // 2
         self.periods: List[List[list]] = [period.entries]
         self.steps: List[tuple] = []
 
     def _extend(self, count: int):
         """Walk until `count` steps are known."""
         while len(self.steps) < count:
-            rows = self.periods[-1]
-            if self.reach is not None:
-                rows = _read_part(rows, self.reach - len(self.steps))
-            factors, successor = _step(rows)
+            factors, successor = _step(self.periods[-1])
             self.periods.append(successor)
-            self.steps.append((len(rows) // 2, len(rows[0]) // 2,
-                               *_tables(factors)))
+            self.steps.append(_tables(factors))
 
     def factor(self, j: int, a: int = 1, r: int = 0, b: int = 1,
                c: int = 0) -> FactoredRF:
@@ -263,7 +265,8 @@ class _Orbit:
         S, and the coefficient the same rectangle product of the
         coefficient table.
         """
-        kb, lb, coeffs, counts, _ = self.steps[j]
+        kb, lb = self.kb, self.lb
+        coeffs, counts, _ = self.steps[j]
         exponents = {}
         for f, s in counts.items():
             e = s[kb][lb] * a * b + s[kb][c] * a + s[r][lb] * b + s[r][c]
@@ -299,11 +302,12 @@ class _Orbit:
         for j in range(rounds):
             self._extend(j + 1)
             m = n - j
-            kb, lb, *_, bad = self.steps[j]
-            used = [(bi, bj) for bi, bj in bad if bi < m and bj < m]
+            used = [(bi, bj) for bi, bj in self.steps[j][-1]
+                    if bi < m and bj < m]
             if used:
                 raise ZeroCellFactor(m, *used[0])
-            out.append((m, self.factor(j, *divmod(m, kb), *divmod(m, lb))))
+            out.append((m, self.factor(j, *divmod(m, self.kb),
+                                       *divmod(m, self.lb))))
         return out
 
 
@@ -311,28 +315,24 @@ class _Orbit:
 _LAST_ORBIT: dict = {}
 
 
-def _kept_orbit(period: PeriodMatrix, reach: Optional[int]) -> _Orbit:
-    """An orbit of period that serves every order up to reach (None: all).
+def _kept_orbit(period: PeriodMatrix) -> _Orbit:
+    """The orbit of period, kept until a call asks for another period's.
 
-    The orbit the last call returned is kept.  A call on another period
-    walks an orbit of this reach, exactly the cells a reduction from that
-    order reads; a call beyond the kept orbit's reach walks the period's
-    orbit uncut.  Evaluation, orbit search, recurrence constants and
-    shuffle all read the kept orbit, so they share its walk.
+    The orbit serves every order and every orbit step, so evaluation,
+    orbit search, recurrence constants and shuffle all read the kept
+    orbit and share its walk.
     """
     key = (period.k, period.l, tuple(map(tuple, period.entries)))
     orbit = _LAST_ORBIT.get(key)
-    if orbit is None or orbit.reach is not None and (
-            reach is None or reach > orbit.reach):
-        orbit = _Orbit(period, reach if orbit is None else None)
+    if orbit is None:
         _LAST_ORBIT.clear()
-        _LAST_ORBIT[key] = orbit
+        orbit = _LAST_ORBIT[key] = _Orbit(period)
     return orbit
 
 
 def _cached_steps(inst: AztecInstance) -> List[Tuple[int, FactoredRF]]:
     """All n reduction rounds of inst, read off the kept orbit."""
-    return _kept_orbit(inst.period, inst.n).reduction(inst.n, inst.n)
+    return _kept_orbit(inst.period).reduction(inst.n, inst.n)
 
 
 def shuffle(p: PeriodMatrix) -> PeriodMatrix:
@@ -341,9 +341,9 @@ def shuffle(p: PeriodMatrix) -> PeriodMatrix:
     Each 2x2 block [[a,b],[c,d]] (top-left at even indices) becomes
     [[d,c],[b,a]] / (a*d + b*c), then all columns are shifted up one row
     and all rows one column left.  The result is step 1 of p's kept
-    uncut orbit; a zero block raises ZeroCellFactor naming orbit step 1.
+    orbit; a zero block raises ZeroCellFactor naming orbit step 1.
     """
-    orbit = _kept_orbit(p, None)
+    orbit = _kept_orbit(p)
     orbit.step_factor(0)
     return PeriodMatrix(orbit.periods[1])
 
@@ -441,27 +441,16 @@ def reduce_step(inst: AztecInstance) -> Tuple[RF, AztecInstance]:
     The factor is the product of the block factors of all n^2 blocks of the
     edge array, read off the prefix table of the period's blocks.  The
     successor period is the shuffle of the part the order-n array reads
-    (`_read_part`), at every order including 1.
+    (`_read_part`), at every order including 1, walked on an orbit of
+    that part that is not kept.  Order 0 raises ValueError; a zero block
+    the order uses raises ZeroCellFactor naming the order.
     """
-    [(_, factor)], succ = _reduce(inst, 1)
-    return factor.to_rf(), succ
-
-
-def _reduce(inst: AztecInstance, rounds: int
-            ) -> Tuple[List[Tuple[int, FactoredRF]], AztecInstance]:
-    """Run `rounds` reduction rounds from inst.
-
-    Returns the steps, one (order, factor) pair per round in the order the
-    rounds ran, each factor in factored form, and the instance reached, so
-    M(inst) = _product(steps) * M(reached).  The rounds walk a private
-    orbit of reach n, whose last period is the reached one.
-    """
-    if rounds > inst.n:
+    if inst.n == 0:
         raise ValueError("cannot reduce order 0")
-    orbit = _Orbit(inst.period, inst.n)
-    steps = orbit.reduction(inst.n, rounds)
-    return steps, AztecInstance(inst.n - rounds,
-                                PeriodMatrix(orbit.periods[rounds]))
+    orbit = _Orbit(PeriodMatrix(_read_part(inst.period.entries, inst.n)))
+    [(_, factor)] = orbit.reduction(inst.n, 1)
+    return factor.to_rf(), AztecInstance(inst.n - 1,
+                                         PeriodMatrix(orbit.periods[1]))
 
 
 def _product(steps: List[Tuple[int, FactoredRF]]) -> FactoredRF:

@@ -83,7 +83,7 @@ def _scalar(a: List[list], b: List[list]) -> Optional[FactoredRF]:
 
 
 def _search(a: PeriodMatrix, max_iter: int, tests) -> OrbitReport:
-    """Read up to max_iter steps of the kept uncut orbit of a.
+    """Read up to max_iter steps of the kept orbit of a.
 
     `tests` lists (kind, match) pairs, earlier ones preferred.  After step
     k, match(rows of shuffle^k(a), per-step factors so far) returns the
@@ -92,7 +92,7 @@ def _search(a: PeriodMatrix, max_iter: int, tests) -> OrbitReport:
     an earlier call walked on the same period are read, not walked again;
     a zero block raises ZeroCellFactor naming the first step that has one.
     """
-    orbit = _kept_orbit(a, None)
+    orbit = _kept_orbit(a)
     factors: List[FactoredRF] = []
     active, hit = list(tests), None
     for k in range(1, max_iter + 1):
@@ -218,7 +218,7 @@ def recurrence_constant(a: PeriodMatrix, n: int, k: int,
     """
     if k < 1 or n < k:
         raise ValueError("need n >= k >= 1")
-    orbit = _kept_orbit(a, n)
+    orbit = _kept_orbit(a)
     total = _product(orbit.reduction(n, k))
     m = n - k
     if m:

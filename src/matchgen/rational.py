@@ -766,6 +766,8 @@ class FactoredRF:
 
     def __add__(self, other):
         other = self._coerce(other)
+        if not self.factors and not other.factors:
+            return FactoredRF(self.coeff + other.coeff)
         if self.is_zero():
             return other
         if other.is_zero():

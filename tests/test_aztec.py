@@ -223,24 +223,25 @@ def _blocks(rows) -> set:
 
 def test_one_orbit_walk_bounds_the_cell_moves(monkeypatch):
     period = checkered_period()
-    # an orbit of reach 1 (one block), then one uncut walk of 35 steps
-    # with one cell move per distinct block of each step
-    expected, p = 1, period
+    # one walk of 35 steps with one cell move per distinct block of each
+    expected, p = 0, period
     for _ in range(35):
         expected, p = expected + len(_blocks(p.entries)), shuffle(p)
-    assert expected == 288
+    assert expected == 287
+    rng = random.Random(40)
+    big = PeriodMatrix([[rng.randint(1, 5) for _ in range(40)]
+                        for _ in range(40)])
+    # a cold order-2 call walks two whole steps of the period
+    big_expected = len(_blocks(big.entries)) + len(_blocks(
+        shuffle(big).entries))
     calls = _count_cell_moves(monkeypatch)
     aztec._LAST_ORBIT.clear()
     for n in [*range(1, 16), *range(31, 36)]:
         evaluate(AztecInstance(n, period))
     assert len(calls) == expected
     calls.clear()
-    rng = random.Random(40)
-    big = PeriodMatrix([[rng.randint(1, 5) for _ in range(40)]
-                        for _ in range(40)])
     evaluate(AztecInstance(2, big))
-    # a cold order-2 call reads four blocks, then one
-    assert len(calls) == 5
+    assert len(calls) == big_expected
 
 
 def test_equal_blocks_make_one_cell_move_per_step(monkeypatch):
@@ -384,7 +385,7 @@ def test_detection_and_recurrence_read_the_walked_orbit(monkeypatch):
     aztec._LAST_ORBIT.clear()
     for n in [*range(1, 16), *range(31, 36)]:
         evaluate(AztecInstance(n, period))
-    assert len(calls) == 288
+    assert len(calls) == 287
     calls.clear()
     assert detect_q_shift(period).to_json() == q_shift
     assert calls == []
@@ -419,8 +420,8 @@ def test_detection_and_recurrence_do_not_depend_on_the_kept_orbit():
         for fn in calls:
             aztec._LAST_ORBIT.clear()
             cold.append(_result(fn))
-        # ascending orders leave an uncut orbit, descending ones an orbit
-        # of reach 3; the recurrences read it, the searches walk it uncut
+        # the orders leave a kept orbit walked to step 3, from the first
+        # order or step by step; the recurrences and searches read it
         for orders in ((1, 2, 3), (3, 2, 1)):
             aztec._LAST_ORBIT.clear()
             for n in orders:
@@ -436,6 +437,38 @@ def test_reduce_step_identity():
     lhs = oracle_mgf(to_graph(inst))
     rhs = factor * oracle_mgf(to_graph(succ))
     assert lhs == rhs
+
+
+def test_reduce_step_successor_is_the_shuffle_of_the_read_part():
+    p = PeriodMatrix([[1, 1, 1, 1], [1, 1, 1, 1], [0, 0, 1, 1], [1, 1, 1, 1]])
+    factor, succ = reduce_step(AztecInstance(1, p))
+    assert factor == RF.const(2)
+    assert (succ.n, succ.period.k, succ.period.l) == (0, 2, 2)
+    assert all(e is not None for row in succ.period.entries for e in row)
+    assert succ.period == shuffle(
+        PeriodMatrix([row[:2] for row in p.entries[:2]]))
+
+
+def test_reduce_step_matches_the_oracle_on_random_periods():
+    rng = random.Random(17)
+    weights = [Fraction(w, 2) for w in (0, 1, 2, 3, 4, 6)]
+    for _ in range(40):
+        k, l = rng.choice((2, 4, 6, 8)), rng.choice((2, 4, 6, 8))
+        p = PeriodMatrix([[rng.choice(weights) for _ in range(l)]
+                          for _ in range(k)])
+        for n in (1, 2, 3):
+            inst = AztecInstance(n, p)
+            try:
+                factor, succ = reduce_step(inst)
+            except ZeroCellFactor as exc:
+                # evaluation's first round is the same reduction
+                with pytest.raises(ZeroCellFactor) as first:
+                    evaluate(inst)
+                assert str(first.value) == str(exc)
+                continue
+            assert succ.n == n - 1
+            assert factor * oracle_mgf(to_graph(succ)) == \
+                oracle_mgf(to_graph(inst))
 
 
 def test_trace_product_equals_value():

@@ -309,10 +309,20 @@ def test_wrong_json_shape_is_a_json_error(capsys, tmp_path, command, text,
                  '{"value": "(x^8*y^6+3*x^6*y^8+3*x^4*y^10+x^2*y^12'
                  '+2*x^5*y^6+2*x^3*y^8+x^2*y^6)/(x^8+4*x^6*y^2'
                  '+6*x^4*y^4+4*x^2*y^6+y^8)"}\n', id="oracle-N3"),
+    pytest.param(["compute", "--period", "zero-block", "--n", "1", "--trace"],
+                 '{"value": "2", "factorization": [[2, 1]], "trace": '
+                 '[{"order": 1, "factor": "2"}]}\n', id="unused-zero-block"),
+    pytest.param(["compute", "--period", "zero-block", "--n", "2"],
+                 '{"error": {"kind": "ZeroCellFactor", "message": '
+                 '"zero cell-factor at order 2, block (1,0)"}}\n',
+                 id="used-zero-block"),
 ])
 def test_golden_output(capsys, tmp_path, argv, expected):
+    # block (1,0) of zero-block is zero; only orders 2 and up read it
     periods = {"abcd": PeriodMatrix.from_strings([["a", "b"], ["c", "d"]]),
-               "N": dungeon_period_N()}
+               "N": dungeon_period_N(),
+               "zero-block": PeriodMatrix([[1, 1, 1, 1], [1, 1, 1, 1],
+                                           [0, 0, 1, 1], [1, 1, 1, 1]])}
     if "--period" in argv:
         i = argv.index("--period") + 1
         path = tmp_path / "period.json"
@@ -324,7 +334,7 @@ def test_golden_output(capsys, tmp_path, argv, expected):
         path.write_text(graph_to_json(to_graph(
             AztecInstance(3, periods[argv[1]]))))
         argv = ["oracle", str(path)]
-    assert main(argv) == 0
+    assert main(argv) == (1 if expected.startswith('{"error"') else 0)
     out = capsys.readouterr().out
     if not expected.startswith("{"):
         out = hashlib.sha256(out.encode()).hexdigest()

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matchgen import rational
-from matchgen.aztec import (AztecInstance, PeriodMatrix, _reduce, evaluate,
+from matchgen.aztec import (AztecInstance, PeriodMatrix, evaluate, reduce_step,
                             to_graph)
 from matchgen.exprs import parse
 from matchgen.families import dungeon_period_N
@@ -165,7 +165,7 @@ def test_split_vertex_preserves_value():
 def test_factored_edge_weights():
     inst = AztecInstance(3, PeriodMatrix([[parse("a"), RF.const(1)],
                                           [RF.const(1), parse("b")]]))
-    [(_, factor)], reached = _reduce(inst, 1)
+    factor, reached = reduce_step(inst)
     assert factor * oracle_mgf(to_graph(reached)) == evaluate(inst)[0]
     with pytest.raises(TypeError):
         WeightedGraph().add_edge(1, 2, "x")

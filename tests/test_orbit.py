@@ -138,7 +138,8 @@ def test_recurrence_constant_at_an_order_that_cuts_the_period():
 
 def test_recurrence_constant_when_the_rounds_cut_the_period():
     # every block factor is 3 and shuffle(a) = a/3; order 3 reads 6 of the
-    # 8 rows, so the reached period is cut and its last row wraps around
+    # 8 rows, and only the part order 2 reads of the reached period is
+    # compared with a
     rows = [[2, 1, 1, 1], [1, 1, 1, 2], [1, 1, 2, 1], [1, 2, 1, 1]] * 2
     a = PeriodMatrix(rows)
     const = recurrence_constant(a, 3, 1)

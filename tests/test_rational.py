@@ -1,6 +1,7 @@
 """Exact arithmetic: polynomials, rational functions, factored forms."""
 
 import operator
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.polys.polyerrors import HeuristicGCDFailed
 
+from matchgen import rational
 from matchgen.exprs import _size, parse
 from matchgen.rational import (FactoredRF, MultiPoly, RationalFunction,
                                poly_cofactors, poly_factor, poly_sqrt)
@@ -328,6 +330,22 @@ class TestFactoredForms:
         x = RF(mp("xy", {(1, 0): 1}), MultiPoly.const(1))
         v = FactoredRF.from_rf(x) ** 3 / FactoredRF.from_rf(x)
         assert v.to_rf() == x * x
+
+    def test_constant_sum_factors_nothing(self, monkeypatch):
+        rng = random.Random(17)
+        pairs = []
+        for _ in range(50):
+            a = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+            b = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+            pairs += [(a, b), (a, -a)]
+        expected = [FactoredRF.from_rf(RF.const(a) + RF.const(b))
+                    for a, b in pairs]
+        calls = []
+        monkeypatch.setattr(rational, "poly_factor",
+                            lambda p, factor=rational.poly_factor:
+                            calls.append(p) or factor(p))
+        assert [FactoredRF(a) + FactoredRF(b) for a, b in pairs] == expected
+        assert calls == []
 
     @pytest.mark.parametrize("c", [3, Fraction(-1, 2), 0])
     def test_equal_constants_hash_equal(self, c):
