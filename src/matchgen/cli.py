@@ -24,7 +24,7 @@ from .aztec import AztecInstance, PeriodMatrix, ZeroCellFactor, evaluate
 from .exprs import parse
 from .families import FAMILY_NAMES, family_value
 from .graphs import SizeCapExceeded, graph_from_json, oracle_mgf
-from .orbit import detect_orbit
+from .orbit import DEFAULT_MAX_ITER, detect_orbit
 from .rational import RationalFunction
 from .verify import SUITES
 
@@ -191,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     o = sub.add_parser("orbit", help="analyze the shuffle orbit of a period")
     o.add_argument("--period", metavar="FILE", required=True)
-    o.add_argument("--max-iter", type=int, default=40)
+    o.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
     o.set_defaults(fn=cmd_orbit)
 
     v = sub.add_parser("verify", help="run a named verification suite")

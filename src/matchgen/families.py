@@ -258,60 +258,20 @@ def dragon_unit_period() -> PeriodMatrix:
 # ---------------------------------------------------------------------------
 # 20x20 checkered pattern with threefold self-similarity
 
-# 0-1 incidence of the 20x20 period.
-_CHECKERED01 = [
-    [1, 1, 1, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 1, 1, 1, 1],
-    [1, 0, 1, 0, 1, 1, 1, 1, 1, 1, 1, 1, 1, 0, 1, 0, 1, 0, 1, 0],
-    [1, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 1, 1, 1, 1, 1, 1],
-    [1, 0, 1, 1, 1, 1, 1, 1, 1, 1, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0],
-    [0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 1, 1, 1, 1, 1, 1, 1, 1],
-    [1, 1, 1, 1, 1, 1, 1, 1, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0],
-    [0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 1, 1, 1, 1, 1, 1, 1, 1, 0, 1],
-    [1, 1, 1, 1, 1, 1, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 1],
-    [0, 1, 0, 1, 0, 1, 0, 1, 1, 1, 1, 1, 1, 1, 1, 1, 0, 1, 0, 1],
-    [1, 1, 1, 1, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 1, 1, 1],
-    [0, 1, 0, 1, 0, 1, 1, 1, 1, 1, 1, 1, 1, 1, 0, 1, 0, 1, 0, 1],
-    [1, 1, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 1, 1, 1, 1, 1],
-    [0, 1, 0, 1, 1, 1, 1, 1, 1, 1, 1, 1, 0, 1, 0, 1, 0, 1, 0, 1],
-    [1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 1, 1, 1, 1, 1, 1, 1],
-    [0, 1, 1, 1, 1, 1, 1, 1, 1, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1],
-    [1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 1, 1, 1, 1, 1, 1, 1, 1, 0],
-    [1, 1, 1, 1, 1, 1, 1, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1],
-    [1, 0, 1, 0, 1, 0, 1, 0, 1, 1, 1, 1, 1, 1, 1, 1, 1, 0, 1, 0],
-    [1, 1, 1, 1, 1, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 1, 1],
-    [1, 0, 1, 0, 1, 0, 1, 1, 1, 1, 1, 1, 1, 1, 1, 0, 1, 0, 1, 0],
-]
-
-# q-exponent at each nonzero position (None marks the zeros).
-_CHECKERED_EXP: List[List[Optional[int]]] = [
+# q-exponents of period rows 0 and 1 (None marks the zeros); row i + 2 is
+# row i shifted two places left.
+_CHECKERED_ROWS: List[List[Optional[int]]] = [
     [4, 1, -2, -1, None, -1, None, 1, None, 0, None, -1, None, 1, None, 1, 2, -1, -4, 0],
     [1, None, -1, None, -1, -2, 1, 4, 0, -4, -1, 2, 1, None, 1, None, -1, None, 0, None],
-    [-2, -1, None, -1, None, 1, None, 0, None, -1, None, 1, None, 1, 2, -1, -4, 0, 4, 1],
-    [-1, None, -1, -2, 1, 4, 0, -4, -1, 2, 1, None, 1, None, -1, None, 0, None, 1, None],
-    [None, -1, None, 1, None, 0, None, -1, None, 1, None, 1, 2, -1, -4, 0, 4, 1, -2, -1],
-    [-1, -2, 1, 4, 0, -4, -1, 2, 1, None, 1, None, -1, None, 0, None, 1, None, -1, None],
-    [None, 1, None, 0, None, -1, None, 1, None, 1, 2, -1, -4, 0, 4, 1, -2, -1, None, -1],
-    [1, 4, 0, -4, -1, 2, 1, None, 1, None, -1, None, 0, None, 1, None, -1, None, -1, -2],
-    [None, 0, None, -1, None, 1, None, 1, 2, -1, -4, 0, 4, 1, -2, -1, None, -1, None, 1],
-    [0, -4, -1, 2, 1, None, 1, None, -1, None, 0, None, 1, None, -1, None, -1, -2, 1, 4],
-    [None, -1, None, 1, None, 1, 2, -1, -4, 0, 4, 1, -2, -1, None, -1, None, 1, None, 0],
-    [-1, 2, 1, None, 1, None, -1, None, 0, None, 1, None, -1, None, -1, -2, 1, 4, 0, -4],
-    [None, 1, None, 1, 2, -1, -4, 0, 4, 1, -2, -1, None, -1, None, 1, None, 0, None, -1],
-    [1, None, 1, None, -1, None, 0, None, 1, None, -1, None, -1, -2, 1, 4, 0, -4, -1, 2],
-    [None, 1, 2, -1, -4, 0, 4, 1, -2, -1, None, -1, None, 1, None, 0, None, -1, None, 1],
-    [1, None, -1, None, 0, None, 1, None, -1, None, -1, -2, 1, 4, 0, -4, -1, 2, 1, None],
-    [2, -1, -4, 0, 4, 1, -2, -1, None, -1, None, 1, None, 0, None, -1, None, 1, None, 1],
-    [-1, None, 0, None, 1, None, -1, None, -1, -2, 1, 4, 0, -4, -1, 2, 1, None, 1, None],
-    [-4, 0, 4, 1, -2, -1, None, -1, None, 1, None, 0, None, -1, None, 1, None, 1, 2, -1],
-    [0, None, 1, None, -1, None, -1, -2, 1, 4, 0, -4, -1, 2, 1, None, 1, None, -1, None],
 ]
 
 
 def checkered_period() -> PeriodMatrix:
     """20x20 period with entries q^e per the exponent table (0 at gaps)."""
     q = RF.var("q")
+    rows = [r[2 * s:] + r[:2 * s] for s in range(10) for r in _CHECKERED_ROWS]
     return PeriodMatrix([[RF.const(0) if e is None else q ** e for e in row]
-                         for row in _CHECKERED_EXP])
+                         for row in rows])
 
 
 def _exp_x(n: int) -> int:

@@ -82,45 +82,34 @@ def _scalar(a: List[list], b: List[list]) -> Optional[FactoredRF]:
     return c
 
 
-def _search(a: PeriodMatrix, max_iter: int, tests) -> OrbitReport:
-    """Read up to max_iter steps of the kept orbit of a.
+def _search(a: PeriodMatrix, max_iter: int, kind: str, match) -> OrbitReport:
+    """Read up to max_iter steps of the kept orbit of a, stopping at a hit.
 
-    `tests` lists (kind, match) pairs, earlier ones preferred.  After step
-    k, match(rows of shuffle^k(a), per-step factors so far) returns the
-    report fields of a hit or None.  The report is the first hit of the
-    first test that hits, with the factors up to its step.  Steps that
-    an earlier call walked on the same period are read, not walked again;
-    a zero block raises ZeroCellFactor naming the first step that has one.
+    After each step k, match(rows of shuffle^k(a), per-step factors so
+    far) is called once and returns the report fields of a hit or None;
+    the report of kind `kind` is the first hit, with the factors up to its
+    step, or "none" with max_iter factors.  Steps that an earlier call
+    walked on the same period are read, not walked again; a zero block
+    raises ZeroCellFactor naming the first step that has one.
     """
     orbit = _kept_orbit(a)
     factors: List[FactoredRF] = []
-    active, hit = list(tests), None
     for k in range(1, max_iter + 1):
         factors.append(orbit.step_factor(k - 1))
-        for rank, (kind, match) in enumerate(active):
-            found = match(orbit.periods[k], factors)
-            if found is not None:
-                hit = OrbitReport(kind, k, per_step_factors=factors[:],
-                                  **found)
-                del active[rank:]  # only preferred tests can still win
-                break
-        if not active:
-            break
-    return hit or OrbitReport("none", per_step_factors=factors)
-
-
-def _proportional_test(a: PeriodMatrix):
-    def match(cur, factors):
-        c = _scalar(a.entries, cur)
-        return None if c is None else {"scalar": c.to_rf()}
-
-    return "proportional", match
+        found = match(orbit.periods[k], factors)
+        if found is not None:
+            return OrbitReport(kind, k, per_step_factors=factors, **found)
+    return OrbitReport("none", per_step_factors=factors)
 
 
 def detect_proportional(a: PeriodMatrix,
                         max_iter: int = DEFAULT_MAX_ITER) -> OrbitReport:
     """Smallest k with shuffle^k(a) = c * a, searched up to max_iter."""
-    return _search(a, max_iter, [_proportional_test(a)])
+    def match(cur, factors):
+        c = _scalar(a.entries, cur)
+        return None if c is None else {"scalar": c.to_rf()}
+
+    return _search(a, max_iter, "proportional", match)
 
 
 def detect_q_shift(aq: PeriodMatrix,
@@ -135,12 +124,13 @@ def detect_q_shift(aq: PeriodMatrix,
     comparison reaches it; the first entry that differs settles a
     candidate, so no shifted copy of A is built.  A matrix without a
     variable is handled by the same loop, since substitution is then the
-    identity (sigma = 1).
+    identity (sigma = 1).  The steps are read off the kept orbit of A, so
+    after detect_proportional on A they are not walked again.
     """
-    return _search(aq, max_iter, [_q_shift_test(aq)])
+    return _search(aq, max_iter, "q_shift", _q_shift_match(aq))
 
 
-def _q_shift_test(aq: PeriodMatrix):
+def _q_shift_match(aq: PeriodMatrix):
     variables = sorted(aq.variables())
     if len(variables) > 1:
         raise ValueError("a q-shift needs at most one variable, the period "
@@ -150,7 +140,6 @@ def _q_shift_test(aq: PeriodMatrix):
     squares = {Fraction(i * i) for i in range(1, 11)}
     # sigma = 1 first, so a parameter-free matrix reports the identity
     ordered = sorted(squares, key=lambda s: (s != 1, s))
-    folded = 0
 
     def entry(sigma: Fraction, e: FactoredRF) -> FactoredRF:
         # keyed on the entry's value: a periodic pattern repeats its entries
@@ -160,43 +149,38 @@ def _q_shift_test(aq: PeriodMatrix):
                 {v: RF.const(sigma) * q for v, q in params})
         return shifted[key]
 
-    def candidates(factors: List[FactoredRF]) -> List[Fraction]:
-        """Integer squares up to 100 plus squares of constant step factors.
-
-        Each step factor is folded in once, on the first call that sees it,
-        and the candidates are sorted again only when it adds a square.
-        """
-        nonlocal folded, ordered
-        size = len(squares)
-        for f in factors[folded:]:
-            if not f.factors and f.coeff > 0:
-                squares.update((f.coeff ** 2, 1 / f.coeff ** 2))
-        folded = len(factors)
-        if len(squares) > size:
-            ordered = sorted(squares, key=lambda s: (s != 1, s))
-        return ordered
-
     def match(cur, factors):
-        for sigma in candidates(factors):
+        # only the newest step factor is new; both c^2 and 1/c^2 are added,
+        # since c^2 can be a candidate while 1/c^2 is not (c = 2)
+        nonlocal ordered
+        f = factors[-1]
+        if not f.factors and f.coeff > 0:
+            size = len(squares)
+            squares.update((f.coeff ** 2, 1 / f.coeff ** 2))
+            if len(squares) > size:
+                ordered = sorted(squares, key=lambda s: (s != 1, s))
+        for sigma in ordered:
             if all(c == entry(sigma, e)
                    for cur_row, row in zip(cur, aq.entries)
                    for c, e in zip(cur_row, row)):
                 return {"sigma": sigma}
         return None
 
-    return "q_shift", match
+    return match
 
 
 def detect_orbit(a: PeriodMatrix,
                  max_iter: int = DEFAULT_MAX_ITER) -> OrbitReport:
     """detect_proportional, else detect_q_shift when a has one variable.
 
-    Both tests run on one walk of the orbit.
+    A proportional hit within max_iter wins over any q-shift, so
+    detect_q_shift runs only after detect_proportional finds none, and
+    reads the steps that search walked off the kept orbit.
     """
-    tests = [_proportional_test(a)]
-    if len(a.variables()) == 1:
-        tests.append(_q_shift_test(a))
-    return _search(a, max_iter, tests)
+    rep = detect_proportional(a, max_iter)
+    if rep.kind == "none" and len(a.variables()) == 1:
+        rep = detect_q_shift(a, max_iter)
+    return rep
 
 
 def recurrence_constant(a: PeriodMatrix, n: int, k: int,

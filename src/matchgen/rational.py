@@ -484,7 +484,10 @@ class RationalFunction:
     def inverse(self) -> "RationalFunction":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        return RationalFunction(self.den, self.num)
+        # num/den are already coprime: only the new denominator is made monic
+        inv = 1 / self.num.leading_coeff()
+        return RationalFunction(self.den.scale(inv), self.num.scale(inv),
+                                _normalized=True)
 
     def __truediv__(self, other):
         other = self._operand(other)

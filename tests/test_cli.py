@@ -11,10 +11,12 @@ from pathlib import Path
 import pytest
 
 from matchgen.aztec import AztecInstance, PeriodMatrix, evaluate, to_graph
-from matchgen.cli import MAX_ITER, MAX_TRIALS, _integer_factorization, main
+from matchgen.cli import (MAX_ITER, MAX_TRIALS, _integer_factorization,
+                          build_parser, main)
 from matchgen.exprs import parse
-from matchgen.families import dungeon_period_N
+from matchgen.families import checkered_period, dungeon_period_N
 from matchgen.graphs import WeightedGraph, graph_to_json, oracle_mgf
+from matchgen.orbit import DEFAULT_MAX_ITER
 from matchgen.rational import RationalFunction as RF
 
 
@@ -243,6 +245,11 @@ def test_orbit_max_iter_bounds(capsys, tmp_path, max_iter):
     assert "--max-iter" in data["error"]["message"]
 
 
+def test_orbit_max_iter_default_is_the_search_default():
+    args = build_parser().parse_args(["orbit", "--period", "period.json"])
+    assert args.max_iter == DEFAULT_MAX_ITER
+
+
 @pytest.mark.parametrize("suite,flag", [
     ("aztec-basic", ["--trials", "5"]), ("dragon", ["--slow"]),
     ("orbit", ["--seed", "1"])])
@@ -299,6 +306,12 @@ def test_wrong_json_shape_is_a_json_error(capsys, tmp_path, command, text,
     pytest.param(["orbit", "--period", "N"],
                  "22cf2fd5677f552c56f64d92837a457e"
                  "36acfc8ccc2b43650c45ce10e3bb318f", id="orbit-N"),
+    pytest.param(["orbit", "--period", "qqqq"],
+                 '{"kind": "proportional", "k": 1, "scalar": "(1/2)/(q^2)", '
+                 '"per_step_factors": ["2*q^2"]}\n', id="orbit-proportional"),
+    pytest.param(["orbit", "--period", "checkered"],
+                 "8de27ae55825aefe7ca3f6cec7f9006405a446fc"
+                 "4cb98319ef4be9b61aa154d9", id="orbit-q-shift"),
     pytest.param(["compute", "--family", "checkered", "--n", "12",
                   "--bind", "q=2"], '{"value": "6561/4"}\n',
                  id="checkered-family"),
@@ -321,6 +334,8 @@ def test_golden_output(capsys, tmp_path, argv, expected):
     # block (1,0) of zero-block is zero; only orders 2 and up read it
     periods = {"abcd": PeriodMatrix.from_strings([["a", "b"], ["c", "d"]]),
                "N": dungeon_period_N(),
+               "qqqq": PeriodMatrix.from_strings([["q", "q"], ["q", "q"]]),
+               "checkered": checkered_period(),
                "zero-block": PeriodMatrix([[1, 1, 1, 1], [1, 1, 1, 1],
                                            [0, 0, 1, 1], [1, 1, 1, 1]])}
     if "--period" in argv:

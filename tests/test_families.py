@@ -5,8 +5,8 @@ import pytest
 from matchgen import families
 from matchgen.aztec import AztecInstance, PeriodMatrix, evaluate, to_graph
 from matchgen.exprs import parse
-from matchgen.families import (_CHECKERED01, _CHECKERED_EXP, FAMILY_NAMES,
-                               ColumnPairMatrix, checkered_closed_form,
+from matchgen.families import (FAMILY_NAMES, ColumnPairMatrix,
+                               checkered_closed_form,
                                checkered_count, checkered_period, dragon_unit_period,
                                family_value,
                                hexsquare_closed_form, duplicate_step,
@@ -159,12 +159,6 @@ def test_checkered_period_zero_pattern():
     p = checkered_period()
     zeros = sum(1 for row in p.entries for e in row if e.is_zero())
     assert zeros == 120
-
-
-def test_checkered_exponent_gaps_match_01_period():
-    for i in range(20):
-        for j in range(20):
-            assert (_CHECKERED_EXP[i][j] is None) == (_CHECKERED01[i][j] == 0)
 
 
 @pytest.mark.parametrize("family,orders,name,values", [

@@ -204,25 +204,22 @@ def test_equivalence_reduce_is_idempotent():
     assert again == reduced
 
 
-def test_search_prefers_earlier_tests():
-    def hit_at(step, fields):
-        return lambda cur, factors: fields if len(factors) == step else None
+def test_detect_orbit_runs_q_shift_only_without_a_proportional_hit(
+        monkeypatch):
+    def no_q_shift(*args):
+        raise AssertionError("detect_q_shift ran after a proportional hit")
 
-    def never(cur, factors):
-        return None
+    monkeypatch.setattr(orbit, "detect_q_shift", no_q_shift)
+    rep = detect_orbit(PeriodMatrix.from_strings([["q", "q"], ["q", "q"]]))
+    assert rep.to_json() == ('{"kind": "proportional", "k": 1, "scalar": '
+                             '"(1/2)/(q^2)", "per_step_factors": ["2*q^2"]}')
 
-    p = PeriodMatrix.constant(1)
-    q_shift = ("q_shift", hit_at(1, {"sigma": Fraction(4)}))
-    rep = orbit._search(p, 10, [("proportional",
-                                 hit_at(3, {"scalar": RF.const(5)})),
-                                q_shift])
-    assert (rep.kind, rep.period_length, len(rep.per_step_factors)) == \
-        ("proportional", 3, 3)
-    rep = orbit._search(p, 10, [("proportional", never), q_shift])
-    assert (rep.kind, rep.period_length, len(rep.per_step_factors)) == \
-        ("q_shift", 1, 1)
-    rep = orbit._search(p, 10, [("proportional", never)])
-    assert rep.kind == "none" and len(rep.per_step_factors) == 10
+
+def test_detect_orbit_without_a_hit_reports_every_step():
+    p = PeriodMatrix.from_strings([["q", "1", "2", "1"], ["1", "2", "1", "q"],
+                                   ["2", "1", "q", "1"], ["1", "q", "1", "3"]])
+    rep = detect_orbit(p, max_iter=3)
+    assert rep.kind == "none" and len(rep.per_step_factors) == 3
 
 
 def test_detect_orbit_walks_the_orbit_once(monkeypatch):
@@ -234,7 +231,8 @@ def test_detect_orbit_walks_the_orbit_once(monkeypatch):
                         lambda rows: walked.append(1) or step(rows))
     aztec._LAST_ORBIT.clear()
     rep = detect_orbit(checkered_period())
-    # no proportional hit within 40 steps, so the one walk runs to the end
+    # detect_proportional walks all 40 steps without a hit, and
+    # detect_q_shift reads the steps it needs off the kept orbit
     assert len(walked) == 40
     assert rep.to_json() == q_shift
     assert detect_orbit(PeriodMatrix.constant(2)).to_json() == \

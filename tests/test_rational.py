@@ -265,6 +265,31 @@ class TestRationalFunction:
         r = RF(mp("xy", {(1, 0): 1, (0, 0): 1}), mp("xy", {(0, 1): 3}))
         assert r * r.inverse() == RF.const(1)
 
+    def test_inverse_equals_the_reduced_swap(self):
+        rng = random.Random(23)
+        for _ in range(200):
+            num, den = (mp("xy", {(rng.randint(0, 2), rng.randint(0, 2)):
+                                  Fraction(rng.randint(-6, 6),
+                                           rng.randint(1, 4))
+                                  for _ in range(rng.randint(1, 3))})
+                        for _ in range(2))
+            if num.is_zero() or den.is_zero():
+                continue
+            assert RF(num, den).inverse() == RF(den, num)
+        assert RF.const(Fraction(-3, 4)).inverse() == RF.const(Fraction(-4, 3))
+
+    def test_division_reduces_only_the_cross_pairs(self, monkeypatch):
+        # a / b = a * (1/b); 1/b is already reduced, so only the two cross
+        # pairs of the product go to poly_cofactors
+        a, b = parse("(x+1)/(y+2)"), parse("(-2*x+y)/(x*y+3)")
+        expected = RF(a.num * b.den, a.den * b.num)
+        calls = []
+        cofactors = rational.poly_cofactors
+        monkeypatch.setattr(rational, "poly_cofactors",
+                            lambda f, g: calls.append(1) or cofactors(f, g))
+        assert a / b == expected
+        assert len(calls) == 2
+
     def test_substitute(self):
         r = RF(mp("xy", {(1, 1): 1}), MultiPoly.const(1))
         out = r.substitute({"x": RF.const(Fraction(1, 2))})
