@@ -26,10 +26,8 @@ RF = RationalFunction
 
 Cell = Tuple[Vertex, Vertex, Vertex, Vertex]
 
-WHOLE = "whole"
-PARTIAL3 = "partial3"
-PARTIAL2 = "partial2"
-PARTIAL0 = "partial0"
+# a cell's kind, keyed by how many of its vertices its subgraph edges touch
+_KIND = {4: "whole", 3: "partial3", 2: "partial2", 0: "partial0"}
 
 
 class CompletionError(ValueError):
@@ -61,14 +59,17 @@ class CellularCompletion:
 
     def _validate(self):
         seen: Dict[FrozenSet[Vertex], int] = {}
-        cell_count: Dict[Vertex, int] = {v: 0 for v in self.host.vertices}
+        # each vertex's cells in cell order, the one incidence map that the
+        # checks, extremal_vertices and lines read
+        self._cells_at: Dict[Vertex, List[int]] = {
+            v: [] for v in self.host.vertices}
         for idx, cell in enumerate(self.cells):
             if len(set(cell)) != 4:
                 raise CompletionError(f"cell {idx} must have 4 distinct vertices")
             for v in cell:
-                if v not in self.host.vertices:
+                if v not in self._cells_at:
                     raise CompletionError(f"cell {idx} uses unknown vertex {v!r}")
-                cell_count[v] += 1
+                self._cells_at[v].append(idx)
             for e in cell_edges(cell):
                 if e not in self.host.weights:
                     raise CompletionError(f"cell {idx} edge {set(e)} not in host")
@@ -78,10 +79,10 @@ class CellularCompletion:
         for e in self.host.weights:
             if e not in seen:
                 raise CompletionError(f"host edge {set(e)} not covered by a cell")
-        for v, k in cell_count.items():
-            if k > 2:
-                raise CompletionError(f"vertex {v!r} lies in {k} cells")
-            if k == 0:
+        for v, at in self._cells_at.items():
+            if len(at) > 2:
+                raise CompletionError(f"vertex {v!r} lies in {len(at)} cells")
+            if not at:
                 raise CompletionError(f"vertex {v!r} lies in no cell")
         for e in self.h_edges:
             if e not in self.host.weights:
@@ -113,11 +114,7 @@ class CellularCompletion:
 
     def extremal_vertices(self) -> Set[Vertex]:
         """Vertices lying in exactly one cell (the ends of all paths)."""
-        count: Dict[Vertex, int] = {}
-        for cell in self.cells:
-            for v in cell:
-                count[v] = count.get(v, 0) + 1
-        return {v for v, k in count.items() if k == 1}
+        return {v for v, at in self._cells_at.items() if len(at) == 1}
 
     def lines(self) -> List[List[int]]:
         """Cell sequences obtained by walking through opposite vertices.
@@ -125,13 +122,8 @@ class CellularCompletion:
         Each cell lies on two lines, one per diagonal.  A line is returned
         as the list of cell indices along the walk.
         """
-        vertex_cells: Dict[Vertex, List[int]] = {}
-        for idx, cell in enumerate(self.cells):
-            for v in cell:
-                vertex_cells.setdefault(v, []).append(idx)
-
         def other_cell(v: Vertex, idx: int):
-            for j in vertex_cells[v]:
+            for j in self._cells_at[v]:
                 if j != idx:
                     return j
             return None
@@ -186,14 +178,7 @@ class CellularCompletion:
         return touched
 
     def cell_kind(self, idx: int) -> str:
-        touched = self._touched(self.cells[idx])
-        if len(touched) == 4:
-            return WHOLE
-        if len(touched) == 3:
-            return PARTIAL3
-        if len(touched) == 2:
-            return PARTIAL2
-        return PARTIAL0
+        return _KIND[len(self._touched(self.cells[idx]))]
 
 
 def whole_cell(w: Sequence) -> Tuple:
@@ -255,7 +240,7 @@ def complement(comp: CellularCompletion):
         edges = cell_edges(cell)
         w = [comp.host.weights[e] for e in edges]
         try:
-            if comp.cell_kind(idx) == WHOLE:
+            if comp.cell_kind(idx) == "whole":
                 delta, new_w = whole_cell(w)
                 factor = factor * delta
             else:

@@ -240,29 +240,23 @@ def equivalence_reduce(a: PeriodMatrix) -> Tuple[PeriodMatrix, list]:
     diamond value at any order.  Uniqueness of the normal form is only
     observed, not proven, for matrices with zero entries.
     """
-    rows = [row[:] for row in a.entries]
+    lines = [row[:] for row in a.entries]
     ledger = []
-    for i in range(a.k):
-        pivot = next((e for e in rows[i] if not e.is_zero()), None)
-        if pivot is not None and pivot != 1:
-            s = pivot.inverse()
-            rows[i] = [e * s for e in rows[i]]
-            ledger.append(("row", i, s))
-    for j in range(a.l):
-        pivot = next((rows[i][j] for i in range(a.k)
-                      if not rows[i][j].is_zero()), None)
-        if pivot is not None and pivot != 1:
-            s = pivot.inverse()
-            for i in range(a.k):
-                rows[i][j] = rows[i][j] * s
-            ledger.append(("col", j, s))
-    return PeriodMatrix(rows), ledger
+    for kind in ("row", "col"):
+        for i, line in enumerate(lines):
+            pivot = next((e for e in line if not e.is_zero()), None)
+            if pivot is not None and pivot != 1:
+                s = pivot.inverse()
+                lines[i] = [e * s for e in line]
+                ledger.append((kind, i, s))
+        lines = [list(col) for col in zip(*lines)]  # rows <-> columns
+    return PeriodMatrix(lines), ledger
 
 
 def ledger_multiplier(ledger, k: int, l: int, n: int) -> RF:
     """Value multiplier induced by a scaling ledger at order n.
 
-    If reduce(a) = (b, ledger) then
+    If equivalence_reduce(a) = (b, ledger) then
     M(order n; b) = ledger_multiplier(ledger, a.k, a.l, n) * M(order n; a).
     """
     out = FactoredRF(1)

@@ -16,6 +16,9 @@ The arithmetic contract:
   expanded value).  Nothing is expanded only to be factored again, so
   `FactoredRF == RationalFunction` expands the factored side and
   `FactoredRF.substitute` returns a FactoredRF.
+- Hashing.  Equal values hash alike across the two types: a
+  RationalFunction hashes as its FactoredRF, and a constant of either
+  type hashes as its Fraction.
 """
 
 from __future__ import annotations
@@ -409,10 +412,8 @@ class RationalFunction:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        # a constant hashes as its Fraction, which it compares equal to
-        if self.is_const():
-            return hash(self.as_const())
-        return hash((self.num, self.den))
+        # hashes as the FactoredRF it compares equal to
+        return hash(FactoredRF.from_rf(self))
 
     # -- arithmetic ---------------------------------------------------
 
@@ -660,13 +661,9 @@ class FactoredRF:
             return FactoredRF.zero()
         c1, parts1 = poly_factor(rf.num)
         c2, parts2 = poly_factor(rf.den)
-        factors: Dict[MultiPoly, int] = {}
-        for f, e in parts1:
-            factors[f] = factors.get(f, 0) + e
-        for f, e in parts2:
-            factors[f] = factors.get(f, 0) - e
-        factors = {f: e for f, e in factors.items() if e}
-        return FactoredRF(Fraction(c1) / Fraction(c2), factors)
+        # num and den are coprime, so no irreducible occurs in both
+        return _factored(c1 / c2, {**dict(parts1),
+                                   **{f: -e for f, e in parts2}})
 
     def to_rf(self) -> "RationalFunction":
         if not self.coeff:

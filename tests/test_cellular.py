@@ -111,37 +111,61 @@ def test_lines_walk_through_opposite_vertices():
     assert sorted(closed) == [0, 1, 2, 3]
 
 
-def test_validation_errors():
+def four_cycle(weight=0):
     host = WeightedGraph()
     for i in range(4):
-        host.add_edge(i, (i + 1) % 4, RF.const(1))
-    with pytest.raises(CompletionError):
+        host.add_edge(i, (i + 1) % 4, RF.const(weight))
+    return host
+
+
+def test_validation_errors():
+    host = four_cycle(1)
+    with pytest.raises(CompletionError, match="4 distinct vertices"):
         CellularCompletion(host, [(0, 1, 2, 2)], set(range(4)))
-    with pytest.raises(CompletionError):  # same edge in two cells
+    with pytest.raises(CompletionError, match="uses unknown vertex 5"):
+        CellularCompletion(host, [(0, 1, 2, 5)], set(range(4)))
+    with pytest.raises(CompletionError, match="in two cells"):
         CellularCompletion(host, [(0, 1, 2, 3), (0, 1, 2, 3)], set(range(4)))
-    with pytest.raises(CompletionError):  # host edge not covered
+    with pytest.raises(CompletionError, match="not covered by a cell"):
         CellularCompletion(host, [], set())
+    # three cells meet at vertex 0
+    star = WeightedGraph()
+    cells = []
+    for i in range(3):
+        cell = (0, ("a", i), ("b", i), ("c", i))
+        cells.append(cell)
+        for j in range(4):
+            star.add_edge(cell[j], cell[(j + 1) % 4], RF.const(0))
+    with pytest.raises(CompletionError, match="vertex 0 lies in 3 cells"):
+        CellularCompletion(star, cells, set())
+    lonely = four_cycle()
+    lonely.vertices.add(9)
+    with pytest.raises(CompletionError, match="vertex 9 lies in no cell"):
+        CellularCompletion(lonely, [(0, 1, 2, 3)], set())
+    ring_edges = {frozenset((i, (i + 1) % 4)) for i in range(4)}
+    with pytest.raises(CompletionError,
+                       match=r"subgraph edge \{0, 2\} not in host"):
+        CellularCompletion(host, [(0, 1, 2, 3)], set(range(4)),
+                           h_edges=ring_edges | {frozenset((0, 2))})
+    with pytest.raises(CompletionError, match="leaves the member set"):
+        CellularCompletion(host, [(0, 1, 2, 3)], {0, 1, 2},
+                           h_edges=ring_edges)
     # a nonzero edge outside the declared subgraph
-    with pytest.raises(CompletionError):
+    with pytest.raises(CompletionError,
+                       match="outside the subgraph must have weight 0"):
         CellularCompletion(host, [(0, 1, 2, 3)], {0, 1},
                            h_edges={frozenset((0, 1))})
-    # non-member interior vertex
-    comp = ring([(0, 1)] * 4)
-    with pytest.raises(CompletionError):
-        CellularCompletion(comp.host, comp.cells,
-                           comp.members - {("m", 0)},
-                           h_edges=comp.h_edges - {
-                               frozenset((("m", 0), ("x", 0))),
-                               frozenset((("x", 3), ("m", 0)))})
+    # ("m", 0) loses both of its edges, so it is a non-member in two cells
+    with pytest.raises(CompletionError,
+                       match="non-member vertices must be extremal"):
+        ring([(1,), (0, 1), (0, 1), (0,)])
 
 
 def test_member_must_touch_subgraph_edge_in_each_cell():
-    comp = ring([(0, 1)] * 4)
-    # drop one of the two edges at a shared vertex: it is still a member
-    # but its second cell no longer reaches it
-    bad = comp.h_edges - {frozenset((("x", 3), ("m", 0)))}
-    with pytest.raises(CompletionError):
-        CellularCompletion(comp.host, comp.cells, comp.members, h_edges=bad)
+    # ("m", 0) keeps its edge in cell 0 and so stays a member, but the
+    # zero edge ("x", 3)-("m", 0) leaves cell 3 without a way to reach it
+    with pytest.raises(CompletionError, match="not an endpoint"):
+        ring([(0, 1), (0, 1), (0, 1), (0,)])
 
 
 def test_find_completion_in_diamond_host():

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 import sympy.polys.rings
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy.polys.polyerrors import HeuristicGCDFailed
 
@@ -378,6 +378,14 @@ class TestFactoredForms:
         assert len(values) == 1
         # products reach the same constant through the private constructor
         assert len({FactoredRF(c) * 1, (FactoredRF(2) * c) / 2, c}) == 1
+
+    @given(rationals())
+    @example(parse("x+1"))
+    @settings(max_examples=40, deadline=None)
+    def test_plain_and_factored_hash_alike(self, r):
+        f = FactoredRF.from_rf(r)
+        assert hash(r) == hash(f)
+        assert len({r, f}) == 1
 
     @pytest.mark.parametrize("op", [operator.add, operator.sub,
                                     operator.mul, operator.truediv])
