@@ -1,7 +1,6 @@
 """Exact engine for weighted perfect-matching generating functions."""
 
-from .rational import (FactoredRF, MultiPoly, RationalFunction, poly_factor,
-                       poly_sqrt)
+from .rational import FactoredRF, MultiPoly, RationalFunction, poly_factor
 from .exprs import ParseError, parse
 from .graphs import WeightedGraph, enumerate_matchings, oracle_mgf
 from .aztec import (AztecInstance, PeriodMatrix, ZeroCellFactor, evaluate,
@@ -12,7 +11,7 @@ from .orbit import (OrbitReport, detect_proportional, detect_q_shift,
                     equivalence_reduce, recurrence_constant)
 
 __all__ = [
-    "FactoredRF", "MultiPoly", "RationalFunction", "poly_factor", "poly_sqrt",
+    "FactoredRF", "MultiPoly", "RationalFunction", "poly_factor",
     "ParseError", "parse",
     "WeightedGraph", "enumerate_matchings", "oracle_mgf",
     "AztecInstance", "PeriodMatrix", "ZeroCellFactor", "evaluate",

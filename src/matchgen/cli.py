@@ -56,8 +56,10 @@ def _parse_bindings(text: Optional[str]) -> Dict[str, RF]:
             continue
         if "=" not in item:
             raise ComputationError(f"binding {item!r} is not name=value")
-        name, value = item.split("=", 1)
-        out[name.strip()] = parse(value.strip())
+        name, value = (part.strip() for part in item.split("=", 1))
+        if name in out:
+            raise ComputationError(f"variable {name!r} is bound twice")
+        out[name] = parse(value)
     return out
 
 

@@ -1,4 +1,6 @@
-"""Parser and printer for the weight-expression grammar.
+"""Parser for the weight-expression grammar.
+
+Values print in this grammar through `MultiPoly.__str__` in rational.py.
 
 Grammar (whitespace insignificant, no implicit multiplication):
 

@@ -18,14 +18,6 @@ from .rational import FactoredRF, RationalFunction
 RF = RationalFunction
 
 
-def _rf(x) -> RF:
-    if isinstance(x, RF):
-        return x
-    if isinstance(x, str):
-        return parse(x)
-    return RF.const(x)
-
-
 # ---------------------------------------------------------------------------
 # Triangle-lattice diamond patterns (two-parameter, 4x4 period)
 
@@ -67,15 +59,18 @@ class ColumnPairMatrix:
 
     Row i carries (x_i, y_i); the full 2n x 2n edge array repeats each row
     with column period 4.  The quad pattern fills columns as
-    x, y, 1/x, 1/y; the duplicate pattern as x, y, y, x.
+    x, y, 1/x, 1/y; the duplicate pattern as x, y, y, x.  Entries are held
+    as FactoredRF, so the recurrences and the instance never factor them
+    again.
     """
 
-    def __init__(self, rows: List[List[RF]], pattern: str):
+    def __init__(self, rows: List[List[FactoredRF]], pattern: str):
         if pattern not in ("quad", "duplicate"):
             raise ValueError(f"unknown pattern {pattern!r}")
         if len(rows) % 2:
             raise ValueError("row count must be even")
-        self.rows = [[_rf(x), _rf(y)] for x, y in rows]
+        self.rows = [[FactoredRF._coerce(x), FactoredRF._coerce(y)]
+                     for x, y in rows]
         self.pattern = pattern
         if pattern == "quad":
             for x, y in self.rows:
@@ -86,7 +81,7 @@ class ColumnPairMatrix:
     def order(self) -> int:
         return len(self.rows) // 2
 
-    def array_row(self, i: int, length: int) -> List[RF]:
+    def array_row(self, i: int, length: int) -> List[FactoredRF]:
         x, y = self.rows[i]
         if self.pattern == "quad":
             cycle = [x, y, x.inverse(), y.inverse()]
@@ -101,13 +96,13 @@ class ColumnPairMatrix:
                                for i in range(2 * n)])
         return AztecInstance(n, period)
 
-    def delta(self, i: int) -> RF:
+    def delta(self, i: int) -> FactoredRF:
         """x_{2i-1} y_{2i} + x_{2i} y_{2i-1} for block i (1-indexed)."""
         x1, y1 = self.rows[2 * i - 2]
         x2, y2 = self.rows[2 * i - 1]
         return x1 * y2 + x2 * y1
 
-    def s_factor(self, i: int) -> RF:
+    def s_factor(self, i: int) -> FactoredRF:
         """Square root of x_{2i-1} y_{2i-1} x_{2i} y_{2i} (block i).
 
         The input contract requires the product to be a perfect square.
@@ -129,7 +124,7 @@ def quad_step(t: ColumnPairMatrix) -> ColumnPairMatrix:
     n = t.order
     if n < 2:
         raise ValueError("need at least 4 rows")
-    out: List[List[RF]] = []
+    out: List[List[FactoredRF]] = []
     s1 = t.s_factor(1)
     x1, y1 = t.rows[0]
     out.append([x1 / s1, s1 / y1])
@@ -145,7 +140,7 @@ def quad_step(t: ColumnPairMatrix) -> ColumnPairMatrix:
     return ColumnPairMatrix(out, "quad")
 
 
-def quad_value(t: ColumnPairMatrix) -> RF:
+def quad_value(t: ColumnPairMatrix) -> FactoredRF:
     """Matching generating function of the quad-pattern diamond.
 
     Computed by the order-lowering recurrence: each step contributes the
@@ -154,10 +149,10 @@ def quad_value(t: ColumnPairMatrix) -> RF:
     """
     n = t.order
     if n == 0:
-        return RF.const(1)
+        return FactoredRF(1)
     if n == 1:
         return t.delta(1)
-    step = RF.const(1)
+    step = FactoredRF(1)
     for i in range(1, n + 1):
         step = step * t.delta(i)
         if n % 2 == 0:
@@ -176,7 +171,7 @@ def duplicate_step(t: ColumnPairMatrix) -> ColumnPairMatrix:
     n = t.order
     if n < 3:
         raise ValueError("need at least 6 rows")
-    out: List[List[RF]] = []
+    out: List[List[FactoredRF]] = []
     for i in range(2, n):
         xa, ya = t.rows[2 * i - 2]
         xb, yb = t.rows[2 * i - 1]
@@ -185,7 +180,7 @@ def duplicate_step(t: ColumnPairMatrix) -> ColumnPairMatrix:
     return ColumnPairMatrix(out, "duplicate")
 
 
-def duplicate_value(t: ColumnPairMatrix) -> RF:
+def duplicate_value(t: ColumnPairMatrix) -> FactoredRF:
     """Matching generating function of the duplicate-pattern diamond.
 
     The recurrence drops the order by two per step; the step factor is
@@ -194,10 +189,10 @@ def duplicate_value(t: ColumnPairMatrix) -> RF:
     """
     n = t.order
     if n == 0:
-        return RF.const(1)
+        return FactoredRF(1)
     if n == 1:
         return t.delta(1)
-    step = RF.const(2) ** (n - 1)
+    step = FactoredRF(2) ** (n - 1)
     for i in range(1, n + 1):
         step = step * t.delta(i)
     ex = n // 2 if n % 2 == 0 else (n - 1) // 2
@@ -223,7 +218,7 @@ def hexsquare_period() -> PeriodMatrix:
     ])
 
 
-def hexsquare_closed_form(m: int) -> RF:
+def hexsquare_closed_form(m: int) -> FactoredRF:
     """Closed-form diamond value for the squares-and-hexagons pattern.
 
     Oracle-verified: the exponent pattern has period three in the diamond
@@ -233,7 +228,7 @@ def hexsquare_closed_form(m: int) -> RF:
     it in general, while the printed one-step weight transformations all
     check out exactly.)
     """
-    base = parse("1+a^2")
+    base = FactoredRF.from_rf(parse("1+a^2"))
     k, r = divmod(m, 3)
     if r == 2:
         return base ** (2 * (k + 1) * (k + 1))
@@ -315,13 +310,10 @@ def checkered_closed_form(n: int, q="q") -> RF:
     """
     if n == 0:
         return RF.const(1)
-    q = _rf(q)
+    q = parse(q) if isinstance(q, str) else q
     if n <= 30:
-        mag = RF.const(_CHECKERED_SEED_MAG[n - 1])
-        e = _CHECKERED_SEED_QEXP[(n - 1) % 10]
-        if e >= 0:
-            return mag * q ** e
-        return mag * q.inverse() ** (-e)
+        return (RF.const(_CHECKERED_SEED_MAG[n - 1])
+                * q ** _CHECKERED_SEED_QEXP[(n - 1) % 10])
     return (RF.const(3) ** (4 * _exp_y(n))
             * checkered_closed_form(n - 30, RF.const(9) * q))
 

@@ -15,7 +15,8 @@ The arithmetic contract:
   leaves (public results, printing, graph edges, comparison with an
   expanded value).  Nothing is expanded only to be factored again, so
   `FactoredRF == RationalFunction` expands the factored side and
-  `FactoredRF.substitute` returns a FactoredRF.
+  `FactoredRF.substitute` returns a FactoredRF.  A square root halves the
+  exponents of the factored form.
 - Hashing.  Equal values hash alike across the two types: a
   RationalFunction hashes as its FactoredRF, and a constant of either
   type hashes as its Fraction.
@@ -138,7 +139,10 @@ class MultiPoly:
 
     def __hash__(self):
         if self._hash is None:
-            object.__setattr__(self, "_hash", hash((self.content, self.prim)))
+            # not the PolyElement's hash, which hashes its ring's order
+            # object by id and so changes from run to run
+            object.__setattr__(self, "_hash", hash(
+                (self.variables, self.content, frozenset(self.prim.items()))))
         return self._hash
 
     def __neg__(self) -> "MultiPoly":
@@ -264,7 +268,7 @@ def _align(a: MultiPoly, b: MultiPoly):
 
 
 # ---------------------------------------------------------------------------
-# GCD with cofactors, square root
+# GCD with cofactors
 # ---------------------------------------------------------------------------
 
 
@@ -311,33 +315,6 @@ def _ring_cofactors(f: PolyElement, g: PolyElement
         return f.cofactors(g)
     except _HeuristicGCDFailed:
         return f.ring.dmp_inner_gcd(f, g)
-
-
-def poly_sqrt(p: MultiPoly) -> Optional[MultiPoly]:
-    """Exact square root of a perfect-square polynomial, else None.
-
-    p is a square exactly when its rational content is a square and every
-    irreducible factor has an even exponent; the root returned is
-    sqrt(content) * prod(f^(e/2)), with a positive leading coefficient.
-    """
-    if p.is_zero():
-        return MultiPoly.const(0)
-    coeff, parts = poly_factor(p)
-    root = _frac_sqrt(coeff)
-    if root is None or any(e % 2 for _, e in parts):
-        return None
-    return math.prod((f ** (e // 2) for f, e in parts),
-                     start=MultiPoly.const(root))
-
-
-def _frac_sqrt(c: Fraction) -> Optional[Fraction]:
-    if c < 0:
-        return None
-    n = math.isqrt(c.numerator)
-    d = math.isqrt(c.denominator)
-    if n * n != c.numerator or d * d != c.denominator:
-        return None
-    return Fraction(n, d)
 
 
 # ---------------------------------------------------------------------------
@@ -526,18 +503,6 @@ class RationalFunction:
         if den.is_zero():
             raise ZeroDivisionError("denominator vanishes under substitution")
         return num / den
-
-    def sqrt(self) -> "RationalFunction":
-        """Exact square root; raises ValueError if not a perfect square.
-
-        num and den are coprime, so the quotient is a square exactly when
-        both are; their roots stay coprime, and the root of the monic den
-        is monic.
-        """
-        num, den = poly_sqrt(self.num), poly_sqrt(self.den)
-        if num is None or den is None:
-            raise ValueError(f"not a perfect square: {self}")
-        return RationalFunction(num, den, _normalized=True)
 
     def __str__(self) -> str:
         if self.den.is_const() and self.den.as_const() == 1:
@@ -760,6 +725,21 @@ class FactoredRF:
             return self
         return _factored(self.coeff ** n,
                          {f: e * n for f, e in self.factors.items()})
+
+    def sqrt(self) -> "FactoredRF":
+        """Exact square root; raises ValueError if not a perfect square.
+
+        The value is a square exactly when its coefficient is the square of
+        a Fraction and every exponent is even; the root halves the
+        exponents and takes the positive coefficient.
+        """
+        c = self.coeff
+        root = Fraction(math.isqrt(abs(c.numerator)),
+                        math.isqrt(c.denominator))
+        if c < 0 or root * root != c or any(
+                e % 2 for e in self.factors.values()):
+            raise ValueError(f"not a perfect square: {self}")
+        return _factored(root, {f: e // 2 for f, e in self.factors.items()})
 
     def __neg__(self):
         return _factored(-self.coeff, self.factors)

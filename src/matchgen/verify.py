@@ -288,7 +288,7 @@ _WEIGHTED_DUNGEON_VALUES = [
 
 
 def _weighted_dungeon_expected(n: int) -> FactoredRF:
-    value = FactoredRF.from_rf(RF.const(1))
+    value = FactoredRF(1)
     for s, e in _WEIGHTED_DUNGEON_VALUES[n]:
         value = value * FactoredRF.from_rf(parse(s)) ** e
     return value
@@ -371,8 +371,7 @@ def suite_hexsquare() -> Iterator[Case]:
     """
     p = hexsquare_period()
     for m in range(14):
-        yield Case.compare(f"closed-form-m{m}",
-                           FactoredRF.from_rf(hexsquare_closed_form(m)),
+        yield Case.compare(f"closed-form-m{m}", hexsquare_closed_form(m),
                            evaluate_factored(AztecInstance(m, p)),
                            "oracle-verified period-three exponent pattern")
     for m in range(1, 5):

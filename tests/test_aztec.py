@@ -1,5 +1,6 @@
 """The reduction pipeline on diamond graphs with periodic weights."""
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -31,11 +32,25 @@ def test_period_shape_validation():
     with pytest.raises(ValueError):
         PeriodMatrix([[RF.const(1), RF.const(1)],
                       [RF.const(1)]])
+    with pytest.raises(ValueError, match="column count must be even"):
+        PeriodMatrix([[RF.const(1)], [RF.const(1)]])
 
 
 def test_period_json_round_trip():
     p = PeriodMatrix.from_strings([["a", "2"], ["1/2", "x+y"]])
     assert PeriodMatrix.from_json(p.to_json()) == p
+    declared = json.dumps({"k": 2, "l": 4,
+                           "entries": [["1", "1"], ["1", "1"]]})
+    with pytest.raises(ValueError, match="disagrees with declared k, l"):
+        PeriodMatrix.from_json(declared)
+
+
+def test_instance_order_validation():
+    p = PeriodMatrix.constant(1)
+    with pytest.raises(ValueError, match="order must be nonnegative"):
+        AztecInstance(-1, p)
+    with pytest.raises(ValueError, match="cannot reduce order 0"):
+        reduce_step(AztecInstance(0, p))
 
 
 def test_all_ones_counts():

@@ -242,6 +242,8 @@ def test_cell_rules():
     assert partial_cell([zero] * 4, [F] * 4) == [half] * 4
     with pytest.raises(ValueError):  # opposite edges cover every vertex
         partial_cell([x, zero, y, zero], [T, F, T, F])
+    with pytest.raises(ZeroDivisionError, match=r"x\^2 \+ y\^2 = 0"):
+        partial_cell([zero] * 4, [F, F, T, T])
 
 
 def test_zero_whole_cell_factor_names_the_cell():

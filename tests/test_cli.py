@@ -110,6 +110,14 @@ def test_compute_bad_binding(capsys):
     assert code == 1
 
 
+def test_compute_refuses_a_variable_bound_twice(capsys):
+    code, data = run_json(capsys, "compute", "--family", "dungeon-D",
+                          "--n", "2", "--bind", "x=1,x=2,y=1")
+    assert code == 1
+    assert data["error"]["kind"] == "ComputationError"
+    assert "'x'" in data["error"]["message"]
+
+
 def test_orbit_detects_proportional(capsys, tmp_path):
     path = period_file(tmp_path, [["1", "1"], ["1", "1"]])
     code, data = run_json(capsys, "orbit", "--period", path)

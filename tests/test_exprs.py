@@ -1,5 +1,6 @@
 """Expression parsing and printing."""
 
+import re
 import time
 from fractions import Fraction
 
@@ -42,6 +43,10 @@ def test_parse_errors():
     for bad in ("", "x+", "(x", "x^y", "1//2", "x 2 +"):
         with pytest.raises(ParseError):
             parse(bad)
+    with pytest.raises(ParseError, match=re.escape(
+            "unexpected character '$' (at position 1)")):
+        parse("x$1")
+    assert parse("x ") == parse("x")
 
 
 @pytest.mark.parametrize("text, what", [

@@ -13,6 +13,7 @@ from matchgen.graphs import (SizeCapExceeded, WeightedGraph,
                              enumerate_matchings, graph_from_json,
                              graph_to_json, matching_weight, oracle_mgf,
                              split_vertex, strip_forced)
+from matchgen.rational import FactoredRF
 from matchgen.rational import RationalFunction as RF
 from matchgen.rational import poly_cofactors
 
@@ -169,3 +170,7 @@ def test_factored_edge_weights():
     assert factor * oracle_mgf(to_graph(reached)) == evaluate(inst)[0]
     with pytest.raises(TypeError):
         WeightedGraph().add_edge(1, 2, "x")
+    g = WeightedGraph()
+    g.add_edge(1, 2, FactoredRF.from_rf(parse("(x+1)^2/y")))
+    assert isinstance(g.weight(1, 2), RF)
+    assert g.weight(1, 2) == parse("(x^2+2*x+1)/y")

@@ -171,6 +171,16 @@ def test_recurrence_constant_rejects_non_returning_period():
         recurrence_constant(PeriodMatrix.from_strings(rows), 3, 1)
 
 
+def test_recurrence_constant_needs_n_at_least_k():
+    with pytest.raises(ValueError, match="need n >= k >= 1"):
+        recurrence_constant(PeriodMatrix.constant(1), 1, 2)
+
+
+def test_periods_of_different_shapes_are_not_proportional():
+    assert proportionality_scalar(PeriodMatrix.constant(1),
+                                  PeriodMatrix.constant(1, 4, 4)) is None
+
+
 def test_line_edge_counts_sum_to_matching_size():
     for n in (1, 2, 3, 5):
         total = sum(line_edge_count(r, n) for r in range(1, 2 * n + 1))

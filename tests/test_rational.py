@@ -1,8 +1,12 @@
 """Exact arithmetic: polynomials, rational functions, factored forms."""
 
 import operator
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy.polys.rings
@@ -13,7 +17,7 @@ from sympy.polys.polyerrors import HeuristicGCDFailed
 from matchgen import rational
 from matchgen.exprs import _size, parse
 from matchgen.rational import (FactoredRF, MultiPoly, RationalFunction,
-                               poly_cofactors, poly_factor, poly_sqrt)
+                               poly_cofactors, poly_factor)
 
 RF = RationalFunction
 
@@ -245,15 +249,21 @@ class TestGcdAndFactor:
         assert prod == p
 
     def test_sqrt(self):
+        def as_factored(p):
+            return FactoredRF.from_rf(RF.from_poly(p))
+
         s = mp("xy", {(1, 0): 1, (0, 1): 2})
-        assert poly_sqrt(s * s) == s
-        assert poly_sqrt(mp("xy", {(1, 0): 1})) is None
+        assert as_factored(s * s).sqrt() == as_factored(s)
         # rational content must itself be a square
         x_plus_y = mp("xy", {(1, 0): 1, (0, 1): 1})
-        assert poly_sqrt((x_plus_y * x_plus_y).scale(Fraction(9, 4))) == \
-            x_plus_y.scale(Fraction(3, 2))
-        assert poly_sqrt(mp("x", {(2,): 2})) is None
-        assert poly_sqrt(mp("x", {(2,): -1})) is None
+        square = (x_plus_y * x_plus_y).scale(Fraction(9, 4))
+        assert as_factored(square).sqrt() == \
+            as_factored(x_plus_y.scale(Fraction(3, 2)))
+        assert FactoredRF.zero().sqrt() == 0
+        for p in (mp("xy", {(1, 0): 1}), mp("x", {(2,): 2}),
+                  mp("x", {(2,): -1})):
+            with pytest.raises(ValueError, match="not a perfect square"):
+                as_factored(p).sqrt()
 
 
 class TestRationalFunction:
@@ -314,13 +324,14 @@ class TestRationalFunction:
         assert RF.from_poly(p).substitute(bindings) == expected
 
     def test_sqrt_of_square(self):
-        r = RF(mp("xy", {(1, 0): 1, (0, 1): 1}), mp("xy", {(0, 1): 1}))
+        r = FactoredRF.from_rf(
+            RF(mp("xy", {(1, 0): 1, (0, 1): 1}), mp("xy", {(0, 1): 1})))
         assert (r * r).sqrt() == r
-        q = parse("(3*x+3)/(2*y^2-4*x)")
+        q = FactoredRF.from_rf(parse("(3*x+3)/(2*y^2-4*x)"))
         assert (q * q).sqrt() == q
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not a perfect square"):
             (q * q * 2).sqrt()
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not a perfect square"):
             (q * parse("y")).sqrt()
 
     @given(rationals(), rationals())
@@ -417,6 +428,23 @@ def factored(draw):
             f = f * FactoredRF.from_rf(RF.from_poly(p)) ** draw(
                 st.integers(-3, 3))
     return f
+
+
+def test_hashes_do_not_change_from_run_to_run():
+    """Under one PYTHONHASHSEED a polynomial and a factored value hash alike
+    in two processes, so sets of them iterate in one order."""
+    code = ("from matchgen.exprs import parse; "
+            "from matchgen.rational import FactoredRF; "
+            "print(hash(parse('x+1').num), "
+            "hash(FactoredRF.from_rf(parse('(x+1)^2/(y-3)'))))")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONHASHSEED="0",
+               PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    runs = [subprocess.run([sys.executable, "-c", code], capture_output=True,
+                           text=True, env=env, timeout=120, check=True).stdout
+            for _ in range(2)]
+    assert runs[0] == runs[1]
 
 
 class TestFactoredSubstitute:
