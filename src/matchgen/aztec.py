@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import json
 import math
-import operator
+from collections import Counter
 from fractions import Fraction
 from itertools import accumulate
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .cellular import whole_cell
 from .exprs import parse
@@ -194,34 +194,83 @@ def _step(rows: List[list]) -> Tuple[List[list], List[list]]:
                      for i in range(k)]
 
 
-_UNIT = FactoredRF(1)
+def _keys(delta: FactoredRF) -> dict:
+    """A block factor's count keys: its irreducibles, its coefficient's
+    |numerator| (+1) and denominator (-1) unless 1, and -1 (+1) if < 0."""
+    c = delta.coeff
+    ints = ((abs(c.numerator), 1), (c.denominator, -1), (-1, int(c < 0)))
+    return {**delta.factors, **{x: e for x, e in ints if x != 1 and e}}
 
 
 def _tables(factors: List[list]) -> tuple:
-    """Prefix tables of one step's block factors, and its zero blocks.
+    """Prefix count tables of one step's block factors, and its zero blocks.
 
-    coeffs[i][j] multiplies the coefficients of the blocks above block
-    row i and left of block column j, and counts[f][i][j] sums the
-    exponents of the irreducible f over the same blocks, so no table
-    cell multiplies factored values.  Zero or undefined blocks (None) are
-    listed in row-major order; the tables skip them.
+    counts[key][i][j] sums the exponents of one `_keys` key over the blocks
+    above block row i and left of block column j.  Zero or undefined blocks
+    (None) are listed in row-major order; the tables skip them.
     """
     width = len(factors[0]) + 1
-    coeffs = [[Fraction(1)] * width]
-    counts = {f: [[0] * width] for row in factors for delta in row
-              if delta is not None for f in delta.factors}
-    bad = []
-    for bi, row in enumerate(factors):
-        bad += [(bi, bj) for bj, delta in enumerate(row) if delta is None]
-        row = [_UNIT if delta is None else delta for delta in row]
-        prefix = accumulate((delta.coeff for delta in row), operator.mul,
-                            initial=Fraction(1))
-        coeffs.append([s * t for s, t in zip(coeffs[-1], prefix)])
-        for f, table in counts.items():
-            prefix = accumulate((delta.factors.get(f, 0) for delta in row),
+    keyed = [[{} if delta is None else _keys(delta) for delta in row]
+             for row in factors]
+    counts = {key: [[0] * width] for row in keyed for keys in row
+              for key in keys}
+    bad = [(bi, bj) for bi, row in enumerate(factors)
+           for bj, delta in enumerate(row) if delta is None]
+    for row in keyed:
+        for key, table in counts.items():
+            prefix = accumulate((keys.get(key, 0) for keys in row),
                                 initial=0)
             table.append([s + t for s, t in zip(table[-1], prefix)])
-    return coeffs, counts, bad
+    return counts, bad
+
+
+def _strip(x: int, d: int) -> Tuple[int, int]:
+    """(x / d^k, k) for the largest k with d^k dividing x."""
+    k = 0
+    while x % d == 0:
+        x, k = x // d, k + 1
+    return x, k
+
+
+def _coprime_base(ints: Dict[int, int]) -> Dict[int, int]:
+    """prod(x^e) over integers x > 1 as exponents of a pairwise coprime base.
+
+    Factor refinement (Bach, Driscoll and Shallit 1993), smallest key first:
+    a base element b is divided out of a key fully, so a high power splits
+    in one step, and a divisor g > 1 the rest shares with b splits b into
+    g and b / g, so no element is 1.
+    """
+    base: Dict[int, int] = {}
+    todo = sorted(((x, e) for x, e in ints.items() if e), reverse=True)
+    while todo:
+        x, e = todo.pop()
+        for b in list(base):
+            x, k = _strip(x, b)
+            base[b] += k * e
+            g = math.gcd(x, b)
+            if g > 1:
+                eb = base.pop(b)
+                todo += [(g, eb), (b // g, eb), (x, e)]
+                break
+            if x == 1:
+                break
+        else:
+            base[x] = e
+    return {b: e for b, e in base.items() if e}
+
+
+def _from_counts(counts: dict) -> FactoredRF:
+    """The value of a count dict of `_keys` keys, in factored form; over a
+    coprime base num and den are coprime, so no gcd reduces the coefficient."""
+    ints = {x: e for x, e in counts.items() if isinstance(x, int) and e}
+    sign = (-1) ** (ints.pop(-1, 0) % 2)
+    base = _coprime_base(ints)
+    num = math.prod(b ** e for b, e in base.items() if e > 0)
+    den = math.prod(b ** -e for b, e in base.items() if e < 0)
+    coeff = object.__new__(Fraction)  # Fraction(num, den) would take a gcd
+    coeff._numerator, coeff._denominator = sign * num, den
+    return _factored(coeff, {
+        f: e for f, e in counts.items() if e and not isinstance(f, int)})
 
 
 class _Orbit:
@@ -229,9 +278,9 @@ class _Orbit:
 
     `periods[j]` holds the rows of shuffle^j of the period, which step j
     starts from.  Every step has the period's block size (kb, lb) and keeps
-    the `_tables` of its block factors, from which `factor` builds the
-    factor of any multiset of its blocks that an order or an orbit step
-    uses, each factor once.
+    the count `_tables` of its block factors, from which `factor` reads the
+    counts of any multiset of its blocks that an order or an orbit step
+    uses; `_product` turns the sum of an order's counts into one value.
 
     No step is cut to the part an order reads, and none needs to be.  Step
     j serves order m = n - j, which leaves a block unused only when the
@@ -256,25 +305,16 @@ class _Orbit:
             self.steps.append(_tables(factors))
 
     def factor(self, j: int, a: int = 1, r: int = 0, b: int = 1,
-               c: int = 0) -> FactoredRF:
-        """The product of step j's block factors, each block's once by default.
+               c: int = 0) -> dict:
+        """The counts of step j's block factors, each block's once by default.
 
         Block (i, i') is taken (a + [i < r]) * (b + [i' < c]) times, so the
-        exponent of each irreducible is the rectangle sum
-        S[kb][lb]*ab + S[kb][c]*a + S[r][lb]*b + S[r][c] of its count table
-        S, and the coefficient the same rectangle product of the
-        coefficient table.
+        exponent of each key is the rectangle sum
+        S[kb][lb]*ab + S[kb][c]*a + S[r][lb]*b + S[r][c] of its count table S.
         """
         kb, lb = self.kb, self.lb
-        coeffs, counts, _ = self.steps[j]
-        exponents = {}
-        for f, s in counts.items():
-            e = s[kb][lb] * a * b + s[kb][c] * a + s[r][lb] * b + s[r][c]
-            if e:
-                exponents[f] = e
-        coeff = (coeffs[kb][lb] ** (a * b) * coeffs[kb][c] ** a
-                 * coeffs[r][lb] ** b * coeffs[r][c])
-        return _factored(coeff, exponents)
+        return {key: s[kb][lb] * a * b + s[kb][c] * a + s[r][lb] * b + s[r][c]
+                for key, s in self.steps[j][0].items()}
 
     def step_factor(self, j: int) -> FactoredRF:
         """The factor of orbit step j + 1, each block's once.
@@ -286,10 +326,10 @@ class _Orbit:
         bad = self.steps[j][-1]
         if bad:
             raise ZeroCellFactor(None, *bad[0], step=j + 1)
-        return self.factor(j)
+        return _from_counts(self.factor(j))
 
-    def reduction(self, n: int, rounds: int) -> List[Tuple[int, FactoredRF]]:
-        """(order, factor) for the first `rounds` reduction rounds from n.
+    def reduction(self, n: int, rounds: int) -> List[Tuple[int, dict]]:
+        """(order, counts) for the first `rounds` reduction rounds from n.
 
         Block (i, j) of the order-m edge array uses period block
         (i mod kb, j mod lb), so with a, r = divmod(m, kb) and
@@ -330,8 +370,8 @@ def _kept_orbit(period: PeriodMatrix) -> _Orbit:
     return orbit
 
 
-def _cached_steps(inst: AztecInstance) -> List[Tuple[int, FactoredRF]]:
-    """All n reduction rounds of inst, read off the kept orbit."""
+def _cached_steps(inst: AztecInstance) -> List[Tuple[int, dict]]:
+    """All n rounds of inst as (order, counts), read off the kept orbit."""
     return _kept_orbit(inst.period).reduction(inst.n, inst.n)
 
 
@@ -439,7 +479,7 @@ def reduce_step(inst: AztecInstance) -> Tuple[RF, AztecInstance]:
     Returns (factor, successor) with
     M(order n; weights) = factor * M(order n-1; successor weights).
     The factor is the product of the block factors of all n^2 blocks of the
-    edge array, read off the prefix table of the period's blocks.  The
+    edge array, read off the count tables of the period's blocks.  The
     successor period is the shuffle of the part the order-n array reads
     (`_read_part`), at every order including 1, walked on an orbit of
     that part that is not kept.  Order 0 raises ValueError; a zero block
@@ -448,14 +488,17 @@ def reduce_step(inst: AztecInstance) -> Tuple[RF, AztecInstance]:
     if inst.n == 0:
         raise ValueError("cannot reduce order 0")
     orbit = _Orbit(PeriodMatrix(_read_part(inst.period.entries, inst.n)))
-    [(_, factor)] = orbit.reduction(inst.n, 1)
-    return factor.to_rf(), AztecInstance(inst.n - 1,
-                                         PeriodMatrix(orbit.periods[1]))
+    [(_, counts)] = orbit.reduction(inst.n, 1)
+    return _from_counts(counts).to_rf(), AztecInstance(
+        inst.n - 1, PeriodMatrix(orbit.periods[1]))
 
 
-def _product(steps: List[Tuple[int, FactoredRF]]) -> FactoredRF:
-    """The product of the step factors, in factored form."""
-    return math.prod((f for _, f in steps), start=FactoredRF(1))
+def _product(steps: List[Tuple[int, dict]]) -> FactoredRF:
+    """The product of the steps, as one sum of their counts."""
+    total = Counter()
+    for _, counts in steps:
+        total.update(counts)
+    return _from_counts(total)
 
 
 def evaluate(inst: AztecInstance
@@ -463,16 +506,17 @@ def evaluate(inst: AztecInstance
     """Exact matching generating function and its (order, factor) steps.
 
     The steps are read off the cached orbit of the period, so orders on
-    one period share its walk.
+    one period share its walk; each step's counts become its factor.
     """
     steps = _cached_steps(inst)
-    return _product(steps).to_rf(), steps
+    return _product(steps).to_rf(), [(m, _from_counts(counts))
+                                     for m, counts in steps]
 
 
 def evaluate_factored(inst: AztecInstance) -> FactoredRF:
     """Exact matching generating function, left in factored form.
 
-    Same pipeline as evaluate, but the product of step factors is never
+    Same pipeline as evaluate, but the sum of the steps' counts is never
     expanded; useful when the value has small factors at high powers.
     """
     return _product(_cached_steps(inst))

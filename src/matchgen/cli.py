@@ -20,7 +20,8 @@ from typing import Dict, Optional
 
 import sympy
 
-from .aztec import AztecInstance, PeriodMatrix, ZeroCellFactor, evaluate
+from .aztec import (AztecInstance, PeriodMatrix, ZeroCellFactor, _strip,
+                    evaluate)
 from .exprs import parse
 from .families import FAMILY_NAMES, family_value
 from .graphs import SizeCapExceeded, graph_from_json, oracle_mgf
@@ -76,10 +77,7 @@ def _integer_factorization(value: RF):
     for p in sympy.primerange(TRIAL_DIVISION_LIMIT + 1):
         if p * p > n:
             break
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
+        n, e = _strip(n, p)
         if e:
             out.append([p, e])
     if n > 1:
@@ -137,8 +135,7 @@ def cmd_verify(args) -> int:
               f"{', '.join(sorted(SUITES))}", file=sys.stderr)
         return 2
     suite = SUITES[args.suite]
-    given = {"trials": args.trials, "seed": args.seed,
-             "slow": args.slow or None}
+    given = {"trials": args.trials, "seed": args.seed}
     kwargs = {k: v for k, v in given.items() if v is not None}
     declared = inspect.signature(suite).parameters
     for k in kwargs:
@@ -200,8 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("suite", help=", ".join(sorted(SUITES)))
     v.add_argument("--trials", type=int, default=None)
     v.add_argument("--seed", type=int, default=None)
-    v.add_argument("--slow", action="store_true",
-                   help="include the long-running cases")
     v.set_defaults(fn=cmd_verify)
 
     g = sub.add_parser("oracle",

@@ -295,10 +295,9 @@ def _weighted_dungeon_expected(n: int) -> FactoredRF:
 
 
 @_suite("weighted-dungeon")
-def suite_weighted_dungeon(slow: bool = False) -> Iterator[Case]:
-    top = 11 if slow else 7
+def suite_weighted_dungeon() -> Iterator[Case]:
     m = weighted_dungeon_period_M()
-    for n in range(top + 1):
+    for n in range(12):
         yield Case.compare(f"symbolic-n{n}", _weighted_dungeon_expected(n),
                            evaluate_factored(AztecInstance(n, m)),
                            "eight-variable closed form")

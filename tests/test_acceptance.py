@@ -72,12 +72,6 @@ def test_criterion_06_weighted_dungeon_values():
     run_suite("criterion-06 weighted diamond values", suite_weighted_dungeon)
 
 
-@pytest.mark.slow
-def test_criterion_06_weighted_dungeon_values_slow():
-    run_suite("criterion-06 weighted diamond values (full range)",
-              suite_weighted_dungeon, slow=True)
-
-
 def test_criterion_07_dungeon_e():
     run_suite("criterion-07 dungeon E", suite_dungeon_e)
 

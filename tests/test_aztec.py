@@ -3,10 +3,12 @@
 import json
 import math
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from matchgen.aztec import (AztecInstance, PeriodMatrix, ZeroCellFactor,
@@ -364,21 +366,32 @@ def _or_message(fn):
         return str(exc)
 
 
-@pytest.mark.parametrize("pool, sizes", [
-    pytest.param((0, 1, 2, 3, Fraction(1, 2)), (2, 4, 6, 8), id="numeric"),
-    pytest.param((0, 1, 2, "a", "a+1", "1/b"), (2, 4), id="symbolic"),
+def _converted_steps(inst):
+    """The reduction rounds of inst, each round's counts as its factor."""
+    return [(m, aztec._from_counts(counts))
+            for m, counts in aztec._cached_steps(inst)]
+
+
+@pytest.mark.parametrize("pool, sizes, trials, top", [
+    pytest.param((0, 1, 2, 3, Fraction(1, 2)), ((2, 4, 6, 8),) * 2, 20, 8,
+                 id="numeric"),
+    pytest.param((0, 1, 2, "a", "a+1", "1/b"), ((2, 4),) * 2, 20, 8,
+                 id="symbolic"),
+    pytest.param((Fraction(1, 2), 1, Fraction(3, 2), 2, 3, 5), ((4,), (6,)),
+                 1, 16, id="generic-4x6"),
 ])
-def test_count_tables_match_the_naive_block_products(pool, sizes):
+def test_count_tables_match_the_naive_block_products(pool, sizes, trials,
+                                                     top):
     rng = random.Random(16)
     pool = [parse(e) if isinstance(e, str) else FactoredRF(e) for e in pool]
-    for _ in range(20):
-        k, l = rng.choice(sizes), rng.choice(sizes)
+    for _ in range(trials):
+        k, l = map(rng.choice, sizes)
         entries = rng.sample(pool, 4)
         p = PeriodMatrix([[rng.choice(entries) for _ in range(l)]
                           for _ in range(k)])
         aztec._LAST_ORBIT.clear()
-        for n in range(1, 9):
-            assert _or_message(lambda: aztec._cached_steps(
+        for n in range(1, top + 1):
+            assert _or_message(lambda: _converted_steps(
                 AztecInstance(n, p))) == _naive_steps(p, n)
         aztec._LAST_ORBIT.clear()
         report = _or_message(lambda: detect_proportional(p, max_iter=3))
@@ -388,6 +401,45 @@ def test_count_tables_match_the_naive_block_products(pool, sizes):
         else:
             steps = len(report.per_step_factors)
             assert report.per_step_factors == expected[:steps]
+
+
+# keys of count dicts: integers > 1 sharing primes, high powers of 2, the
+# sign key -1 and two irreducibles
+_count_keys = st.one_of(
+    st.lists(st.sampled_from((2, 3, 5, 6, 10 ** 9 + 7)), min_size=1,
+             max_size=5).map(math.prod),
+    st.sampled_from((4, 2 ** 200, 2 ** 64 * 3, -1)),
+    st.sampled_from([*FactoredRF.from_rf(parse("(x+1)*y")).factors]))
+_count_dicts = st.dictionaries(_count_keys, st.integers(-100, 100),
+                               max_size=6)
+
+
+@given(st.lists(_count_dicts, max_size=4), st.booleans())
+@example([{2 ** 200: 1, 4: -100}], False)
+@example([{6: 1, 2: -1, 3: -1, -1: 2}], False)
+@settings(max_examples=200, deadline=None)
+def test_counts_convert_to_the_direct_product(steps, cancel):
+    if cancel:
+        steps = steps + [{key: -e for key, e in counts.items()}
+                         for counts in steps]
+    total = Counter()
+    for counts in steps:
+        total.update(counts)
+    ints = {x: e for x, e in total.items() if isinstance(x, int)}
+    coeff = math.prod((Fraction(x) ** e for x, e in ints.items()),
+                      start=Fraction(1))
+    factors = {f: e for f, e in total.items()
+               if e and not isinstance(f, int)}
+    value = aztec._from_counts(total)
+    assert value == FactoredRF(coeff, factors)
+    if cancel:
+        assert value == 1
+    ints.pop(-1, None)
+    base = aztec._coprime_base(ints)
+    assert 1 not in base
+    assert all(math.gcd(a, b) == 1 for a, b in combinations(base, 2))
+    assert math.prod((Fraction(b) ** e for b, e in base.items()),
+                     start=Fraction(1)) == abs(coeff)
 
 
 def test_detection_and_recurrence_read_the_walked_orbit(monkeypatch):

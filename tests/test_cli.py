@@ -259,13 +259,20 @@ def test_orbit_max_iter_default_is_the_search_default():
 
 
 @pytest.mark.parametrize("suite,flag", [
-    ("aztec-basic", ["--trials", "5"]), ("dragon", ["--slow"]),
+    ("aztec-basic", ["--trials", "5"]), ("dragon", ["--trials", "2"]),
     ("orbit", ["--seed", "1"])])
 def test_verify_refuses_undeclared_flag(capsys, suite, flag):
     code, data = run_json(capsys, "verify", suite, *flag)
     assert code == 1
     assert data["error"]["kind"] == "ComputationError"
     assert flag[0] in data["error"]["message"]
+
+
+def test_verify_has_no_slow_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "weighted-dungeon", "--slow"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --slow" in capsys.readouterr().err
 
 
 def test_verify_declared_flags(capsys):

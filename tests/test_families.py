@@ -3,7 +3,8 @@
 import pytest
 
 from matchgen import families
-from matchgen.aztec import AztecInstance, PeriodMatrix, evaluate, to_graph
+from matchgen.aztec import (AztecInstance, PeriodMatrix, evaluate,
+                            evaluate_factored, to_graph)
 from matchgen.exprs import parse
 from matchgen.families import (FAMILY_NAMES, ColumnPairMatrix,
                                checkered_closed_form,
@@ -39,6 +40,12 @@ def test_dungeon_e_counts():
     counts = [1, 2 * 13, 13 ** 3, 13 ** 5]
     for n, c in enumerate(counts):
         assert family_value("dungeon-E", n) == RF.const(c)
+
+
+def test_dungeon_e_recurrence_to_order_64():
+    counts = [family_value("dungeon-E", n) for n in range(65)]
+    for n in range(6, 65):
+        assert counts[n] == RF.const(13 ** (4 * n - 8)) * counts[n - 6]
 
 
 def test_dungeon_spec_validation():
@@ -147,6 +154,13 @@ def test_checkered_pipeline_matches_closed_form():
     for n in range(7):
         v, _ = evaluate(AztecInstance(n, checkered_period()))
         assert v == checkered_closed_form(n)
+
+
+def test_checkered_factored_values_to_order_300():
+    period = checkered_period()
+    for n in range(1, 301):
+        assert evaluate_factored(AztecInstance(n, period)) == \
+            checkered_closed_form(n)
 
 
 def test_checkered_counts_past_two_q_shift_periods():
