@@ -13,16 +13,13 @@ the exact generating function with a full audit trail.
 from __future__ import annotations
 
 import json
-import math
-from collections import Counter
-from fractions import Fraction
 from itertools import accumulate
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .cellular import whole_cell
 from .exprs import parse
 from .graphs import WeightedGraph
-from .rational import FactoredRF, RationalFunction, _factored
+from .rational import FactoredRF, RationalFunction
 
 RF = RationalFunction
 
@@ -110,10 +107,6 @@ class PeriodMatrix:
             raise ValueError(f"the period has no variable {unknown[0]!r} "
                              "to bind")
 
-    def __str__(self):
-        return "\n".join("  ".join(str(e) for e in row)
-                         for row in self.entries)
-
     def to_json(self) -> str:
         return json.dumps({
             "k": self.k,
@@ -150,7 +143,8 @@ def _read_part(rows: List[list], m: int) -> List[list]:
 
 
 def _cell(a, b, c, d) -> Optional[tuple]:
-    """`whole_cell` on block [[a,b],[c,d]], or None if it has no factor.
+    """`whole_cell` on block [[a,b],[c,d]] as (factor counts, new weights),
+    or None if it has no factor.
 
     The block is the cell a, b, d, c in cyclic order.  A zero block, or an
     undefined one (with a None entry), gives None.
@@ -158,18 +152,20 @@ def _cell(a, b, c, d) -> Optional[tuple]:
     if a is None or b is None or c is None or d is None:
         return None
     try:
-        return whole_cell((a, b, d, c))
+        delta, weights = whole_cell((a, b, d, c))
     except ZeroDivisionError:
         return None
+    return delta.counts(), weights
 
 
 def _step(rows: List[list]) -> Tuple[List[list], List[list]]:
     """One shuffle step on a period's rows: its block factors and successor.
 
-    Block [[a,b],[c,d]] gets its factor a*d + b*c and its new weights from
-    one `_cell` call per distinct (a, b, c, d), since the blocks of a
-    periodic pattern repeat.  A zero or undefined block has factor None,
-    and the successor entries it would produce are None.
+    Block [[a,b],[c,d]] gets the counts (`FactoredRF.counts`) of its factor
+    a*d + b*c and its new weights from one `_cell` call per distinct
+    (a, b, c, d), since the blocks of a periodic pattern repeat.  A zero or
+    undefined block has factor None, and the successor entries it would
+    produce are None.
     """
     k, l = len(rows), len(rows[0])
     factors, inv, cells = [], [[None] * l for _ in range(k)], {}
@@ -194,83 +190,26 @@ def _step(rows: List[list]) -> Tuple[List[list], List[list]]:
                      for i in range(k)]
 
 
-def _keys(delta: FactoredRF) -> dict:
-    """A block factor's count keys: its irreducibles, its coefficient's
-    |numerator| (+1) and denominator (-1) unless 1, and -1 (+1) if < 0."""
-    c = delta.coeff
-    ints = ((abs(c.numerator), 1), (c.denominator, -1), (-1, int(c < 0)))
-    return {**delta.factors, **{x: e for x, e in ints if x != 1 and e}}
-
-
 def _tables(factors: List[list]) -> tuple:
     """Prefix count tables of one step's block factors, and its zero blocks.
 
-    counts[key][i][j] sums the exponents of one `_keys` key over the blocks
-    above block row i and left of block column j.  Zero or undefined blocks
-    (None) are listed in row-major order; the tables skip them.
+    The factors are counts, as `_step` gives them.  counts[key][i][j] sums
+    the exponents of one key over the blocks above block row i and left of
+    block column j.  Zero or undefined blocks (None) are listed in
+    row-major order; the tables skip them.
     """
     width = len(factors[0]) + 1
-    keyed = [[{} if delta is None else _keys(delta) for delta in row]
-             for row in factors]
+    bad = [(bi, bj) for bi, row in enumerate(factors)
+           for bj, keys in enumerate(row) if keys is None]
+    keyed = [[keys or {} for keys in row] for row in factors]
     counts = {key: [[0] * width] for row in keyed for keys in row
               for key in keys}
-    bad = [(bi, bj) for bi, row in enumerate(factors)
-           for bj, delta in enumerate(row) if delta is None]
     for row in keyed:
         for key, table in counts.items():
             prefix = accumulate((keys.get(key, 0) for keys in row),
                                 initial=0)
             table.append([s + t for s, t in zip(table[-1], prefix)])
     return counts, bad
-
-
-def _strip(x: int, d: int) -> Tuple[int, int]:
-    """(x / d^k, k) for the largest k with d^k dividing x."""
-    k = 0
-    while x % d == 0:
-        x, k = x // d, k + 1
-    return x, k
-
-
-def _coprime_base(ints: Dict[int, int]) -> Dict[int, int]:
-    """prod(x^e) over integers x > 1 as exponents of a pairwise coprime base.
-
-    Factor refinement (Bach, Driscoll and Shallit 1993), smallest key first:
-    a base element b is divided out of a key fully, so a high power splits
-    in one step, and a divisor g > 1 the rest shares with b splits b into
-    g and b / g, so no element is 1.
-    """
-    base: Dict[int, int] = {}
-    todo = sorted(((x, e) for x, e in ints.items() if e), reverse=True)
-    while todo:
-        x, e = todo.pop()
-        for b in list(base):
-            x, k = _strip(x, b)
-            base[b] += k * e
-            g = math.gcd(x, b)
-            if g > 1:
-                eb = base.pop(b)
-                todo += [(g, eb), (b // g, eb), (x, e)]
-                break
-            if x == 1:
-                break
-        else:
-            base[x] = e
-    return {b: e for b, e in base.items() if e}
-
-
-def _from_counts(counts: dict) -> FactoredRF:
-    """The value of a count dict of `_keys` keys, in factored form; over a
-    coprime base num and den are coprime, so no gcd reduces the coefficient."""
-    ints = {x: e for x, e in counts.items() if isinstance(x, int) and e}
-    sign = (-1) ** (ints.pop(-1, 0) % 2)
-    base = _coprime_base(ints)
-    num = math.prod(b ** e for b, e in base.items() if e > 0)
-    den = math.prod(b ** -e for b, e in base.items() if e < 0)
-    coeff = object.__new__(Fraction)  # Fraction(num, den) would take a gcd
-    coeff._numerator, coeff._denominator = sign * num, den
-    return _factored(coeff, {
-        f: e for f, e in counts.items() if e and not isinstance(f, int)})
 
 
 class _Orbit:
@@ -280,7 +219,9 @@ class _Orbit:
     starts from.  Every step has the period's block size (kb, lb) and keeps
     the count `_tables` of its block factors, from which `factor` reads the
     counts of any multiset of its blocks that an order or an orbit step
-    uses; `_product` turns the sum of an order's counts into one value.
+    uses.  Each distinct block is keyed once, where `_step` moves its cell;
+    `FactoredRF.from_counts` turns the sum of an order's counts into one
+    value.
 
     No step is cut to the part an order reads, and none needs to be.  Step
     j serves order m = n - j, which leaves a block unused only when the
@@ -326,7 +267,7 @@ class _Orbit:
         bad = self.steps[j][-1]
         if bad:
             raise ZeroCellFactor(None, *bad[0], step=j + 1)
-        return _from_counts(self.factor(j))
+        return FactoredRF.from_counts(self.factor(j))
 
     def reduction(self, n: int, rounds: int) -> List[Tuple[int, dict]]:
         """(order, counts) for the first `rounds` reduction rounds from n.
@@ -368,11 +309,6 @@ def _kept_orbit(period: PeriodMatrix) -> _Orbit:
         _LAST_ORBIT.clear()
         orbit = _LAST_ORBIT[key] = _Orbit(period)
     return orbit
-
-
-def _cached_steps(inst: AztecInstance) -> List[Tuple[int, dict]]:
-    """All n rounds of inst as (order, counts), read off the kept orbit."""
-    return _kept_orbit(inst.period).reduction(inst.n, inst.n)
 
 
 def shuffle(p: PeriodMatrix) -> PeriodMatrix:
@@ -489,28 +425,20 @@ def reduce_step(inst: AztecInstance) -> Tuple[RF, AztecInstance]:
         raise ValueError("cannot reduce order 0")
     orbit = _Orbit(PeriodMatrix(_read_part(inst.period.entries, inst.n)))
     [(_, counts)] = orbit.reduction(inst.n, 1)
-    return _from_counts(counts).to_rf(), AztecInstance(
+    return FactoredRF.from_counts(counts).to_rf(), AztecInstance(
         inst.n - 1, PeriodMatrix(orbit.periods[1]))
-
-
-def _product(steps: List[Tuple[int, dict]]) -> FactoredRF:
-    """The product of the steps, as one sum of their counts."""
-    total = Counter()
-    for _, counts in steps:
-        total.update(counts)
-    return _from_counts(total)
 
 
 def evaluate(inst: AztecInstance
              ) -> Tuple[RF, List[Tuple[int, FactoredRF]]]:
     """Exact matching generating function and its (order, factor) steps.
 
-    The steps are read off the cached orbit of the period, so orders on
+    The steps are read off the kept orbit of the period, so orders on
     one period share its walk; each step's counts become its factor.
     """
-    steps = _cached_steps(inst)
-    return _product(steps).to_rf(), [(m, _from_counts(counts))
-                                     for m, counts in steps]
+    steps = _kept_orbit(inst.period).reduction(inst.n, inst.n)
+    return (FactoredRF.from_counts(*(c for _, c in steps)).to_rf(),
+            [(m, FactoredRF.from_counts(c)) for m, c in steps])
 
 
 def evaluate_factored(inst: AztecInstance) -> FactoredRF:
@@ -519,7 +447,8 @@ def evaluate_factored(inst: AztecInstance) -> FactoredRF:
     Same pipeline as evaluate, but the sum of the steps' counts is never
     expanded; useful when the value has small factors at high powers.
     """
-    return _product(_cached_steps(inst))
+    steps = _kept_orbit(inst.period).reduction(inst.n, inst.n)
+    return FactoredRF.from_counts(*(c for _, c in steps))
 
 
 def row_classes(n: int) -> List[List[int]]:

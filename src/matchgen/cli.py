@@ -20,13 +20,13 @@ from typing import Dict, Optional
 
 import sympy
 
-from .aztec import (AztecInstance, PeriodMatrix, ZeroCellFactor, _strip,
-                    evaluate)
+from .aztec import (AztecInstance, PeriodMatrix, ZeroCellFactor, evaluate,
+                    evaluate_factored)
 from .exprs import parse
 from .families import FAMILY_NAMES, family_value
 from .graphs import SizeCapExceeded, graph_from_json, oracle_mgf
 from .orbit import DEFAULT_MAX_ITER, detect_orbit
-from .rational import RationalFunction
+from .rational import RationalFunction, _strip
 from .verify import SUITES
 
 RF = RationalFunction
@@ -111,7 +111,11 @@ def cmd_compute(args) -> int:
         period.check_bindings(bindings)
         if bindings:
             period = period.substitute(bindings)
-        value, steps = evaluate(AztecInstance(args.n, period))
+        inst = AztecInstance(args.n, period)
+        if args.trace:
+            value, steps = evaluate(inst)
+        else:
+            value = evaluate_factored(inst).to_rf()
     out = {"value": str(value)}
     fact = _integer_factorization(value)
     if fact is not None:

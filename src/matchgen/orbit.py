@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .aztec import PeriodMatrix, _kept_orbit, _product, _read_part
+from .aztec import PeriodMatrix, _kept_orbit, _read_part
 from .rational import FactoredRF, RationalFunction
 
 RF = RationalFunction
@@ -203,7 +203,7 @@ def recurrence_constant(a: PeriodMatrix, n: int, k: int,
     if k < 1 or n < k:
         raise ValueError("need n >= k >= 1")
     orbit = _kept_orbit(a)
-    total = _product(orbit.reduction(n, k))
+    total = FactoredRF.from_counts(*(c for _, c in orbit.reduction(n, k)))
     m = n - k
     if m:
         c = _scalar(_read_part(a.entries, m), _read_part(orbit.periods[k], m))

@@ -17,6 +17,9 @@ The arithmetic contract:
   `FactoredRF == RationalFunction` expands the factored side and
   `FactoredRF.substitute` returns a FactoredRF.  A square root halves the
   exponents of the factored form.
+- Products.  A long product is one sum of exponent counts (`counts`),
+  turned into a FactoredRF once by `from_counts`, over a pairwise coprime
+  base of the integer keys so that its coefficient needs no gcd.
 - Hashing.  Equal values hash alike across the two types: a
   RationalFunction hashes as its FactoredRF, and a constant of either
   type hashes as its Fraction.
@@ -25,6 +28,7 @@ The arithmetic contract:
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
@@ -669,6 +673,33 @@ class FactoredRF:
     def is_zero(self) -> bool:
         return not self.coeff
 
+    def counts(self) -> Dict[object, int]:
+        """This nonzero value as exponent counts: its irreducibles, its
+        coefficient's |numerator| (+1) and denominator (-1) unless 1, and
+        -1 (+1) if it is negative."""
+        c = self.coeff
+        if not c:
+            raise ValueError("zero has no exponent counts")
+        ints = ((abs(c.numerator), 1), (c.denominator, -1), (-1, int(c < 0)))
+        return {**self.factors, **{x: e for x, e in ints if x != 1 and e}}
+
+    @staticmethod
+    def from_counts(*counts: Mapping[object, int]) -> "FactoredRF":
+        """The product of the values with these `counts`; over a coprime
+        base of the integer keys its coefficient needs no gcd."""
+        total = Counter()
+        for c in counts:
+            total.update(c)
+        ints = {x: e for x, e in total.items() if isinstance(x, int)}
+        sign = (-1) ** (ints.pop(-1, 0) % 2)
+        base = _coprime_base(ints)
+        num = math.prod(b ** e for b, e in base.items() if e > 0)
+        den = math.prod(b ** -e for b, e in base.items() if e < 0)
+        coeff = object.__new__(Fraction)  # Fraction(num, den) would take a gcd
+        coeff._numerator, coeff._denominator = sign * num, den
+        return _factored(coeff, {
+            f: e for f, e in total.items() if e and not isinstance(f, int)})
+
     def _merged(self, other: "FactoredRF", sign: int) -> "FactoredRF":
         factors = dict(self.factors)
         for f, e in other.factors.items():
@@ -808,3 +839,38 @@ def _factored(coeff: Fraction, factors: Dict[MultiPoly, int]) -> FactoredRF:
     object.__setattr__(out, "factors", factors)
     object.__setattr__(out, "_hash", None)
     return out
+
+
+def _strip(x: int, d: int) -> Tuple[int, int]:
+    """(x / d^k, k) for the largest k with d^k dividing x."""
+    k = 0
+    while x % d == 0:
+        x, k = x // d, k + 1
+    return x, k
+
+
+def _coprime_base(ints: Dict[int, int]) -> Dict[int, int]:
+    """prod(x^e) over integers x > 1 as exponents of a pairwise coprime base.
+
+    Factor refinement (Bach, Driscoll and Shallit 1993), smallest key first:
+    a base element b is divided out of a key fully, so a high power splits
+    in one step, and a divisor g > 1 the rest shares with b splits b into
+    g and b / g, so no element is 1.
+    """
+    base: Dict[int, int] = {}
+    todo = sorted(((x, e) for x, e in ints.items() if e), reverse=True)
+    while todo:
+        x, e = todo.pop()
+        for b in list(base):
+            x, k = _strip(x, b)
+            base[b] += k * e
+            g = math.gcd(x, b)
+            if g > 1:
+                eb = base.pop(b)
+                todo += [(g, eb), (b // g, eb), (x, e)]
+                break
+            if x == 1:
+                break
+        else:
+            base[x] = e
+    return {b: e for b, e in base.items() if e}

@@ -3,12 +3,10 @@
 import json
 import math
 import random
-from collections import Counter
 from fractions import Fraction
-from itertools import combinations
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matchgen.aztec import (AztecInstance, PeriodMatrix, ZeroCellFactor,
@@ -261,6 +259,29 @@ def test_one_orbit_walk_bounds_the_cell_moves(monkeypatch):
     assert len(calls) == big_expected
 
 
+def test_each_distinct_block_is_keyed_once(monkeypatch):
+    """A step reads a block factor's counts where its cell move succeeds,
+    not at every block position that repeats the block."""
+    keyed, moved, counts = [], [], FactoredRF.counts
+    cell = aztec.whole_cell
+
+    def counted_counts(value):
+        keyed.append(value)
+        return counts(value)
+
+    def counted_cell(w):
+        out = cell(w)
+        moved.append(w)
+        return out
+
+    monkeypatch.setattr(FactoredRF, "counts", counted_counts)
+    monkeypatch.setattr(aztec, "whole_cell", counted_cell)
+    aztec._LAST_ORBIT.clear()
+    for n in range(1, 36):
+        evaluate(AztecInstance(n, checkered_period()))
+    assert len(keyed) <= len(moved) <= 287
+
+
 def test_equal_blocks_make_one_cell_move_per_step(monkeypatch):
     base = PeriodMatrix.from_strings([["a", "b"], ["c", "d"]])
     tiled = PeriodMatrix([row * 4 for row in base.entries] * 3)
@@ -308,16 +329,18 @@ def _reference_step(rows):
 def test_step_matches_a_cell_move_per_block(monkeypatch):
     rng = random.Random(14)
     pool = [FactoredRF(w) for w in (0, 1, -1, 2, Fraction(1, 2))]
-    pool += [parse("a"), parse("a+1"), None]
+    pool += [FactoredRF.from_rf(parse(e)) for e in ("a", "a+1")] + [None]
     calls = _count_cell_moves(monkeypatch)
     for _ in range(60):
         k, l = rng.choice((2, 4, 6, 8)), rng.choice((2, 4, 6, 8))
         # a few entries each, so that blocks repeat and some are zero
         entries = rng.sample(pool, 3)
         rows = [[rng.choice(entries) for _ in range(l)] for _ in range(k)]
-        expected = _reference_step(rows)
+        factors, successor = _reference_step(rows)
+        keyed = [[None if delta is None else delta.counts() for delta in row]
+                 for row in factors]
         calls.clear()
-        assert aztec._step(rows) == expected
+        assert aztec._step(rows) == (keyed, successor)
         assert len(calls) == sum(not any(e is None for e in block)
                                  for block in _blocks(rows))
 
@@ -368,8 +391,9 @@ def _or_message(fn):
 
 def _converted_steps(inst):
     """The reduction rounds of inst, each round's counts as its factor."""
-    return [(m, aztec._from_counts(counts))
-            for m, counts in aztec._cached_steps(inst)]
+    orbit = aztec._kept_orbit(inst.period)
+    return [(m, FactoredRF.from_counts(counts))
+            for m, counts in orbit.reduction(inst.n, inst.n)]
 
 
 @pytest.mark.parametrize("pool, sizes, trials, top", [
@@ -401,45 +425,6 @@ def test_count_tables_match_the_naive_block_products(pool, sizes, trials,
         else:
             steps = len(report.per_step_factors)
             assert report.per_step_factors == expected[:steps]
-
-
-# keys of count dicts: integers > 1 sharing primes, high powers of 2, the
-# sign key -1 and two irreducibles
-_count_keys = st.one_of(
-    st.lists(st.sampled_from((2, 3, 5, 6, 10 ** 9 + 7)), min_size=1,
-             max_size=5).map(math.prod),
-    st.sampled_from((4, 2 ** 200, 2 ** 64 * 3, -1)),
-    st.sampled_from([*FactoredRF.from_rf(parse("(x+1)*y")).factors]))
-_count_dicts = st.dictionaries(_count_keys, st.integers(-100, 100),
-                               max_size=6)
-
-
-@given(st.lists(_count_dicts, max_size=4), st.booleans())
-@example([{2 ** 200: 1, 4: -100}], False)
-@example([{6: 1, 2: -1, 3: -1, -1: 2}], False)
-@settings(max_examples=200, deadline=None)
-def test_counts_convert_to_the_direct_product(steps, cancel):
-    if cancel:
-        steps = steps + [{key: -e for key, e in counts.items()}
-                         for counts in steps]
-    total = Counter()
-    for counts in steps:
-        total.update(counts)
-    ints = {x: e for x, e in total.items() if isinstance(x, int)}
-    coeff = math.prod((Fraction(x) ** e for x, e in ints.items()),
-                      start=Fraction(1))
-    factors = {f: e for f, e in total.items()
-               if e and not isinstance(f, int)}
-    value = aztec._from_counts(total)
-    assert value == FactoredRF(coeff, factors)
-    if cancel:
-        assert value == 1
-    ints.pop(-1, None)
-    base = aztec._coprime_base(ints)
-    assert 1 not in base
-    assert all(math.gcd(a, b) == 1 for a, b in combinations(base, 2))
-    assert math.prod((Fraction(b) ** e for b, e in base.items()),
-                     start=Fraction(1)) == abs(coeff)
 
 
 def test_detection_and_recurrence_read_the_walked_orbit(monkeypatch):

@@ -17,6 +17,7 @@ from matchgen.exprs import parse
 from matchgen.families import checkered_period, dungeon_period_N
 from matchgen.graphs import WeightedGraph, graph_to_json, oracle_mgf
 from matchgen.orbit import DEFAULT_MAX_ITER
+from matchgen.rational import FactoredRF
 from matchgen.rational import RationalFunction as RF
 
 
@@ -65,6 +66,27 @@ def test_compute_period_with_trace(capsys, tmp_path):
         prod = prod * f
     assert prod == parse("64")
     assert [step["order"] for step in data["trace"]] == [3, 2, 1]
+
+
+def test_compute_period_converts_steps_only_for_a_trace(capsys, tmp_path,
+                                                       monkeypatch):
+    """Without --trace the value is one conversion of the summed counts;
+    a trace adds one per step."""
+    calls, from_counts = [], FactoredRF.from_counts
+
+    def counted(*counts):
+        calls.append(counts)
+        return from_counts(*counts)
+
+    monkeypatch.setattr(FactoredRF, "from_counts", staticmethod(counted))
+    path = period_file(tmp_path, [["1", "2"], ["3", "a"]])
+    code, plain = run_json(capsys, "compute", "--period", path, "--n", "5")
+    assert code == 0 and len(calls) == 1
+    calls.clear()
+    code, traced = run_json(capsys, "compute", "--period", path, "--n", "5",
+                            "--trace")
+    assert code == 0 and len(calls) == 6
+    assert traced["value"] == plain["value"]
 
 
 def test_compute_period_with_bindings(capsys, tmp_path):

@@ -1,11 +1,14 @@
 """Exact arithmetic: polynomials, rational functions, factored forms."""
 
+import math
 import operator
 import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -475,3 +478,65 @@ class TestFactoredSubstitute:
         f = FactoredRF.from_rf(parse("3*(x-y)^2*(x+1)/(y^2+1)"))
         assert f.substitute({"x": parse("y")}) == RF.const(0)
         assert f.substitute({"x": RF.const(2), "y": RF.const(2)}) == 0
+
+
+nonzero = factored().filter(lambda f: not f.is_zero())
+
+
+class TestCounts:
+    @given(nonzero)
+    @example(FactoredRF(Fraction(-8, 9)))
+    @example(FactoredRF(1))
+    @example(FactoredRF.from_rf(parse("-(x+1)^3/(2*y)")))
+    @settings(max_examples=100, deadline=None)
+    def test_counts_read_back_to_the_value(self, v):
+        assert FactoredRF.from_counts(v.counts()) == v
+
+    @given(nonzero, nonzero)
+    @example(FactoredRF(-6), FactoredRF(Fraction(-1, 4)))
+    @settings(max_examples=100, deadline=None)
+    def test_summed_counts_are_the_product(self, a, b):
+        assert FactoredRF.from_counts(a.counts(), b.counts()) == a * b
+
+    def test_zero_has_no_counts(self):
+        with pytest.raises(ValueError):
+            FactoredRF.zero().counts()
+
+
+# keys of count dicts: integers > 1 sharing primes, high powers of 2, the
+# sign key -1 and two irreducibles
+_count_keys = st.one_of(
+    st.lists(st.sampled_from((2, 3, 5, 6, 10 ** 9 + 7)), min_size=1,
+             max_size=5).map(math.prod),
+    st.sampled_from((4, 2 ** 200, 2 ** 64 * 3, -1)),
+    st.sampled_from([*FactoredRF.from_rf(parse("(x+1)*y")).factors]))
+_count_dicts = st.dictionaries(_count_keys, st.integers(-100, 100),
+                               max_size=6)
+
+
+@given(st.lists(_count_dicts, max_size=4), st.booleans())
+@example([{2 ** 200: 1, 4: -100}], False)
+@example([{6: 1, 2: -1, 3: -1, -1: 2}], False)
+@settings(max_examples=200, deadline=None)
+def test_counts_convert_to_the_direct_product(steps, cancel):
+    if cancel:
+        steps = steps + [{key: -e for key, e in counts.items()}
+                         for counts in steps]
+    total = Counter()
+    for counts in steps:
+        total.update(counts)
+    ints = {x: e for x, e in total.items() if isinstance(x, int)}
+    coeff = math.prod((Fraction(x) ** e for x, e in ints.items()),
+                      start=Fraction(1))
+    factors = {f: e for f, e in total.items()
+               if e and not isinstance(f, int)}
+    value = FactoredRF.from_counts(*steps)
+    assert value == FactoredRF(coeff, factors)
+    if cancel:
+        assert value == 1
+    ints.pop(-1, None)
+    base = rational._coprime_base(ints)
+    assert 1 not in base
+    assert all(math.gcd(a, b) == 1 for a, b in combinations(base, 2))
+    assert math.prod((Fraction(b) ** e for b, e in base.items()),
+                     start=Fraction(1)) == abs(coeff)
