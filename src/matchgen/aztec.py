@@ -142,30 +142,14 @@ def _read_part(rows: List[list], m: int) -> List[list]:
     return [row[:2 * m] for row in rows[:2 * m]]
 
 
-def _cell(a, b, c, d) -> Optional[tuple]:
-    """`whole_cell` on block [[a,b],[c,d]] as (factor counts, new weights),
-    or None if it has no factor.
-
-    The block is the cell a, b, d, c in cyclic order.  A zero block, or an
-    undefined one (with a None entry), gives None.
-    """
-    if a is None or b is None or c is None or d is None:
-        return None
-    try:
-        delta, weights = whole_cell((a, b, d, c))
-    except ZeroDivisionError:
-        return None
-    return delta.counts(), weights
-
-
 def _step(rows: List[list]) -> Tuple[List[list], List[list]]:
     """One shuffle step on a period's rows: its block factors and successor.
 
-    Block [[a,b],[c,d]] gets the counts (`FactoredRF.counts`) of its factor
-    a*d + b*c and its new weights from one `_cell` call per distinct
-    (a, b, c, d), since the blocks of a periodic pattern repeat.  A zero or
-    undefined block has factor None, and the successor entries it would
-    produce are None.
+    Block [[a,b],[c,d]] is the cell a, b, d, c in cyclic order.  One
+    `whole_cell` call per distinct (a, b, c, d) gives its factor a*d + b*c
+    and new weights, so equal blocks share one factor object.  A zero or
+    undefined (None entry) block has factor None and leaves None where its
+    new weights would go.  Entries need only +, *, /, is_zero, == and hash.
     """
     k, l = len(rows), len(rows[0])
     factors, inv, cells = [], [[None] * l for _ in range(k)], {}
@@ -174,9 +158,15 @@ def _step(rows: List[list]) -> Tuple[List[list], List[list]]:
         row = []
         for bj in range(l // 2):
             cols = slice(2 * bj, 2 * bj + 2)
-            block = (*upper[cols], *lower[cols])
+            block = a, b, c, d = (*upper[cols], *lower[cols])
             if block not in cells:
-                cells[block] = _cell(*block)
+                cells[block] = None
+                # by identity: `None in block` would call the entries' __eq__
+                if not (a is None or b is None or c is None or d is None):
+                    try:
+                        cells[block] = whole_cell((a, b, d, c))
+                    except ZeroDivisionError:
+                        pass
             cell = cells[block]
             if cell is None:
                 row.append(None)
@@ -193,17 +183,21 @@ def _step(rows: List[list]) -> Tuple[List[list], List[list]]:
 def _tables(factors: List[list]) -> tuple:
     """Prefix count tables of one step's block factors, and its zero blocks.
 
-    The factors are counts, as `_step` gives them.  counts[key][i][j] sums
-    the exponents of one key over the blocks above block row i and left of
+    The factors are `_step`'s; the counts (`FactoredRF.counts`) of each
+    distinct factor object are read once.  counts[key][i][j] sums the
+    exponents of one key over the blocks above block row i and left of
     block column j.  Zero or undefined blocks (None) are listed in
     row-major order; the tables skip them.
     """
     width = len(factors[0]) + 1
     bad = [(bi, bj) for bi, row in enumerate(factors)
-           for bj, keys in enumerate(row) if keys is None]
-    keyed = [[keys or {} for keys in row] for row in factors]
-    counts = {key: [[0] * width] for row in keyed for keys in row
-              for key in keys}
+           for bj, delta in enumerate(row) if delta is None]
+    distinct = {id(delta): delta for row in factors for delta in row
+                if delta is not None}
+    read = {i: delta.counts() for i, delta in distinct.items()}
+    keyed = [[{} if delta is None else read[id(delta)] for delta in row]
+             for row in factors]
+    counts = {key: [[0] * width] for keys in read.values() for key in keys}
     for row in keyed:
         for key, table in counts.items():
             prefix = accumulate((keys.get(key, 0) for keys in row),
@@ -219,9 +213,9 @@ class _Orbit:
     starts from.  Every step has the period's block size (kb, lb) and keeps
     the count `_tables` of its block factors, from which `factor` reads the
     counts of any multiset of its blocks that an order or an orbit step
-    uses.  Each distinct block is keyed once, where `_step` moves its cell;
-    `FactoredRF.from_counts` turns the sum of an order's counts into one
-    value.
+    uses.  `_step` moves each distinct block's cell once, `_tables` reads
+    each distinct factor's counts once, and `FactoredRF.from_counts` turns
+    the sum of an order's counts into one value.
 
     No step is cut to the part an order reads, and none needs to be.  Step
     j serves order m = n - j, which leaves a block unused only when the

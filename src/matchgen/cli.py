@@ -87,6 +87,15 @@ def _integer_factorization(value: RF):
     return out
 
 
+def _report(value: RF) -> dict:
+    """{"value"} of a computed value, and "factorization" if it has one."""
+    out = {"value": str(value)}
+    fact = _integer_factorization(value)
+    if fact is not None:
+        out["factorization"] = fact
+    return out
+
+
 def _load_period(path: str) -> PeriodMatrix:
     try:
         with open(path) as fh:
@@ -116,10 +125,7 @@ def cmd_compute(args) -> int:
             value, steps = evaluate(inst)
         else:
             value = evaluate_factored(inst).to_rf()
-    out = {"value": str(value)}
-    fact = _integer_factorization(value)
-    if fact is not None:
-        out["factorization"] = fact
+    out = _report(value)
     if args.trace:
         out["trace"] = [{"order": o, "factor": str(f)} for o, f in steps]
     print(json.dumps(out))
@@ -162,12 +168,7 @@ def cmd_oracle(args) -> int:
             g = graph_from_json(fh.read())
     except (OSError, ValueError, KeyError) as e:
         raise ComputationError(f"cannot read graph file {args.graph}: {e}")
-    value = oracle_mgf(g)
-    out = {"value": str(value)}
-    fact = _integer_factorization(value)
-    if fact is not None:
-        out["factorization"] = fact
-    print(json.dumps(out))
+    print(json.dumps(_report(oracle_mgf(g))))
     return 0
 
 

@@ -137,9 +137,7 @@ def _q_shift_match(aq: PeriodMatrix):
                          f"has {len(variables)}: {', '.join(variables)}")
     params = [(v, RF.var(v)) for v in variables]
     shifted = {}
-    squares = {Fraction(i * i) for i in range(1, 11)}
-    # sigma = 1 first, so a parameter-free matrix reports the identity
-    ordered = sorted(squares, key=lambda s: (s != 1, s))
+    sigmas = {Fraction(i * i) for i in range(2, 11)}
 
     def entry(sigma: Fraction, e: FactoredRF) -> FactoredRF:
         # keyed on the entry's value: a periodic pattern repeats its entries
@@ -150,16 +148,14 @@ def _q_shift_match(aq: PeriodMatrix):
         return shifted[key]
 
     def match(cur, factors):
-        # only the newest step factor is new; both c^2 and 1/c^2 are added,
-        # since c^2 can be a candidate while 1/c^2 is not (c = 2)
-        nonlocal ordered
+        # the newest step factor c adds c^2 and 1/c^2 if it is a positive
+        # constant, since c^2 can be a candidate while 1/c^2 is not (c = 2)
         f = factors[-1]
         if not f.factors and f.coeff > 0:
-            size = len(squares)
-            squares.update((f.coeff ** 2, 1 / f.coeff ** 2))
-            if len(squares) > size:
-                ordered = sorted(squares, key=lambda s: (s != 1, s))
-        for sigma in ordered:
+            sigmas.update((f.coeff ** 2, f.coeff ** -2))
+            sigmas.discard(1)
+        # sigma = 1 first, so a parameter-free matrix reports the identity
+        for sigma in (Fraction(1), *sorted(sigmas)):
             if all(c == entry(sigma, e)
                    for cur_row, row in zip(cur, aq.entries)
                    for c, e in zip(cur_row, row)):

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
@@ -202,11 +203,11 @@ class MultiPoly:
                 v if k == 1 else f"{v}^{k}"
                 for v, k in zip(self.variables, e) if k)
             if not mono:
-                body = str(abs(c))
+                body = _digits(abs(c))
             elif abs(c) == 1:
                 body = mono
             else:
-                body = f"{abs(c)}*{mono}"
+                body = f"{_digits(abs(c))}*{mono}"
             if not pieces:
                 pieces.append(body if c > 0 else "-" + body)
             else:
@@ -215,6 +216,12 @@ class MultiPoly:
 
     def __repr__(self) -> str:
         return f"MultiPoly({self})"
+
+
+def _digits(c: Fraction) -> str:
+    """str(c) through Decimal: int.__str__ refuses over 4,300 digits."""
+    num = str(Decimal(c.numerator))
+    return num if c.denominator == 1 else f"{num}/{Decimal(c.denominator)}"
 
 
 def _make(variables, prim, content) -> MultiPoly:

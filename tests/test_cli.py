@@ -6,6 +6,8 @@ import os
 import subprocess
 import sys
 import time
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -87,6 +89,33 @@ def test_compute_period_converts_steps_only_for_a_trace(capsys, tmp_path,
                             "--trace")
     assert code == 0 and len(calls) == 6
     assert traced["value"] == plain["value"]
+
+
+GENERIC_4X6 = [["1", "3", "1/2", "3/2", "1/2", "2"],
+               ["2", "2", "5", "2", "1", "1/2"],
+               ["2", "1/2", "2", "2", "3", "1/2"],
+               ["5", "2", "3/2", "5", "1", "3"]]
+
+
+def _constant(text):
+    """A printed constant, read with no limit on its number of digits."""
+    num, _, den = text.partition("/")
+    return Fraction(int(Decimal(num)), int(Decimal(den or "1")))
+
+
+def test_compute_prints_numbers_of_more_than_4300_digits(capsys, tmp_path):
+    """int.__str__ refuses them; the step factors of a generic numeric
+    period pass that size at order 12."""
+    path = period_file(tmp_path, GENERIC_4X6)
+    code, data = run_json(capsys, "compute", "--period", path, "--n", "12",
+                          "--trace")
+    assert code == 0
+    assert max(len(step["factor"]) for step in data["trace"]) > 4300
+    value, steps = evaluate(AztecInstance(
+        12, PeriodMatrix.from_strings(GENERIC_4X6)))
+    assert _constant(data["value"]) == value.as_const()
+    assert [_constant(step["factor"]) for step in data["trace"]] == \
+        [f.coeff for _, f in steps]
 
 
 def test_compute_period_with_bindings(capsys, tmp_path):

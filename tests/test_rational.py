@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 from collections import Counter
+from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
@@ -540,3 +541,15 @@ def test_counts_convert_to_the_direct_product(steps, cancel):
     assert all(math.gcd(a, b) == 1 for a, b in combinations(base, 2))
     assert math.prod((Fraction(b) ** e for b, e in base.items()),
                      start=Fraction(1)) == abs(coeff)
+
+
+def test_values_print_more_digits_than_int_str_allows():
+    """int.__str__ refuses integers of more than 4,300 digits; a value's
+    printed digits have no such limit and read back to its integers."""
+    n = 3 ** 10000
+    assert len(str(Decimal(n))) > 4300
+    assert int(Decimal(str(RF.const(n)))) == n
+    num, den = str(RF.const(Fraction(-n, 7 ** 6000))).split("/")
+    assert (int(Decimal(num)), int(Decimal(den))) == (-n, 7 ** 6000)
+    assert str(RF.var("x") * n - 1) == f"{Decimal(n)}*x-1"
+    assert str(FactoredRF(n)) == str(Decimal(n))
