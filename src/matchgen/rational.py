@@ -28,6 +28,7 @@ The arithmetic contract:
 from __future__ import annotations
 
 import math
+import zlib
 from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
@@ -38,6 +39,7 @@ from typing import Dict, Mapping, Optional, Tuple
 from sympy import Symbol as _Symbol
 from sympy.polys.domains import ZZ as _ZZ
 from sympy.polys.orderings import grlex as _grlex
+from sympy.polys.polyerrors import ExactQuotientFailed as _ExactQuotientFailed
 from sympy.polys.polyerrors import HeuristicGCDFailed as _HeuristicGCDFailed
 from sympy.polys.rings import PolyElement, PolyRing
 
@@ -574,34 +576,104 @@ def _poly_substitute(p: MultiPoly, bindings) -> "RationalFunction":
 
 
 _factor_cache: Dict[MultiPoly, Tuple[Fraction, Tuple[Tuple[MultiPoly, int], ...]]] = {}
+# every irreducible poly_factor has returned: its value at _at_point, and its
+# degree in each of its variables
+_irreducibles: Dict[MultiPoly, Tuple[int, Dict[str, int]]] = {}
 
 
 def poly_factor(p: MultiPoly):
     """Factor into monic irreducibles: (coeff, ((factor, exponent), ...)).
 
-    The product coeff * prod(f^e) reproduces p exactly; sympy finds the
-    irreducibles of p's primitive part over ZZ.
+    The product coeff * prod(f^e) reproduces p exactly, and the factors are
+    sorted by (total degree, str).  Results are cached by p's primitive
+    part, which is factored over ZZ in three passes:
+
+    1. Every irreducible found before (`_irreducibles`) that fits p's
+       variables and degrees is divided out as often as it goes.  A sparse
+       exact division is tried only where the factor's value at a fixed
+       integer point divides the remainder's, since a failed one costs
+       quadratic time in the number of terms.
+    2. A remainder of degree 1 in some x, A*x + B with B != 0 and
+       gcd(A, B) = 1, is irreducible (Gauss's lemma).
+    3. Any other remainder goes to sympy's `factor_list`.
+
+    Factorization over ZZ is unique, so the passes change neither the
+    factors nor their order: the result is the one `factor_list` gives for
+    the whole of p.  The registry is emptied with the cache, so both stay
+    bounded.
     """
     if p.is_zero():
         raise ValueError("cannot factor the zero polynomial")
     if p.is_const():
         return p.as_const(), ()
-    cached = _factor_cache.get(p)
-    if cached is not None:
-        return cached
-    coeff, parts = p.prim.factor_list()
-    c = p.content * coeff
-    out = []
-    for fac, e in parts:
-        lc = fac.LC
-        c *= lc ** e
-        out.append((_from_ring(p.variables, fac, Fraction(1, lc)), e))
+    key = p if p.content == 1 else _make(p.variables, p.prim, Fraction(1))
+    cached = _factor_cache.get(key)
+    if cached is None:
+        if len(_factor_cache) > 4096:
+            _factor_cache.clear()
+            _irreducibles.clear()
+        cached = _factor_cache[key] = _factor_primitive(key)
+    coeff, factors = cached
+    return p.content * coeff, factors
+
+
+def _factor_primitive(p: MultiPoly):
+    """poly_factor of a non-constant p with content 1, in its three passes."""
+    vs, q = p.variables, p.prim
+    degrees = dict(zip(vs, q.degrees()))
+    at = _at_point(q, vs)
+    c, out = Fraction(1), []
+    for f, (f_at, f_degrees) in _irreducibles.items():
+        if not all(d <= degrees.get(v, 0) for v, d in f_degrees.items()):
+            continue
+        e = 0
+        while (at % f_at == 0 if f_at else at == 0):
+            try:
+                q = q.exquo(f.prim.set_ring(q.ring))
+            except _ExactQuotientFailed:
+                break
+            e += 1
+            at = at // f_at if f_at else _at_point(q, vs)
+        if e:
+            c *= f.prim.LC ** e
+            out.append((f, e))
+            if q.is_ground:
+                break
+    if not q.is_ground:
+        coeff, parts = _remainder_factors(q)
+        c *= coeff
+        for fac, e in parts:
+            lc = fac.LC
+            c *= lc ** e
+            f = _from_ring(vs, fac, Fraction(1, lc))
+            _irreducibles[f] = (_at_point(f.prim, f.variables),
+                                dict(zip(f.variables, f.prim.degrees())))
+            out.append((f, e))
     out.sort(key=lambda fe: (fe[0].total_degree(), str(fe[0])))
-    result = (c, tuple(out))
-    if len(_factor_cache) > 4096:
-        _factor_cache.clear()
-    _factor_cache[p] = result
-    return result
+    return c, tuple(out)
+
+
+def _remainder_factors(q: PolyElement):
+    """factor_list of a primitive q with a positive leading coefficient,
+    answered without sympy's factorizer when q is A*x + B with B != 0 and
+    gcd(A, B) = 1: a factor free of x would divide both A and B."""
+    degrees = q.degrees()
+    if 1 in degrees:
+        i = degrees.index(1)
+        a = q.ring.from_dict({e[:i] + (0,) + e[i + 1:]: k
+                              for e, k in q.items() if e[i]})
+        b = q.ring.from_dict({e: k for e, k in q.items() if not e[i]})
+        if b and _ring_cofactors(a, b)[0].is_ground:
+            return 1, [(q, 1)]
+    return q.factor_list()
+
+
+def _at_point(q: PolyElement, variables: Tuple[str, ...]) -> int:
+    """q at the integer point that gives each variable the CRC-32 of its
+    name plus 2: the same point in every run, whatever the hash seed."""
+    point = [zlib.crc32(v.encode()) + 2 for v in variables]
+    return sum(k * math.prod(x ** d for x, d in zip(point, e) if d)
+               for e, k in q.items())
 
 
 class FactoredRF:

@@ -13,13 +13,17 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
+import sympy
 import sympy.polys.rings
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy.polys.polyerrors import HeuristicGCDFailed
 
-from matchgen import rational
+from matchgen import aztec, rational
+from matchgen.aztec import AztecInstance, evaluate_factored, to_graph
 from matchgen.exprs import _size, parse
+from matchgen.families import dungeon_period_N
+from matchgen.graphs import oracle_mgf
 from matchgen.rational import (FactoredRF, MultiPoly, RationalFunction,
                                poly_cofactors, poly_factor)
 
@@ -553,3 +557,111 @@ def test_values_print_more_digits_than_int_str_allows():
     assert (int(Decimal(num)), int(Decimal(den))) == (-n, 7 ** 6000)
     assert str(RF.var("x") * n - 1) == f"{Decimal(n)}*x-1"
     assert str(FactoredRF(n)) == str(Decimal(n))
+
+
+# irreducibles over Q: monomials, sums linear in one of several variables,
+# and others that only sympy's factorizer can settle
+IRREDUCIBLES = [parse(text).num for text in (
+    "x", "y", "z", "x+1", "y+1", "x+z", "2*x+3", "1-x*y", "x*y+z",
+    "x*y^2+z+1", "2*x*y-3*z^2+y", "a*b*g*h+a*c*f*g+b*d*e*h+2*c*d*e*f",
+    "x^2+1", "x^2+y^2", "x^3+x*y^2+1", "x^4+2*x^2*y^2+y^4+x",
+    "3*x^2-2*y")]
+
+
+def _forget_factors():
+    rational._factor_cache.clear()
+    rational._irreducibles.clear()
+
+
+def _sympy_factors(p):
+    """poly_factor's result built from sympy's factor_list of p as a whole:
+    monic factors in graded-lex order, sorted by (total degree, str)."""
+    if p.is_const():
+        return p.as_const(), ()
+    gens = sympy.symbols(p.variables)
+    expr = sum(sympy.Rational(c.numerator, c.denominator)
+               * sympy.prod([g ** k for g, k in zip(gens, e)])
+               for e, c in p.terms.items())
+    coeff, parts = sympy.Poly(expr, *gens).factor_list()
+    c, out = Fraction(int(sympy.numer(coeff)), int(sympy.denom(coeff))), []
+    for f, e in parts:
+        f = MultiPoly(tuple(str(g) for g in f.gens), {
+            m: Fraction(int(k)) for m, k in f.terms()})
+        lc = f.leading_coeff()
+        c *= lc ** e
+        out.append((f.scale(1 / lc), e))
+    out.sort(key=lambda fe: (fe[0].total_degree(), str(fe[0])))
+    return c, tuple(out)
+
+
+@given(st.lists(st.tuples(st.integers(0, len(IRREDUCIBLES) - 1),
+                          st.integers(1, 2)),
+                max_size=3, unique_by=lambda ie: ie[0]),
+       st.fractions(max_denominator=12).filter(bool),
+       st.sets(st.integers(0, len(IRREDUCIBLES) - 1)))
+@example([(4, 1), (5, 1)], Fraction(-2, 3), set())  # (y+1)*x + (y+1)*z
+@example([(11, 2), (8, 1)], Fraction(1), {11})
+@settings(max_examples=60, deadline=None)
+def test_factors_equal_sympys_over_any_known_irreducibles(powers, scale,
+                                                          known):
+    p = MultiPoly.const(scale)
+    for i, e in powers:
+        p = p * IRREDUCIBLES[i] ** e
+    expected = _sympy_factors(p)
+    _forget_factors()
+    for i in sorted(known):
+        poly_factor(IRREDUCIBLES[i])
+    assert poly_factor(p) == expected
+    assert poly_factor(p) == expected  # from the cache
+
+
+def test_scaled_inputs_share_one_cache_entry():
+    _forget_factors()
+    p = parse("(x+1)*(x^2+y^2)").num
+    assert poly_factor(p.scale(Fraction(-4, 3))) == (
+        Fraction(-4, 3), ((parse("x+1").num, 1), (parse("x^2+y^2").num, 1)))
+    assert list(rational._factor_cache) == [p]
+    assert poly_factor(p.scale(6))[0] == 6
+    assert len(rational._factor_cache) == 1
+
+
+def test_factor_cache_and_registry_are_cleared_together():
+    _forget_factors()
+    poly_factor(parse("(x+1)*(x^2+y^2)").num)
+    assert set(rational._irreducibles) == {parse("x+1").num,
+                                           parse("x^2+y^2").num}
+    # constants never reach the cache, so these keys only take up room
+    rational._factor_cache.update(
+        (MultiPoly.const(i), None) for i in range(4096))
+    poly_factor(parse("y^3+x").num)
+    assert list(rational._factor_cache) == [parse("y^3+x").num]
+    assert list(rational._irreducibles) == [parse("y^3+x").num]
+
+
+def _count_sympy_factorizations(monkeypatch):
+    calls = []
+    factor_list = sympy.polys.rings.PolyElement.factor_list
+    monkeypatch.setattr(sympy.polys.rings.PolyElement, "factor_list",
+                        lambda f: calls.append(f) or factor_list(f))
+    return calls
+
+
+def test_known_factors_leave_sympy_nothing_at_order_4_of_N(monkeypatch):
+    _forget_factors()
+    aztec._LAST_ORBIT.clear()
+    period = dungeon_period_N()
+    for n in (1, 2, 3):
+        evaluate_factored(AztecInstance(n, period))
+    calls = _count_sympy_factorizations(monkeypatch)
+    value = evaluate_factored(AztecInstance(4, period))
+    assert calls == []
+    assert value == oracle_mgf(to_graph(AztecInstance(4, period)))
+
+
+def test_a_sum_linear_in_one_variable_leaves_sympy_nothing(monkeypatch):
+    _forget_factors()
+    calls = _count_sympy_factorizations(monkeypatch)
+    p = parse("a*b*g*h+a*c*f*g+b*d*e*h+2*c*d*e*f").num  # M at order 2
+    assert poly_factor(p) == (1, ((p, 1),))
+    assert poly_factor(p.scale(2)) == (2, ((p, 1),))
+    assert calls == []
