@@ -14,7 +14,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
+from itertools import chain
 from typing import List, Optional, Tuple
+
+from sympy import integer_nthroot
 
 from .aztec import PeriodMatrix, _kept_orbit, _read_part
 from .rational import FactoredRF, RationalFunction
@@ -85,18 +89,18 @@ def _scalar(a: List[list], b: List[list]) -> Optional[FactoredRF]:
 def _search(a: PeriodMatrix, max_iter: int, kind: str, match) -> OrbitReport:
     """Read up to max_iter steps of the kept orbit of a, stopping at a hit.
 
-    After each step k, match(rows of shuffle^k(a), per-step factors so
-    far) is called once and returns the report fields of a hit or None;
-    the report of kind `kind` is the first hit, with the factors up to its
-    step, or "none" with max_iter factors.  Steps that an earlier call
-    walked on the same period are read, not walked again; a zero block
-    raises ZeroCellFactor naming the first step that has one.
+    After each step k, match(rows of shuffle^k(a)) is called once and
+    returns the report fields of a hit or None; the report of kind `kind`
+    is the first hit, with the per-step factors up to its step, or "none"
+    with max_iter factors.  Steps that an earlier call walked on the same
+    period are read, not walked again; a zero block raises ZeroCellFactor
+    naming the first step that has one.
     """
     orbit = _kept_orbit(a)
     factors: List[FactoredRF] = []
     for k in range(1, max_iter + 1):
         factors.append(orbit.step_factor(k - 1))
-        found = match(orbit.periods[k], factors)
+        found = match(orbit.periods[k])
         if found is not None:
             return OrbitReport(kind, k, per_step_factors=factors, **found)
     return OrbitReport("none", per_step_factors=factors)
@@ -105,7 +109,7 @@ def _search(a: PeriodMatrix, max_iter: int, kind: str, match) -> OrbitReport:
 def detect_proportional(a: PeriodMatrix,
                         max_iter: int = DEFAULT_MAX_ITER) -> OrbitReport:
     """Smallest k with shuffle^k(a) = c * a, searched up to max_iter."""
-    def match(cur, factors):
+    def match(cur):
         c = _scalar(a.entries, cur)
         return None if c is None else {"scalar": c.to_rf()}
 
@@ -114,55 +118,53 @@ def detect_proportional(a: PeriodMatrix,
 
 def detect_q_shift(aq: PeriodMatrix,
                    max_iter: int = DEFAULT_MAX_ITER) -> OrbitReport:
-    """Smallest k with shuffle^k(A(q)) = A(sigma * q) for a candidate sigma.
+    """Smallest k with shuffle^k(A(q)) = A(sigma * q), sigma positive rational.
 
     q is the one variable of A; a matrix with two or more variables raises
-    ValueError.  Candidate multipliers are the integer squares up to 100
-    together with squares of any constant per-step factors encountered
-    along the orbit.  Each candidate is compared entry by entry in factored
-    form, and sigma*q is substituted into an entry of A only when a
-    comparison reaches it; the first entry that differs settles a
-    candidate, so no shifted copy of A is built.  A matrix without a
-    variable is handled by the same loop, since substitution is then the
-    identity (sigma = 1).  The steps are read off the kept orbit of A, so
-    after detect_proportional on A they are not walked again.
+    ValueError.  As detect_proportional reads c, each step reads sigma off
+    the first entry of A that has q (`_sigma`), then checks it entry by
+    entry, substituting sigma*q into each distinct entry of A a comparison
+    reaches; a matrix without a variable is compared as it is (sigma = 1).
+    Nothing is kept between steps; they are read off the kept orbit of A.
     """
-    return _search(aq, max_iter, "q_shift", _q_shift_match(aq))
-
-
-def _q_shift_match(aq: PeriodMatrix):
     variables = sorted(aq.variables())
     if len(variables) > 1:
         raise ValueError("a q-shift needs at most one variable, the period "
                          f"has {len(variables)}: {', '.join(variables)}")
-    params = [(v, RF.var(v)) for v in variables]
-    shifted = {}
-    sigmas = {Fraction(i * i) for i in range(2, 11)}
 
-    def entry(sigma: Fraction, e: FactoredRF) -> FactoredRF:
-        # keyed on the entry's value: a periodic pattern repeats its entries
-        key = (sigma, e)
-        if key not in shifted:
-            shifted[key] = e.substitute(
-                {v: RF.const(sigma) * q for v, q in params})
-        return shifted[key]
-
-    def match(cur, factors):
-        # the newest step factor c adds c^2 and 1/c^2 if it is a positive
-        # constant, since c^2 can be a candidate while 1/c^2 is not (c = 2)
-        f = factors[-1]
-        if not f.factors and f.coeff > 0:
-            sigmas.update((f.coeff ** 2, f.coeff ** -2))
-            sigmas.discard(1)
-        # sigma = 1 first, so a parameter-free matrix reports the identity
-        for sigma in (Fraction(1), *sorted(sigmas)):
-            if all(c == entry(sigma, e)
-                   for cur_row, row in zip(cur, aq.entries)
-                   for c, e in zip(cur_row, row)):
-                return {"sigma": sigma}
+    def match(cur):
+        pairs = list(zip(chain(*cur), chain(*aq.entries)))
+        sigma = next((_sigma(e, c) for c, e in pairs if e.factors),
+                     Fraction(1))
+        if sigma is None:
+            return None
+        bindings = {v: RF.const(sigma) * RF.var(v) for v in variables}
+        shift = cache(lambda e: e.substitute(bindings))
+        if all(c == shift(e) for c, e in pairs):
+            return {"sigma": sigma}
         return None
 
-    return match
+    return _search(aq, max_iter, "q_shift", match)
+
+
+def _sigma(e: FactoredRF, c: FactoredRF) -> Optional[Fraction]:
+    """The only positive rational sigma that can give e(sigma q) = c, or None.
+
+    q -> sigma q keeps e's term degrees and multiplies the ratio of its
+    numerator's degree-i to its denominator's degree-j coefficient by
+    sigma^(i - j).  As e has q, i != j for (top of the numerator, bottom of
+    the denominator) or (bottom, top).  None if c is 0, has other term
+    degrees, or gives sigma^|i - j| no positive rational root.
+    """
+    en, ed, cn, cd = ({x[0] if x else 0: a for x, a in p.terms.items()}
+                      for f in (e.to_rf(), c.to_rf()) for p in (f.num, f.den))
+    if en.keys() != cn.keys() or ed.keys() != cd.keys():
+        return None
+    i, j = (max(en), min(ed)) if max(en) != min(ed) else (min(en), max(ed))
+    r = (cn[i] * ed[j] / (cd[j] * en[i])) ** (1 if i > j else -1)
+    (a, exact_a), (b, exact_b) = (integer_nthroot(abs(x), abs(i - j))
+                                  for x in (r.numerator, r.denominator))
+    return Fraction(a, b) if r > 0 and exact_a and exact_b else None
 
 
 def detect_orbit(a: PeriodMatrix,

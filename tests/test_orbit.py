@@ -1,5 +1,6 @@
 """Orbit structure of period matrices under repeated shuffling."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -74,8 +75,70 @@ def test_q_shift_reads_the_variable_off_the_period():
         detect_q_shift(PeriodMatrix.from_strings([["a", "b"], ["1", "1"]]))
 
 
+@pytest.mark.parametrize("q, expected", [
+    ("u^2", ("q_shift", 30, 3)),
+    ("1/u", ("q_shift", 30, Fraction(1, 9))),
+    ("2*u", ("q_shift", 30, 9)),
+    # 9^(1/3) is irrational, so no step reads a rational sigma off the period
+    ("u^3", ("none", 0, None)),
+])
+def test_q_shift_reads_sigma_off_the_period(q, expected):
+    period = checkered_period().substitute({"q": parse(q)})
+    rep = detect_q_shift(period)
+    assert (rep.kind, rep.period_length, rep.sigma) == expected
+    assert len(rep.per_step_factors) == (rep.period_length or 40)
+
+
+REFERENCE_SIGMAS = sorted({Fraction(a, b) for a in range(1, 13)
+                           for b in range(1, 13)})
+
+
+def _reference_q_shift(period, steps):
+    """The first (k, sigma) with k <= steps and shuffle^k(A(q)) = A(sigma q)
+    among sigma = a/b, 1 <= a, b <= 12, by substituting the whole period;
+    the kept orbit of period must be walked to `steps`."""
+    [q] = period.variables()
+    shifted = {sigma: period.substitute({q: RF.const(sigma) * RF.var(q)})
+               for sigma in REFERENCE_SIGMAS}
+    periods = aztec._kept_orbit(period).periods
+    for k in range(1, steps + 1):
+        for sigma, p in shifted.items():
+            if PeriodMatrix(periods[k]) == p:
+                return k, sigma
+    return None
+
+
+def test_q_shift_matches_a_brute_force_reference():
+    rng = random.Random(25)
+    pool = [parse(s) for s in ("1", "2", "1/2", "q", "2*q", "q^2", "1/q",
+                               "q+1", "(q+2)/q", "q/3")]
+    hits = 0
+    for _ in range(8):
+        size = rng.choice((2, 4))
+        entries = rng.sample(pool, 2)
+        period = PeriodMatrix([[rng.choice(entries) for _ in range(size)]
+                               for _ in range(size)])
+        if len(period.variables()) != 1:
+            continue
+        aztec._LAST_ORBIT.clear()
+        rep = detect_q_shift(period, max_iter=6)
+        expected = None
+        if rep.kind == "q_shift":
+            hits += 1
+            k, sigma = rep.period_length, rep.sigma
+            # the hit checks out by direct substitution
+            assert PeriodMatrix(aztec._kept_orbit(period).periods[k]) == \
+                period.substitute({"q": RF.const(sigma) * RF.var("q")})
+            expected = (k, sigma) if sigma in REFERENCE_SIGMAS else None
+        # the steps up to the hit, or all 6, are walked: no reference sigma
+        # matches earlier, and the reported one matches at the hit
+        assert _reference_q_shift(period, rep.period_length or 6) == expected
+    assert hits
+
+
 def test_q_shift_search_without_a_match():
-    # every candidate sigma is carried through 29 steps and none matches
+    # each step reads one sigma off the first entry with q, and up to step
+    # 29 no such sigma holds for every entry
     rep = detect_q_shift(checkered_period(), max_iter=29)
     assert rep.kind == "none"
     assert len(rep.per_step_factors) == 29
