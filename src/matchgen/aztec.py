@@ -13,7 +13,7 @@ the exact generating function with a full audit trail.
 from __future__ import annotations
 
 import json
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import List, Optional, Tuple
 
 from .cellular import whole_cell
@@ -90,7 +90,9 @@ class PeriodMatrix:
             self.entries == other.entries
 
     def map(self, fn) -> "PeriodMatrix":
-        return PeriodMatrix([[fn(e) for e in row] for row in self.entries])
+        """fn applied to each distinct entry once, as parsing is."""
+        values = {e: fn(e) for e in dict.fromkeys(chain(*self.entries))}
+        return PeriodMatrix([[values[e] for e in row] for row in self.entries])
 
     def substitute(self, bindings) -> "PeriodMatrix":
         return self.map(lambda e: e.substitute(bindings))

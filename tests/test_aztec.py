@@ -45,6 +45,20 @@ def test_period_json_round_trip():
         PeriodMatrix.from_json(declared)
 
 
+def test_substitute_keys_each_distinct_entry(monkeypatch):
+    period = checkered_period()
+    bindings = {"q": RF.var("u") ** 2}
+    per_entry = PeriodMatrix([[e.substitute(bindings) for e in row]
+                              for row in period.entries])
+    calls = []
+    substitute = FactoredRF.substitute
+    monkeypatch.setattr(FactoredRF, "substitute",
+                        lambda e, b: calls.append(e) or substitute(e, b))
+    assert period.substitute(bindings) == per_entry
+    distinct = {e for row in period.entries for e in row}
+    assert len(calls) == len(distinct) == 8
+
+
 def test_instance_order_validation():
     p = PeriodMatrix.constant(1)
     with pytest.raises(ValueError, match="order must be nonnegative"):

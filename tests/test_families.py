@@ -1,8 +1,9 @@
 """Named weight-pattern families and their closed forms."""
 
 import pytest
+from sympy.polys.rings import PolyElement
 
-from matchgen import families
+from matchgen import families, rational
 from matchgen.aztec import (AztecInstance, PeriodMatrix, evaluate,
                             evaluate_factored, to_graph)
 from matchgen.exprs import parse
@@ -34,6 +35,23 @@ def test_dungeon_d_counts():
         counts.append(13 ** (4 * n - 12) * counts[n - 6])
     for n, c in enumerate(counts):
         assert family_value("dungeon-D", n, ones) == RF.const(c)
+
+
+def test_dungeon_d_order_16_expands_by_the_recurrence(monkeypatch):
+    # y^310*x^170*(x^2+y^2)*P^85, whose P^85 (21,931 terms) took repeated
+    # squaring 15 s
+    counts = [1, 2, 13, 13 ** 3, 2 * 13 ** 5, 13 ** 8]
+    for n in range(6, 17):
+        counts.append(13 ** (4 * n - 12) * counts[n - 6])
+    value = family_value("dungeon-D", 16)
+    ones = {"x": RF.const(1), "y": RF.const(1)}
+    assert value.substitute(ones) == RF.const(counts[16])
+    squares = []
+    square = PolyElement.square
+    monkeypatch.setattr(PolyElement, "square",
+                        lambda p: squares.append(p) or square(p))
+    assert len(rational._power(parse(P).num.prim, 85)) == 21931
+    assert not squares
 
 
 def test_dungeon_e_counts():

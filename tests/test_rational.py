@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 import sympy
 import sympy.polys.rings
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from sympy.polys.polyerrors import HeuristicGCDFailed
 
@@ -91,6 +91,25 @@ def sparse_polys(draw, max_terms=4):
     return MultiPoly(tuple(variables), terms)
 
 
+@st.composite
+def power_bases(draw):
+    """Integer polynomials of 1-5 terms in 1-4 variables, some without a
+    constant term, some whose lowest term in `_power`'s packed order (lex
+    on the reversed exponent vector) has coefficient +-2 or +-3, which
+    that order's exact division divides by."""
+    k = draw(st.integers(1, 4))
+    terms = {}
+    for _ in range(draw(st.integers(1, 5))):
+        e = tuple(draw(st.integers(0, 3)) for _ in range(k))
+        terms[e] = draw(st.integers(-4, 4).filter(bool))
+    if draw(st.booleans()):
+        terms.pop((0,) * k, None)
+    low = draw(st.sampled_from((None, 2, -2, 3, -3)))
+    if low and terms:
+        terms[min(terms, key=lambda e: e[::-1])] = low
+    return mp("wxyz"[:k], terms)
+
+
 def grid_poly(variables, size, seed):
     """A dense size x size polynomial with coefficients c/6, none zero."""
     return MultiPoly(tuple(variables), {
@@ -136,11 +155,28 @@ class TestMultiPoly:
         assert a * c == schoolbook(a, c)
 
     def test_large_power_with_fractions(self):
-        # 64 terms, so powers go by repeated squaring
+        # 64 terms with Fraction content, at powers below the recurrence's
+        # crossover, so they go by repeated squaring
         p = grid_poly("xy", 8, 3)
         p2 = schoolbook(p, p)
         assert p ** 3 == schoolbook(p2, p)
         assert p ** 4 == schoolbook(p2, p2)
+
+    @given(power_bases(), st.integers(0, 24))
+    @example(mp("xy", {(6, 0): 1, (4, 2): 3, (2, 4): 3, (0, 6): 1,
+                       (3, 0): 2, (1, 2): 2, (0, 0): 1}), 16)
+    @example(mp("xy", {(0, 0): 2, (1, 0): 1, (0, 1): -1, (1, 1): 3}), 9)
+    @example(mp("xyz", {(2, 0, 0): -3, (1, 1, 0): 1, (0, 3, 0): 2,
+                        (1, 0, 2): -1}), 11)
+    @settings(max_examples=100, deadline=None)
+    def test_power_agrees_with_a_multiplication_chain(self, p, n):
+        out = p ** n
+        assume(len(out.terms) <= 1500)
+        power = MultiPoly.const(1)
+        for _ in range(n):
+            power = schoolbook(power, p)
+        assert out == power
+        assert str(out) == str(power) == grlex_str(power)
 
     @given(sparse_polys(), sparse_polys(), st.integers(0, 4))
     @settings(max_examples=150, deadline=None)
