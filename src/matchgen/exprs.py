@@ -15,8 +15,9 @@ forms such as "-x+1" read back in.
 
 Products and powers are expanded as they are parsed, so each one is
 refused with a ParseError when an estimate of its result, made from the
-operands before any work, exceeds MAX_TERMS terms, MAX_DEGREE total degree
-or MAX_BITS coefficient bits in a numerator or denominator.
+operands' `MultiPoly.size()` before any work, exceeds MAX_TERMS terms,
+MAX_DEGREE total degree or MAX_BITS coefficient bits in a numerator or
+denominator, and so is an integer literal too long for `int()`.
 """
 
 from __future__ import annotations
@@ -50,7 +51,12 @@ def _tokenize(text: str):
                                  pos)
             break
         if m.group(1):
-            tokens.append(("int", int(m.group(1)), m.start(1)))
+            try:
+                value = int(m.group(1))
+            except ValueError:  # over sys.get_int_max_str_digits() digits
+                raise ParseError("integer literal too long",
+                                 m.start(1)) from None
+            tokens.append(("int", value, m.start(1)))
         elif m.group(2):
             tokens.append(("var", m.group(2), m.start(2)))
         else:
@@ -144,38 +150,21 @@ class _Parser:
         raise ParseError("expected integer, variable, or '('", pos)
 
 
-def _size(p: MultiPoly):
-    """(terms, total degree, coefficient bits) of p.
-
-    Coefficient bits bound log2 of every coefficient's numerator and
-    denominator, so 1 has none and 2 has one.  A coefficient is
-    k * a/b for an integer k of p's primitive part and p's content a/b in
-    lowest terms, so it reduces by gcd(k, b) alone.
-    """
-    a, b = abs(p.content.numerator), p.content.denominator
-    bits = 0
-    for k in p.prim.itercoeffs():
-        g = math.gcd(k, b)
-        bits = max(bits, (abs(k) * a // g - 1).bit_length(),
-                   (b // g - 1).bit_length())
-    return len(p.prim), p.total_degree(), bits
-
-
 def _product_size(f: MultiPoly, g: MultiPoly):
-    """Upper estimate of _size(f * g): each coefficient sums at most
+    """Upper estimate of (f * g).size(): each coefficient sums at most
     min(terms) products."""
-    (tf, df, bf), (tg, dg, bg) = _size(f), _size(g)
+    (tf, df, bf), (tg, dg, bg) = f.size(), g.size()
     return tf * tg, df + dg, bf + bg + (min(tf, tg) - 1).bit_length()
 
 
 def _power_size(p: MultiPoly, n: int):
-    """Upper estimate of _size(p ** n).
+    """Upper estimate of (p ** n).size().
 
     The term count is the smaller of the multinomial count for p's terms
     and the number of monomials of total degree at most n * deg(p) in p's
     variables; a multinomial coefficient is at most terms^n.
     """
-    t, d, b = _size(p)
+    t, d, b = p.size()
     if t <= 1:
         return t, d * n, b * n
     v = len(p.variables)

@@ -13,15 +13,12 @@ reference for it.
 from __future__ import annotations
 
 import json
-import math
-from fractions import Fraction
 from typing import Dict, FrozenSet, Hashable, Iterable, List, Tuple
 
 from sympy.polys.rings import PolyElement
 
 from .exprs import parse
-from .rational import (RationalFunction, _from_ring, _power, _ring,
-                       _ring_cofactors)
+from .rational import RationalFunction, common_denominator
 
 Vertex = Hashable
 Edge = Tuple[Vertex, Vertex, RationalFunction]
@@ -162,32 +159,6 @@ def _branch_vertex(alive: int, nbr_mask: List[int]) -> int:
     return best
 
 
-def _common_denominator(weights: Iterable[RationalFunction]):
-    """The weights as numerators over one integer-ring denominator.
-
-    Each weight is (cn/cd)*P/Q with P, Q primitive.  With B the lcm of the
-    cd and L the polynomial lcm of the Q in `_ring(vs)`, vs the union of
-    the weights' variables, returns vs, a dict taking each weight's
-    (num, den) pair to cn*(B/cd)*P*(L/Q), and the common denominator B*L.
-    The pairs key the dict because MultiPoly caches its hash.
-    """
-    weights = {(w.num, w.den) for w in weights}
-    vs = tuple(sorted({v for n, d in weights
-                       for v in n.variables + d.variables}))
-    ring = _ring(vs)
-    dens = {d: d.prim.set_ring(ring) for _, d in weights}
-    lcm_q = ring.one
-    for q in dens.values():
-        lcm_q = lcm_q * _ring_cofactors(lcm_q, q)[2]
-    cofactor = {d: lcm_q.exquo(q) for d, q in dens.items()}
-    coeff = {(n, d): n.content / d.content for n, d in weights}
-    b = math.lcm(*(c.denominator for c in coeff.values()))
-    scaled = {(n, d): n.prim.set_ring(ring).mul_ground(
-                  c.numerator * (b // c.denominator)) * cofactor[d]
-              for (n, d), c in coeff.items()}
-    return vs, scaled, lcm_q.mul_ground(b)
-
-
 def oracle_mgf(g: WeightedGraph, size_cap: int = DEFAULT_SIZE_CAP) -> RationalFunction:
     """Sum over all perfect matchings of the product of edge weights.
 
@@ -195,13 +166,13 @@ def oracle_mgf(g: WeightedGraph, size_cap: int = DEFAULT_SIZE_CAP) -> RationalFu
     the set of vertices still alive, so a residual region reached along
     many partial matchings is summed once.  The sum runs in sympy's
     integer polynomial ring: every weight is first written over one common
-    denominator D (`_common_denominator`), and since a perfect matching
-    has |V|/2 edges, the value is the ring sum over D^(|V|/2), normalized
-    once, at the end.
+    denominator D (`rational.common_denominator`), and since a perfect
+    matching has |V|/2 edges, the value is the ring sum over D^(|V|/2),
+    normalized once, at the end.
     """
     _, nbr_mask, nbrs = _indexed(g, size_cap)
-    vs, scaled, den = _common_denominator(w for ws in nbrs for _, w in ws)
-    ring = _ring(vs)
+    ring, scaled, quotient = common_denominator(
+        w for ws in nbrs for _, w in ws)
     edges = [[(u, scaled[w.num, w.den]) for u, w in ws] for ws in nbrs]
     memo: Dict[int, PolyElement] = {}
 
@@ -219,11 +190,7 @@ def oracle_mgf(g: WeightedGraph, size_cap: int = DEFAULT_SIZE_CAP) -> RationalFu
         memo[alive] = total
         return total
 
-    total = go((1 << len(nbr_mask)) - 1)
-    half = len(nbr_mask) // 2
-    den = _power(den, half) if half else ring.one
-    return RationalFunction(_from_ring(vs, total, Fraction(1)),
-                            _from_ring(vs, den, Fraction(1)))
+    return quotient(go((1 << len(nbr_mask)) - 1), len(nbr_mask) // 2)
 
 
 def enumerate_matchings(g: WeightedGraph, size_cap: int = DEFAULT_SIZE_CAP):

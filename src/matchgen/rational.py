@@ -26,6 +26,9 @@ The arithmetic contract:
   p^n) coefficient products, each term of p^n one exact integer division.
   Up to 3 terms expand by the multinomial theorem, and exponents below
   `_MILLER_FROM` by repeated squaring, where those are faster.
+- Printing.  Only this module reads a polynomial's layout.  `__str__` and
+  `size` read ints reduced by gcd(k, b) (`_coefficients`), digits go through
+  `Decimal`, and `common_denominator` puts the oracle's weights over one D.
 - Hashing.  Equal values hash alike across the two types: a
   RationalFunction hashes as its FactoredRF, and a constant of either
   type hashes as its Fraction.
@@ -41,7 +44,7 @@ from fractions import Fraction
 from functools import lru_cache
 from heapq import heappop, heappush
 from types import MappingProxyType
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 from sympy import Symbol as _Symbol
 from sympy.polys.domains import ZZ as _ZZ
@@ -72,11 +75,8 @@ def _ring(variables: Tuple[str, ...]) -> PolyRing:
     return PolyRing([_Symbol(v) for v in variables], _ZZ, _grlex)
 
 
-@lru_cache(maxsize=1)
-def _ground() -> Tuple[PolyElement, PolyElement]:
-    """Zero and one of the ring with no variables, shared by all constants."""
-    ring = _ring(())
-    return ring.zero, ring.one
+# shared by all constants; PolyRing.zero and .one make a new element per read
+_GROUND = (_ring(()).zero, _ring(()).one)
 
 
 class MultiPoly:
@@ -111,7 +111,7 @@ class MultiPoly:
     @staticmethod
     def const(c) -> "MultiPoly":
         c = _as_fraction(c)
-        return _make((), _ground()[bool(c)], c)
+        return _make((), _GROUND[bool(c)], c)
 
     @staticmethod
     def var(name: str) -> "MultiPoly":
@@ -137,6 +137,13 @@ class MultiPoly:
 
     def total_degree(self) -> int:
         return sum(self.prim.LM)
+
+    def size(self) -> Tuple[int, int, int]:
+        """(terms, total degree, coefficient bits), the bits bounding log2 of
+        every coefficient's numerator and denominator: 1 has none, 2 one."""
+        bits = max((max((num - 1).bit_length(), (den - 1).bit_length())
+                    for _, _, num, den in self._coefficients()), default=0)
+        return len(self.prim), self.total_degree(), bits
 
     def leading_coeff(self) -> Fraction:
         if not self.content:
@@ -202,35 +209,38 @@ class MultiPoly:
 
     # -- printing -----------------------------------------------------
 
-    def __str__(self) -> str:
-        if not self.content:
-            return "0"
-        pieces = []
+    def _coefficients(self):
+        """(exponents, negative, |numerator|, denominator) of each term in
+        graded-lex order, as ints: k * a/b, k an integer of the primitive
+        part and a/b the content in lowest terms, reduces by gcd(k, b)."""
+        a, b = self.content.numerator, self.content.denominator
         for e, k in self.prim.terms():
-            c = self.content * k
+            g = math.gcd(k, b)
+            yield e, (k < 0) != (a < 0), abs(k * a) // g, b // g
+
+    def __str__(self) -> str:
+        pieces = []
+        for e, negative, num, den in self._coefficients():
             mono = "*".join(
                 v if k == 1 else f"{v}^{k}"
                 for v, k in zip(self.variables, e) if k)
             if not mono:
-                body = _digits(abs(c))
-            elif abs(c) == 1:
+                body = _digits(num, den)
+            elif num == den == 1:
                 body = mono
             else:
-                body = f"{_digits(abs(c))}*{mono}"
-            if not pieces:
-                pieces.append(body if c > 0 else "-" + body)
-            else:
-                pieces.append(("+" if c > 0 else "-") + body)
-        return "".join(pieces)
+                body = f"{_digits(num, den)}*{mono}"
+            pieces.append(("-" if negative else "+" if pieces else "") + body)
+        return "".join(pieces) or "0"
 
     def __repr__(self) -> str:
         return f"MultiPoly({self})"
 
 
-def _digits(c: Fraction) -> str:
-    """str(c) through Decimal: int.__str__ refuses over 4,300 digits."""
-    num = str(Decimal(c.numerator))
-    return num if c.denominator == 1 else f"{num}/{Decimal(c.denominator)}"
+def _digits(num: int, den: int) -> str:
+    """num/den through Decimal: int.__str__ refuses over 4,300 digits."""
+    out = str(Decimal(num))
+    return out if den == 1 else f"{out}/{Decimal(den)}"
 
 
 def _make(variables, prim, content) -> MultiPoly:
@@ -634,6 +644,39 @@ def _poly_substitute(p: MultiPoly, bindings) -> "RationalFunction":
         num = num + term
     return RationalFunction(_from_ring(vs, num, content),
                             _from_ring(vs, den, Fraction(1)))
+
+
+def common_denominator(weights: Iterable[RationalFunction]):
+    """The weights as numerators over one integer-ring denominator D.
+
+    Each weight is (cn/cd)*P/Q with P, Q primitive.  With B the lcm of the
+    cd and L the polynomial lcm of the Q in the ring R of the weights'
+    variables, D = B*L.  Returns R, a dict taking each weight's (num, den)
+    pair (MultiPoly caches its hash) to cn*(B/cd)*P*(L/Q), and
+    `quotient(total, k)`, total / D^k normalized once.
+    """
+    weights = {(w.num, w.den) for w in weights}
+    vs = tuple(sorted({v for n, d in weights
+                       for v in n.variables + d.variables}))
+    ring = _ring(vs)
+    dens = {d: d.prim.set_ring(ring) for _, d in weights}
+    lcm_q = ring.one
+    for q in dens.values():
+        lcm_q = lcm_q * _ring_cofactors(lcm_q, q)[2]
+    cofactor = {d: lcm_q.exquo(q) for d, q in dens.items()}
+    coeff = {(n, d): n.content / d.content for n, d in weights}
+    b = math.lcm(*(c.denominator for c in coeff.values()))
+    scaled = {(n, d): n.prim.set_ring(ring).mul_ground(
+                  c.numerator * (b // c.denominator)) * cofactor[d]
+              for (n, d), c in coeff.items()}
+    den = lcm_q.mul_ground(b)
+
+    def quotient(total: PolyElement, k: int) -> RationalFunction:
+        return RationalFunction(
+            _from_ring(vs, total, Fraction(1)),
+            _from_ring(vs, _power(den, k) if k else ring.one, Fraction(1)))
+
+    return ring, scaled, quotient
 
 
 _factor_cache: Dict[MultiPoly, Tuple[Fraction, Tuple[Tuple[MultiPoly, int], ...]]] = {}

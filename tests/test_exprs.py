@@ -1,6 +1,7 @@
 """Expression parsing and printing."""
 
 import re
+import sys
 import time
 from fractions import Fraction
 
@@ -59,6 +60,20 @@ def test_expansion_size_is_bounded(text, what):
     with pytest.raises(ParseError, match=what):
         parse(text)
     assert time.perf_counter() - start < 1
+
+
+def test_an_integer_literal_too_long_for_int_is_a_parse_error():
+    """int() refuses a literal over its digit limit (4,300 by default) with
+    its own ValueError; the parser refuses it at the literal instead."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(ParseError, match=re.escape(
+                "integer literal too long (at position 3)")):
+            parse("x+ " + "9" * 4301)
+        assert parse("9" * 4300) == RF.const(10 ** 4300 - 1)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_division_by_zero():

@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import zlib
 from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
@@ -17,11 +18,11 @@ import sympy
 import sympy.polys.rings
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from sympy.polys.polyerrors import HeuristicGCDFailed
+from sympy.polys.polyerrors import ExactQuotientFailed, HeuristicGCDFailed
 
 from matchgen import aztec, rational
 from matchgen.aztec import AztecInstance, evaluate_factored, to_graph
-from matchgen.exprs import _size, parse
+from matchgen.exprs import parse
 from matchgen.families import dungeon_period_N
 from matchgen.graphs import oracle_mgf
 from matchgen.rational import (FactoredRF, MultiPoly, RationalFunction,
@@ -234,7 +235,7 @@ class TestMultiPoly:
             bits = max((max((abs(c.numerator) - 1).bit_length(),
                             (c.denominator - 1).bit_length())
                         for c in p.terms.values()), default=0)
-            assert _size(p) == (len(p.terms), p.total_degree(), bits)
+            assert p.size() == (len(p.terms), p.total_degree(), bits)
 
     @given(polys(), polys(), polys())
     @settings(max_examples=60, deadline=None)
@@ -595,6 +596,67 @@ def test_values_print_more_digits_than_int_str_allows():
     assert str(FactoredRF(n)) == str(Decimal(n))
 
 
+def fraction_str(p):
+    """MultiPoly.__str__ as it was written on Fraction coefficients, kept as
+    the reference for the printer that reads its coefficients as ints."""
+    if not p.content:
+        return "0"
+    pieces = []
+    for e, k in p.prim.terms():
+        c = p.content * k
+        mono = "*".join(v if k == 1 else f"{v}^{k}"
+                        for v, k in zip(p.variables, e) if k)
+        if not mono:
+            body = fraction_digits(abs(c))
+        elif abs(c) == 1:
+            body = mono
+        else:
+            body = f"{fraction_digits(abs(c))}*{mono}"
+        if not pieces:
+            pieces.append(body if c > 0 else "-" + body)
+        else:
+            pieces.append(("+" if c > 0 else "-") + body)
+    return "".join(pieces)
+
+
+def fraction_digits(c):
+    num = str(Decimal(c.numerator))
+    return num if c.denominator == 1 else f"{num}/{Decimal(c.denominator)}"
+
+
+def gcd_size(p):
+    """MultiPoly.size() as the parser computed it from the layout."""
+    a, b = abs(p.content.numerator), p.content.denominator
+    bits = 0
+    for k in p.prim.itercoeffs():
+        g = math.gcd(k, b)
+        bits = max(bits, (abs(k) * a // g - 1).bit_length(),
+                   (b // g - 1).bit_length())
+    return len(p.prim), p.total_degree(), bits
+
+
+# contents of more than 4,300 digits, which int.__str__ refuses
+_big = st.sampled_from((1, 3 ** 9100, 7 ** 5200, 10 ** 4300 + 1))
+
+
+@given(sparse_polys(), st.fractions(max_denominator=30).filter(bool), _big,
+       _big)
+@example(MultiPoly.const(0), Fraction(1), 1, 1)
+@example(MultiPoly.const(1), Fraction(-1, 2), 3 ** 9100, 7 ** 5200)
+@example(parse("x-y").num, Fraction(-1), 1, 1)
+@settings(max_examples=80, deadline=None)
+def test_printer_matches_the_fraction_printer(p, scale, big_num, big_den):
+    p = p.scale(scale * Fraction(big_num, big_den))
+    limit = sys.get_int_max_str_digits()
+    try:
+        for digits in (limit, 640):
+            sys.set_int_max_str_digits(digits)
+            assert str(p) == fraction_str(p)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert p.size() == gcd_size(p)
+
+
 # irreducibles over Q: monomials, sums linear in one of several variables,
 # and others that only sympy's factorizer can settle
 IRREDUCIBLES = [parse(text).num for text in (
@@ -672,6 +734,31 @@ def test_factor_cache_and_registry_are_cleared_together():
     poly_factor(parse("y^3+x").num)
     assert list(rational._factor_cache) == [parse("y^3+x").num]
     assert list(rational._irreducibles) == [parse("y^3+x").num]
+
+
+def test_a_known_irreducible_that_does_not_divide_is_passed_over(
+        monkeypatch):
+    """(x - X)*(y + 2), X = crc32("x") + 2, is 0 at the fixed point, so
+    the point filter lets the known x+y+1 through: its sparse division
+    fails once, and the factors are still sympy's."""
+    _forget_factors()
+    poly_factor(parse("x+y+1").num)
+    failed = []
+    exquo = sympy.polys.rings.PolyElement.exquo
+
+    def counted(f, g):
+        try:
+            return exquo(f, g)
+        except ExactQuotientFailed:
+            failed.append(g)
+            raise
+
+    monkeypatch.setattr(sympy.polys.rings.PolyElement, "exquo", counted)
+    root = zlib.crc32(b"x") + 2
+    p = parse(f"(x-{root})*(y+2)").num
+    assert poly_factor(p) == _sympy_factors(p) == (
+        1, ((parse(f"x-{root}").num, 1), (parse("y+2").num, 1)))
+    assert len(failed) == 1
 
 
 def _count_sympy_factorizations(monkeypatch):
