@@ -17,6 +17,7 @@ cell kind (see tests); they are not guesses.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
 
 from .graphs import Vertex, WeightedGraph
@@ -207,7 +208,7 @@ def partial_cell(w: Sequence[RF], covered: Sequence[bool]) -> List[RF]:
     touched = sum(bool(covered[i] or covered[i - 1]) for i in range(4))
     if touched == 4:
         raise ValueError("every vertex of the cell is covered")
-    half = RF.const(1) / 2
+    half = RF.const(Fraction(1, 2))
     if touched == 0:
         return [half] * 4
     r = next(i for i in range(4) if covered[i] and not covered[i - 1])

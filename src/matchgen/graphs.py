@@ -5,15 +5,16 @@ recurse, with each call memoizing its values on the set of vertices still
 alive. Everything else in the package is ultimately checked against it.
 It writes every edge weight over one common denominator, sums products
 of the numerators in sympy's integer polynomial ring with no gcd, and
-normalizes the sum once, at the end.  Enumerating matchings and summing
-`matching_weight` in RationalFunction arithmetic is the slow, independent
-reference for it.
+normalizes the sum once, at the end.  An all-constant graph sums ints
+over the lcm of its weights' denominators instead.  Enumerating matchings
+and summing `matching_weight` in RationalFunction arithmetic is the slow,
+independent reference for it.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Dict, FrozenSet, Hashable, Iterable, List, Tuple
+from typing import Dict, FrozenSet, Hashable, Iterable, List, Tuple, Union
 
 from sympy.polys.rings import PolyElement
 
@@ -168,22 +169,23 @@ def oracle_mgf(g: WeightedGraph, size_cap: int = DEFAULT_SIZE_CAP) -> RationalFu
     integer polynomial ring: every weight is first written over one common
     denominator D (`rational.common_denominator`), and since a perfect
     matching has |V|/2 edges, the value is the ring sum over D^(|V|/2),
-    normalized once, at the end.
+    normalized once, at the end.  If every weight is constant, D is the
+    lcm of their denominators and the sum runs in ints.
     """
     _, nbr_mask, nbrs = _indexed(g, size_cap)
-    ring, scaled, quotient = common_denominator(
+    numerator, zero, one, quotient = common_denominator(
         w for ws in nbrs for _, w in ws)
-    edges = [[(u, scaled[w.num, w.den]) for u, w in ws] for ws in nbrs]
-    memo: Dict[int, PolyElement] = {}
+    edges = [[(u, numerator(w)) for u, w in ws] for ws in nbrs]
+    memo: Dict[int, Union[int, PolyElement]] = {}
 
-    def go(alive: int) -> PolyElement:
+    def go(alive: int) -> Union[int, PolyElement]:
         if not alive:
-            return ring.one
+            return one
         total = memo.get(alive)
         if total is not None:
             return total
         v = _branch_vertex(alive, nbr_mask)
-        total = ring.zero
+        total = zero
         for u, w in edges[v]:
             if alive >> u & 1:
                 total = total + w * go(alive & ~(1 << v | 1 << u))

@@ -29,6 +29,11 @@ The arithmetic contract:
 - Printing.  Only this module reads a polynomial's layout.  `__str__` and
   `size` read ints reduced by gcd(k, b) (`_coefficients`), digits go through
   `Decimal`, and `common_denominator` puts the oracle's weights over one D.
+- Constants.  A value with no variable stays a number: two constant
+  RationalFunctions add, multiply, divide and raise as Fractions over the
+  one shared denominator `_ONE`, with no polynomial gcd, and
+  `common_denominator` writes all-constant weights as ints over the lcm
+  of their denominators.
 - Hashing.  Equal values hash alike across the two types: a
   RationalFunction hashes as its FactoredRF, and a constant of either
   type hashes as its Fraction.
@@ -204,7 +209,7 @@ class MultiPoly:
         if n < 0:
             raise ValueError("negative power of a polynomial")
         if n == 0:
-            return MultiPoly.const(1)
+            return _ONE
         return _make(self.variables, _power(self.prim, n), self.content ** n)
 
     # -- printing -----------------------------------------------------
@@ -251,6 +256,10 @@ def _make(variables, prim, content) -> MultiPoly:
     object.__setattr__(out, "content", content)
     object.__setattr__(out, "_hash", None)
     return out
+
+
+# the denominator of every constant and the gcd of every coprime pair
+_ONE = _make((), _GROUND[1], Fraction(1))
 
 
 def _from_ring(variables: Tuple[str, ...], poly: PolyElement,
@@ -377,11 +386,11 @@ def poly_cofactors(f: MultiPoly, g: MultiPoly
         return h, fq, gq
     if (f.is_const() or g.is_const()
             or not set(f.variables) & set(g.variables)):
-        return MultiPoly.const(1), f, g
+        return _ONE, f, g
     vs, pf, pg = _align(f, g)
     h, fq, gq = _ring_cofactors(pf, pg)
     if h.is_ground:
-        return MultiPoly.const(1), f, g
+        return _ONE, f, g
     lc = h.LC
     return (_from_ring(vs, h, Fraction(1, lc)),
             _from_ring(vs, fq, f.content * lc),
@@ -412,6 +421,8 @@ class RationalFunction:
     The normalization (cancel the polynomial gcd, then divide both parts by
     the denominator's leading coefficient) is a canonical form: two
     RationalFunctions are equal as functions iff they are structurally equal.
+    A constant's denominator is 1, so two constants are added, multiplied
+    and divided as Fractions, with no polynomial gcd.
     """
 
     __slots__ = ("num", "den")
@@ -421,7 +432,7 @@ class RationalFunction:
             raise ZeroDivisionError("zero denominator")
         if not _normalized:
             if num.is_zero():
-                den = MultiPoly.const(1)
+                den = _ONE
             else:
                 _, num, den = poly_cofactors(num, den)
                 lc = den.leading_coeff()
@@ -439,17 +450,15 @@ class RationalFunction:
 
     @staticmethod
     def const(c) -> "RationalFunction":
-        return RationalFunction(MultiPoly.const(c), MultiPoly.const(1),
-                                _normalized=True)
+        return RationalFunction(MultiPoly.const(c), _ONE, _normalized=True)
 
     @staticmethod
     def var(name: str) -> "RationalFunction":
-        return RationalFunction(MultiPoly.var(name), MultiPoly.const(1),
-                                _normalized=True)
+        return RationalFunction(MultiPoly.var(name), _ONE, _normalized=True)
 
     @staticmethod
     def from_poly(p: MultiPoly) -> "RationalFunction":
-        return RationalFunction(p, MultiPoly.const(1))
+        return RationalFunction(p, _ONE)
 
     # -- queries ------------------------------------------------------
 
@@ -509,6 +518,8 @@ class RationalFunction:
             return other
         if other.is_zero():
             return self
+        if self.is_const() and other.is_const():
+            return RationalFunction.const(self.num.content + other.num.content)
         _, da, db = poly_cofactors(self.den, other.den)
         return RationalFunction(self.num * db + other.num * da,
                                 da * other.den)
@@ -536,6 +547,8 @@ class RationalFunction:
             return NotImplemented
         if self.is_zero() or other.is_zero():
             return RationalFunction.const(0)
+        if self.is_const() and other.is_const():
+            return RationalFunction.const(self.num.content * other.num.content)
         _, n1, d2 = poly_cofactors(self.num, other.den)
         _, n2, d1 = poly_cofactors(other.num, self.den)
         # monic denominators divided by monic gcds: the product is monic
@@ -546,6 +559,8 @@ class RationalFunction:
     def inverse(self) -> "RationalFunction":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
+        if self.is_const():
+            return RationalFunction.const(1 / self.num.content)
         # num/den are already coprime: only the new denominator is made monic
         inv = 1 / self.num.leading_coeff()
         return RationalFunction(self.den.scale(inv), self.num.scale(inv),
@@ -568,6 +583,8 @@ class RationalFunction:
             return RationalFunction.const(1)
         if n < 0:
             return self.inverse() ** (-n)
+        if self.is_const():
+            return RationalFunction.const(self.num.content ** n)
         # num/den already coprime, so no cancellation can appear, and a
         # power of a monic denominator is monic
         return RationalFunction(self.num ** n, self.den ** n,
@@ -647,36 +664,55 @@ def _poly_substitute(p: MultiPoly, bindings) -> "RationalFunction":
 
 
 def common_denominator(weights: Iterable[RationalFunction]):
-    """The weights as numerators over one integer-ring denominator D.
+    """The weights as numerators over one denominator D.
 
-    Each weight is (cn/cd)*P/Q with P, Q primitive.  With B the lcm of the
-    cd and L the polynomial lcm of the Q in the ring R of the weights'
-    variables, D = B*L.  Returns R, a dict taking each weight's (num, den)
-    pair (MultiPoly caches its hash) to cn*(B/cd)*P*(L/Q), and
-    `quotient(total, k)`, total / D^k normalized once.
+    Returns `numerator(w)` for each weight w, the zero and one of the
+    numerators' ring, and `quotient(total, k)`, total / D^k normalized
+    once.  Constant weights are Fractions cn/cd: D is the lcm b of the cd,
+    the numerators cn*(b/cd) are ints, and the quotient a Fraction.
+    Otherwise each weight is (cn/cd)*P/Q with P, Q primitive; with L the
+    polynomial lcm of the Q in the integer ring R of the weights'
+    variables, D = b*L and w's numerator, in R, is cn*(b/cd)*P*(L/Q),
+    looked up by w's (num, den) pair (MultiPoly caches its hash).
     """
-    weights = {(w.num, w.den) for w in weights}
-    vs = tuple(sorted({v for n, d in weights
+    weights = list(weights)
+    if all(w.is_const() for w in weights):
+        b = math.lcm(*(w.num.content.denominator for w in weights))
+
+        def numerator(w: RationalFunction) -> int:
+            c = w.num.content
+            return c.numerator * (b // c.denominator)
+
+        def quotient(total: int, k: int) -> RationalFunction:
+            return RationalFunction.const(Fraction(total, b ** k))
+
+        return numerator, 0, 1, quotient
+    pairs = {(w.num, w.den) for w in weights}
+    vs = tuple(sorted({v for n, d in pairs
                        for v in n.variables + d.variables}))
     ring = _ring(vs)
-    dens = {d: d.prim.set_ring(ring) for _, d in weights}
-    lcm_q = ring.one
+    one = ring.one
+    dens = {d: d.prim.set_ring(ring) for _, d in pairs}
+    lcm_q = one
     for q in dens.values():
         lcm_q = lcm_q * _ring_cofactors(lcm_q, q)[2]
     cofactor = {d: lcm_q.exquo(q) for d, q in dens.items()}
-    coeff = {(n, d): n.content / d.content for n, d in weights}
+    coeff = {(n, d): n.content / d.content for n, d in pairs}
     b = math.lcm(*(c.denominator for c in coeff.values()))
     scaled = {(n, d): n.prim.set_ring(ring).mul_ground(
                   c.numerator * (b // c.denominator)) * cofactor[d]
               for (n, d), c in coeff.items()}
     den = lcm_q.mul_ground(b)
 
+    def numerator(w: RationalFunction) -> PolyElement:
+        return scaled[w.num, w.den]
+
     def quotient(total: PolyElement, k: int) -> RationalFunction:
         return RationalFunction(
             _from_ring(vs, total, Fraction(1)),
-            _from_ring(vs, _power(den, k) if k else ring.one, Fraction(1)))
+            _from_ring(vs, _power(den, k) if k else one, Fraction(1)))
 
-    return ring, scaled, quotient
+    return numerator, ring.zero, one, quotient
 
 
 _factor_cache: Dict[MultiPoly, Tuple[Fraction, Tuple[Tuple[MultiPoly, int], ...]]] = {}
@@ -818,8 +854,8 @@ class FactoredRF:
                                    **{f: -e for f, e in parts2}})
 
     def to_rf(self) -> "RationalFunction":
-        if not self.coeff:
-            return RationalFunction.const(0)
+        if not self.factors:
+            return RationalFunction.const(self.coeff)
         # every factor is multiplied in one ring; products of monic factors
         # are monic, so each content is read off a leading coefficient
         vs = tuple(sorted({v for f in self.factors for v in f.variables}))

@@ -1,7 +1,10 @@
 """Weighted graphs and the brute-force matching oracle."""
 
+import math
+from fractions import Fraction
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from matchgen import rational
@@ -96,6 +99,55 @@ def test_oracle_equals_sum_over_enumerated_matchings(g):
     if len(g) % 2 or stranded:
         assert matchings == []
         assert oracle_mgf(g) == RF.const(0)
+
+
+def _cycle(*weights):
+    g = WeightedGraph()
+    for i, w in enumerate(weights):
+        g.add_edge(i, (i + 1) % len(weights), RF.const(w))
+    return g
+
+
+@st.composite
+def numeric_graphs(draw):
+    n = draw(st.integers(min_value=0, max_value=10))
+    g = WeightedGraph(vertices=range(n))
+    for u in range(n):
+        for v in range(u + 1, n):
+            if draw(st.booleans()):
+                g.add_edge(u, v, RF.const(draw(st.fractions(
+                    min_value=-3, max_value=3, max_denominator=4))))
+    return g
+
+
+@given(numeric_graphs())
+@example(WeightedGraph())                     # one empty matching: 1
+@example(WeightedGraph(vertices=range(4)))    # no matching: 0
+@example(_cycle(1, 1, 1, -1))                 # 1*1 + 1*(-1) = 0
+@example(_cycle(Fraction(-1, 2), 3, Fraction(2, 3), Fraction(-1, 4)))
+@settings(max_examples=80, deadline=None)
+def test_numeric_oracle_equals_fraction_sum_over_matchings(g):
+    expected = sum((math.prod((g.weights[e].as_const() for e in m),
+                              start=Fraction(1))
+                    for m in enumerate_matchings(g)), Fraction(0))
+    value = oracle_mgf(g)
+    assert value.is_const() and value.as_const() == expected
+
+
+def test_numeric_oracle_takes_no_gcd(monkeypatch):
+    inst = AztecInstance(3, PeriodMatrix([
+        [RF.const(2), RF.const(Fraction(1, 3))],
+        [RF.const(Fraction(-5, 2)), RF.const(Fraction(3, 4))]]))
+    expected = evaluate(inst)[0]
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return poly_cofactors(*args)
+
+    monkeypatch.setattr(rational, "poly_cofactors", counting)
+    assert oracle_mgf(to_graph(inst)) == expected
+    assert calls == []
 
 
 def test_oracle_counts_order_5_aztec_diamond():

@@ -127,6 +127,12 @@ def rationals(draw):
     return RF(num, den)
 
 
+# x, 1/x and (x+1)/(2y), built without RationalFunction arithmetic
+_non_constants = [RF(mp("x", {(1,): 1}), MultiPoly.const(1)),
+                  RF(MultiPoly.const(1), mp("x", {(1,): 1})),
+                  RF(mp("x", {(1,): 1, (0,): 1}), mp("y", {(1,): 2}))]
+
+
 class TestMultiPoly:
     def test_zero_and_const(self):
         z = MultiPoly((), {})
@@ -378,6 +384,48 @@ class TestRationalFunction:
             (q * q * 2).sqrt()
         with pytest.raises(ValueError, match="not a perfect square"):
             (q * parse("y")).sqrt()
+
+    @given(st.fractions(max_denominator=12), st.fractions(max_denominator=12),
+           st.integers(-3, 3), st.sampled_from(_non_constants))
+    @example(Fraction(0), Fraction(0), -2, _non_constants[1])
+    @example(Fraction(-3, 4), Fraction(0), 0, _non_constants[0])
+    @settings(max_examples=100, deadline=None)
+    def test_constants_compute_as_fractions(self, a, b, n, r):
+        """Constant arithmetic is Fraction arithmetic, in the form that the
+        normalizing constructor gives; a constant times a non-constant
+        is the normalized product."""
+        def normalized(num, den):
+            out = RF(num, den)
+            return out.num, out.den
+
+        x, y = RF.const(a), RF.const(b)
+        results = [(x + y, a + b), (x - y, a - b), (x * y, a * b), (-x, -a)]
+        if b:
+            results += [(x / y, a / b), (y.inverse(), 1 / b), (y ** n, b ** n)]
+        else:
+            with pytest.raises(ZeroDivisionError):
+                x / y
+            with pytest.raises(ZeroDivisionError, match="inverse of zero"):
+                y.inverse()
+            if n < 0:
+                with pytest.raises(ZeroDivisionError):
+                    y ** n
+        for out, c in results:
+            assert out.is_const() and out.as_const() == c
+            assert (out.num, out.den) == normalized(
+                MultiPoly.const(c.numerator), MultiPoly.const(c.denominator))
+            assert hash(out) == hash(c)
+        assert hash(x) == hash(a)
+        assert ((x * r).num, (x * r).den) == normalized(r.num.scale(a), r.den)
+        assert ((x / r).num, (x / r).den) == normalized(r.den.scale(a), r.num)
+        assert ((r + x).num, (r + x).den) == normalized(
+            r.num + r.den.scale(a), r.den)
+        num, den = (r.num, r.den) if n >= 0 else (r.den, r.num)
+        assert ((r ** n).num, (r ** n).den) == normalized(
+            num ** abs(n), den ** abs(n))
+        if b:
+            assert ((r / y).num, (r / y).den) == normalized(
+                r.num, r.den.scale(b))
 
     @given(rationals(), rationals())
     @settings(max_examples=60, deadline=None)
