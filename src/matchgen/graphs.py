@@ -3,20 +3,19 @@
 The oracle is deliberately simple: branch on a lowest-degree vertex and
 recurse, with each call memoizing its values on the set of vertices still
 alive. Everything else in the package is ultimately checked against it.
-It writes every edge weight over one common denominator, sums products
-of the numerators in sympy's integer polynomial ring with no gcd, and
-normalizes the sum once, at the end.  An all-constant graph sums ints
-over the lcm of its weights' denominators instead.  Enumerating matchings
-and summing `matching_weight` in RationalFunction arithmetic is the slow,
-independent reference for it.
+It writes every edge weight over one common denominator D, sums products
+of the numerators as packed integer terms, and divides the sum by D^(|V|/2)
+once, at the end, by dividing out the irreducible factors of D while they
+go: no gcd is taken.  An all-constant graph sums ints over the lcm of its
+weights' denominators instead.  Enumerating matchings and summing
+`matching_weight` in RationalFunction arithmetic is the slow, independent
+reference for it.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Dict, FrozenSet, Hashable, Iterable, List, Tuple, Union
-
-from sympy.polys.rings import PolyElement
+from typing import Dict, FrozenSet, Hashable, Iterable, List, Tuple
 
 from .exprs import parse
 from .rational import RationalFunction, common_denominator
@@ -165,34 +164,32 @@ def oracle_mgf(g: WeightedGraph, size_cap: int = DEFAULT_SIZE_CAP) -> RationalFu
 
     Branches on a lowest-degree vertex.  Each call memoizes its values on
     the set of vertices still alive, so a residual region reached along
-    many partial matchings is summed once.  The sum runs in sympy's
-    integer polynomial ring: every weight is first written over one common
-    denominator D (`rational.common_denominator`), and since a perfect
-    matching has |V|/2 edges, the value is the ring sum over D^(|V|/2),
-    normalized once, at the end.  If every weight is constant, D is the
-    lcm of their denominators and the sum runs in ints.
+    many partial matchings is summed once.  Every weight is first written
+    over one common denominator D (`rational.common_denominator`), and
+    since a perfect matching has |V|/2 edges, the value is the sum of
+    products of numerators (its `dot`, on packed integer terms) over
+    D^(|V|/2), put in canonical form once, at the end, by its `quotient`.
+    If every weight is constant, D is the lcm of their denominators and
+    the sum runs in ints.
     """
     _, nbr_mask, nbrs = _indexed(g, size_cap)
-    numerator, zero, one, quotient = common_denominator(
-        w for ws in nbrs for _, w in ws)
+    numerator, one, dot, quotient = common_denominator(
+        (w for ws in nbrs for _, w in ws), len(nbr_mask) // 2)
     edges = [[(u, numerator(w)) for u, w in ws] for ws in nbrs]
-    memo: Dict[int, Union[int, PolyElement]] = {}
+    memo: Dict[int, object] = {}
 
-    def go(alive: int) -> Union[int, PolyElement]:
+    def go(alive: int):
         if not alive:
             return one
         total = memo.get(alive)
-        if total is not None:
-            return total
-        v = _branch_vertex(alive, nbr_mask)
-        total = zero
-        for u, w in edges[v]:
-            if alive >> u & 1:
-                total = total + w * go(alive & ~(1 << v | 1 << u))
-        memo[alive] = total
+        if total is None:
+            v = _branch_vertex(alive, nbr_mask)
+            total = memo[alive] = dot(
+                [(w, go(alive & ~(1 << v | 1 << u)))
+                 for u, w in edges[v] if alive >> u & 1])
         return total
 
-    return quotient(go((1 << len(nbr_mask)) - 1), len(nbr_mask) // 2)
+    return quotient(go((1 << len(nbr_mask)) - 1))
 
 
 def enumerate_matchings(g: WeightedGraph, size_cap: int = DEFAULT_SIZE_CAP):

@@ -8,7 +8,16 @@ The arithmetic contract:
 
 - Normalization.  A RationalFunction is reduced by one sympy call,
   `poly_cofactors`, which returns the gcd together with both reduced
-  parts; no polynomial is divided outside sympy.
+  parts.
+- Division.  Besides the gcd's cofactors, a polynomial is divided only by
+  a known irreducible, through `_divide`: Johnson's heap division
+  on exponent vectors packed into ints (`_Packing`, which `_power` and the
+  oracle's sums share), stopping at the first term that does not divide.
+  `poly_factor` divides out the irreducibles it has found before
+  (`_exquo`), and `common_denominator` divides the oracle's total by the
+  irreducibles of its denominator; neither takes a gcd.  A polynomial
+  moves between rings by `_embed`, which matches variables by name once
+  per pair of rings.
 - Conversion.  A value is factored once, where it enters the pipeline
   (period entries, closed-form references), and stays a FactoredRF through
   products, sums, powers and substitution.  It is expanded once, where it
@@ -47,7 +56,7 @@ from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from types import MappingProxyType
 from typing import Dict, Iterable, Mapping, Optional, Tuple
 
@@ -106,7 +115,8 @@ class MultiPoly:
         vs = tuple(sorted(variables))
         prim = _ring(tuple(variables)).from_dict({
             e: c.numerator * (den // c.denominator) for e, c in terms.items()})
-        return _from_ring(vs, prim.set_ring(_ring(vs)), Fraction(1, den))
+        return _from_ring(vs, _embed(prim, tuple(variables), vs),
+                          Fraction(1, den))
 
     def __setattr__(self, *a):
         raise AttributeError("MultiPoly is immutable")
@@ -270,8 +280,8 @@ def _from_ring(variables: Tuple[str, ...], poly: PolyElement,
         return MultiPoly.const(0)
     used = poly.degrees()
     if not all(used):
-        variables = tuple(v for v, d in zip(variables, used) if d)
-        poly = poly.set_ring(_ring(variables))
+        kept = tuple(v for v, d in zip(variables, used) if d)
+        variables, poly = kept, _embed(poly, variables, kept)
     if not variables:
         return MultiPoly.const(content * poly.LC)
     c, poly = poly.primitive()
@@ -283,8 +293,8 @@ def _from_ring(variables: Tuple[str, ...], poly: PolyElement,
 def _power(p: PolyElement, n: int) -> PolyElement:
     """p ** n for n >= 1, by J. C. P. Miller's recurrence on packed exponents.
 
-    Each exponent vector e is packed into the int w(e) = sum e_i << (b*i),
-    with b bits enough for n times p's largest degree.  w is linear and
+    Each exponent vector e is packed into the int w(e) (`_Packing`), with
+    fields wide enough for n times p's degrees.  w is linear and
     one-to-one on the exponent vectors of p and of q = p^n, so it grades
     both and p's lowest term c0*m0 is unique.  With E the Euler operator of
     w, p*E(q) = n*E(p)*q; at the offset v = w(t) - n*w(m0) of q's term t
@@ -314,10 +324,8 @@ def _power(p: PolyElement, n: int) -> PolyElement:
             if not n:
                 return out
             p = p.square()
-    b = (n * max(p.degrees())).bit_length()
-    shifts = [b * i for i in range(p.ring.ngens)]
-    (w0, c0), *rest = sorted(
-        (sum(e << s for e, s in zip(m, shifts)), c) for m, c in p.items())
+    packing = _Packing([n * d for d in p.degrees()])
+    (w0, c0), *rest = sorted(packing.terms(p).items())
     rest = [(w - w0, n * (w - w0), c) for w, c in rest]
     q, pending, heap = {}, {}, []
     v, qv = 0, c0 ** n
@@ -338,10 +346,8 @@ def _power(p: PolyElement, n: int) -> PolyElement:
         if not total:
             break
         qv = total // (c0 * v)
-    mask, base = (1 << b) - 1, n * w0
-    return p.ring.dtype(
-        (tuple((v + base) >> s & mask for s in shifts), c)
-        for v, c in q.items())
+    base = n * w0
+    return packing.poly(p.ring, {v + base: c for v, c in q.items()})
 
 
 # the exponent from which _power's recurrence beats repeated squaring: on
@@ -356,8 +362,127 @@ def _align(a: MultiPoly, b: MultiPoly):
     if a.variables == b.variables:
         return a.variables, a.prim, b.prim
     vs = tuple(sorted(set(a.variables) | set(b.variables)))
-    ring = _ring(vs)
-    return vs, a.prim.set_ring(ring), b.prim.set_ring(ring)
+    return vs, _embed(a.prim, a.variables, vs), _embed(b.prim, b.variables, vs)
+
+
+def _embed(p: PolyElement, src: Tuple[str, ...],
+           dst: Tuple[str, ...]) -> PolyElement:
+    """p, an element of _ring(src), as an element of _ring(dst).
+
+    Every variable p uses must be in dst.  Exponents move by position,
+    matched by variable name once per pair of rings (`_positions`), where
+    sympy's `set_ring` compares and prints Symbols on every call.
+    """
+    if src == dst:
+        return p
+    pos = _positions(src, dst)
+    return _ring(dst).dtype(
+        (tuple(m[i] if i >= 0 else 0 for i in pos), c) for m, c in p.items())
+
+
+@lru_cache(maxsize=1024)
+def _positions(src: Tuple[str, ...], dst: Tuple[str, ...]) -> Tuple[int, ...]:
+    """For each variable of dst, its position in src, or -1."""
+    index = {v: i for i, v in enumerate(src)}
+    return tuple(index.get(v, -1) for v in dst)
+
+
+class _Packing:
+    """Exponent vectors e with e_i <= bounds[i], each packed into one int.
+
+    e_i sits at bit shifts[i], in a field with room for bounds[i] and one
+    guard bit above it that is 0 in every packed vector.  Packing is
+    linear, so monomials multiply by adding ints, and int order is the lex
+    order with the last variable first, a monomial order.  For packed m and
+    n, m - n sets a guard bit exactly when some n_i exceeds m_i: the lowest
+    field that borrows keeps its top bit set.  `_power`, `_exquo` and the
+    oracle's sums (`common_denominator`) pack this way.
+    """
+
+    __slots__ = ("shifts", "masks", "guard")
+
+    def __init__(self, bounds: Iterable[int]):
+        self.shifts, self.masks, self.guard, width = [], [], 0, 0
+        for d in bounds:
+            self.shifts.append(width)
+            width += d.bit_length() + 1
+            self.masks.append((1 << width - self.shifts[-1]) - 1)
+            self.guard |= 1 << width - 1
+
+    def pack(self, m: Iterable[int]) -> int:
+        return sum(e << s for e, s in zip(m, self.shifts))
+
+    def unpack(self, w: int) -> ExpVec:
+        return tuple(w >> s & k for s, k in zip(self.shifts, self.masks))
+
+    def terms(self, p: PolyElement) -> Dict[int, int]:
+        return {self.pack(m): c for m, c in p.items()}
+
+    def poly(self, ring: PolyRing, terms: Mapping[int, int]) -> PolyElement:
+        return ring.dtype((self.unpack(w), c) for w, c in terms.items())
+
+
+def _exquo(f: PolyElement, g: PolyElement) -> PolyElement:
+    """f / g for two elements of one integer ring, when g divides f exactly;
+    otherwise ExactQuotientFailed, as sympy's `exquo` raises.
+
+    A g of higher degree than f in some variable does not divide it;
+    otherwise the fields are packed for f's degrees (`_Packing`), and
+    `_divide` divides the packed terms.
+    """
+    if not g:
+        raise ZeroDivisionError("polynomial division")
+    if not f:
+        return f
+    bounds = f.degrees()
+    if all(a >= b for a, b in zip(bounds, g.degrees())):
+        packing = _Packing(bounds)
+        q = _divide(packing.terms(f), packing.terms(g), packing.guard)
+        if q is not None:
+            return packing.poly(f.ring, q)
+    raise _ExactQuotientFailed(f, g)
+
+
+def _divide(f: Mapping[int, int], g: Mapping[int, int],
+            guard: int) -> Optional[Dict[int, int]]:
+    """f / g on nonzero packed terms, or None if g does not divide f.
+
+    Johnson's heap division (Johnson 1974) on packed exponent vectors
+    (Monagan and Pearce, CASC 2007), lowest term first: an exact quotient
+    is the same under any monomial order, and read from the bottom, the
+    lowest term of f - q*g is the next quotient term t times g's lowest
+    term.  The pending terms of f - q*g sit in a dict, and a heap of their
+    packed ints gives the lowest; each new t adds its products with g's
+    other terms, all above it, so a popped sum is complete.
+
+    The packing must hold the degrees of f and g.  A t whose guard bits
+    are not 0 does not divide, or has left the packing's bounds, which an
+    exact quotient never does; the division stops there, inexact.  So
+    every t has fields below half their width, and a product t * g_k
+    cannot carry between fields; the t grow, so a failed division ends.
+    """
+    (g0, c0), *rest = sorted(g.items())
+    rest = [(w - g0, c) for w, c in rest]
+    pending, q = dict(f), {}
+    heap = list(pending)
+    heapify(heap)
+    while heap:
+        m = heappop(heap)
+        c = pending.pop(m)
+        if not c:
+            continue
+        t = m - g0
+        if t & guard or c % c0:
+            return None
+        q[t] = ct = c // c0
+        for d, cg in rest:
+            k = m + d
+            if k in pending:
+                pending[k] -= ct * cg
+            else:
+                pending[k] = -ct * cg
+                heappush(heap, k)
+    return q
 
 
 # ---------------------------------------------------------------------------
@@ -639,7 +764,8 @@ def _poly_substitute(p: MultiPoly, bindings) -> "RationalFunction":
                          for k in range(top + 1)]))
         content /= st.denominator ** top
         if not r.is_const():
-            n, d = r.num.prim.set_ring(ring), r.den.prim.set_ring(ring)
+            n = _embed(r.num.prim, r.num.variables, vs)
+            d = _embed(r.den.prim, r.den.variables, vs)
             pn, pd = [ring.one], [ring.one]
             for _ in range(top):
                 pn.append(pn[-1] * n)
@@ -655,7 +781,7 @@ def _poly_substitute(p: MultiPoly, bindings) -> "RationalFunction":
         part[rest] = part.get(rest, 0) + c
     num = ring.zero
     for ks, part in groups.items():
-        term = p.prim.ring.from_dict(part).set_ring(ring)
+        term = _embed(p.prim.ring.from_dict(part), p.variables, vs)
         for k, table in zip(ks, tables.values()):
             term = term * table[k]
         num = num + term
@@ -663,17 +789,31 @@ def _poly_substitute(p: MultiPoly, bindings) -> "RationalFunction":
                             _from_ring(vs, den, Fraction(1)))
 
 
-def common_denominator(weights: Iterable[RationalFunction]):
-    """The weights as numerators over one denominator D.
+def common_denominator(weights: Iterable[RationalFunction], k: int):
+    """The weights as numerators over one denominator D, for sums of
+    products of k of them.
 
-    Returns `numerator(w)` for each weight w, the zero and one of the
-    numerators' ring, and `quotient(total, k)`, total / D^k normalized
-    once.  Constant weights are Fractions cn/cd: D is the lcm b of the cd,
-    the numerators cn*(b/cd) are ints, and the quotient a Fraction.
-    Otherwise each weight is (cn/cd)*P/Q with P, Q primitive; with L the
-    polynomial lcm of the Q in the integer ring R of the weights'
-    variables, D = b*L and w's numerator, in R, is cn*(b/cd)*P*(L/Q),
-    looked up by w's (num, den) pair (MultiPoly caches its hash).
+    Returns `numerator(w)` for each weight w, the numerators' one,
+    `dot(pairs)`, the sum of w * s over (numerator, sum) pairs, and
+    `quotient(total)`, total / D^k in canonical form.  Constant weights
+    are Fractions cn/cd: D is the lcm b of the cd, the numerators
+    cn*(b/cd) are ints, and the quotient a Fraction.
+
+    Otherwise each weight is (cn/cd)*P/Q with P, Q primitive, and D is b
+    times L = prod f^E over the primitive parts f of the irreducibles
+    (`poly_factor`) of the distinct Q, E the largest exponent of f in any
+    Q.  w's numerator is cn*(b/cd)*P*(L/Q), looked up by w's (num, den)
+    pair (MultiPoly caches its hash), as packed terms (`_Packing`) with
+    fields wide enough for k times the numerators' degrees; `dot` sums
+    packed products in a dict.  `quotient` divides each f out of the total
+    (`_divide`) while it goes, at most k*E times, and puts what is left of
+    f^(k*E) in the denominator: no gcd is taken.  An f's leading
+    coefficient need not be 1 (2x+1), so the quotient divides numerator
+    and denominator alike by the denominator's leading coefficient, which
+    makes it monic.  Every division is exact and both parts are scaled
+    together, so the value is total / D^k whatever the factors are: an f
+    that were not irreducible could only leave a non-canonical form, which
+    compares unequal.
     """
     weights = list(weights)
     if all(w.is_const() for w in weights):
@@ -683,36 +823,79 @@ def common_denominator(weights: Iterable[RationalFunction]):
             c = w.num.content
             return c.numerator * (b // c.denominator)
 
-        def quotient(total: int, k: int) -> RationalFunction:
+        def dot(pairs) -> int:
+            return sum(w * s for w, s in pairs)
+
+        def quotient(total: int) -> RationalFunction:
             return RationalFunction.const(Fraction(total, b ** k))
 
-        return numerator, 0, 1, quotient
-    pairs = {(w.num, w.den) for w in weights}
+        return numerator, 1, dot, quotient
+    pairs = dict.fromkeys((w.num, w.den) for w in weights)
     vs = tuple(sorted({v for n, d in pairs
                        for v in n.variables + d.variables}))
     ring = _ring(vs)
-    one = ring.one
-    dens = {d: d.prim.set_ring(ring) for _, d in pairs}
-    lcm_q = one
-    for q in dens.values():
-        lcm_q = lcm_q * _ring_cofactors(lcm_q, q)[2]
-    cofactor = {d: lcm_q.exquo(q) for d, q in dens.items()}
+    exps = {d: dict(poly_factor(d)[1]) for _, d in pairs}
+    top = {}
+    for factors in exps.values():
+        for f, e in factors.items():
+            top[f] = max(e, top.get(f, 0))
+    irreducible = {f: _embed(f.prim, f.variables, vs) for f in top}
+
+    def cofactor(d: MultiPoly) -> PolyElement:
+        out = ring.one
+        for f, e in top.items():
+            e -= exps[d].get(f, 0)
+            if e:
+                out = out * _power(irreducible[f], e)
+        return out
+
     coeff = {(n, d): n.content / d.content for n, d in pairs}
     b = math.lcm(*(c.denominator for c in coeff.values()))
-    scaled = {(n, d): n.prim.set_ring(ring).mul_ground(
-                  c.numerator * (b // c.denominator)) * cofactor[d]
+    scaled = {(n, d): _embed(n.prim, n.variables, vs).mul_ground(
+                  c.numerator * (b // c.denominator)) * cofactor(d)
               for (n, d), c in coeff.items()}
-    den = lcm_q.mul_ground(b)
+    # wide enough for the divisors too, as _divide needs
+    polys = [*scaled.values(), *irreducible.values()]
+    packing = _Packing(k * max(p.degrees()[i] for p in polys)
+                       for i in range(len(vs)))
+    packed = {key: tuple(packing.terms(p).items())
+              for key, p in scaled.items()}
+    divisors = {f: packing.terms(g) for f, g in irreducible.items()}
 
-    def numerator(w: RationalFunction) -> PolyElement:
-        return scaled[w.num, w.den]
+    def numerator(w: RationalFunction) -> Tuple[Tuple[int, int], ...]:
+        return packed[w.num, w.den]
 
-    def quotient(total: PolyElement, k: int) -> RationalFunction:
+    def dot(pairs) -> Dict[int, int]:
+        out: Dict[int, int] = {}
+        get = out.get
+        for w, s in pairs:
+            for a, x in w:
+                for m, y in s.items():
+                    m += a
+                    out[m] = get(m, 0) + x * y
+        return {m: c for m, c in out.items() if c}
+
+    def quotient(total: Dict[int, int]) -> RationalFunction:
+        if not total:
+            return RationalFunction.const(0)
+        den = ring.one
+        for f, g in divisors.items():
+            left = k * top[f]
+            while left:
+                q = _divide(total, g, packing.guard)
+                if q is None:
+                    break
+                total, left = q, left - 1
+            if left:
+                den = den * _power(irreducible[f], left)
+        # the irreducibles are primitive, not monic (2x+1): both parts are
+        # divided by den's leading coefficient, so that den turns monic
+        scale = Fraction(1, den.LC)
         return RationalFunction(
-            _from_ring(vs, total, Fraction(1)),
-            _from_ring(vs, _power(den, k) if k else one, Fraction(1)))
+            _from_ring(vs, packing.poly(ring, total), scale / b ** k),
+            _from_ring(vs, den, scale), _normalized=True)
 
-    return numerator, ring.zero, one, quotient
+    return numerator, {0: 1}, dot, quotient
 
 
 _factor_cache: Dict[MultiPoly, Tuple[Fraction, Tuple[Tuple[MultiPoly, int], ...]]] = {}
@@ -729,10 +912,10 @@ def poly_factor(p: MultiPoly):
     part, which is factored over ZZ in three passes:
 
     1. Every irreducible found before (`_irreducibles`) that fits p's
-       variables and degrees is divided out as often as it goes.  A sparse
-       exact division is tried only where the factor's value at a fixed
-       integer point divides the remainder's, since a failed one costs
-       quadratic time in the number of terms.
+       variables and degrees is divided out as often as it goes (`_exquo`).
+       A division is tried only where the factor's value at a fixed
+       integer point divides the remainder's: even one that fails at once
+       packs all of the remainder's terms first.
     2. A remainder of degree 1 in some x, A*x + B with B != 0 and
        gcd(A, B) = 1, is irreducible (Gauss's lemma).
     3. Any other remainder goes to sympy's `factor_list`.
@@ -769,7 +952,7 @@ def _factor_primitive(p: MultiPoly):
         e = 0
         while (at % f_at == 0 if f_at else at == 0):
             try:
-                q = q.exquo(f.prim.set_ring(q.ring))
+                q = _exquo(q, _embed(f.prim, f.variables, vs))
             except _ExactQuotientFailed:
                 break
             e += 1
@@ -862,7 +1045,7 @@ class FactoredRF:
         ring = _ring(vs)
         num, den = ring.one, ring.one
         for f, e in self.factors.items():
-            power = _power(f.prim.set_ring(ring), abs(e))
+            power = _power(_embed(f.prim, f.variables, vs), abs(e))
             num, den = (num * power, den) if e > 0 else (num, den * power)
         return RationalFunction(_from_ring(vs, num, self.coeff / num.LC),
                                 _from_ring(vs, den, Fraction(1, den.LC)),

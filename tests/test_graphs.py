@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from sympy.polys.rings import PolyElement
 
 from matchgen import rational
 from matchgen.aztec import (AztecInstance, PeriodMatrix, evaluate, reduce_step,
@@ -70,7 +71,9 @@ edge_weights = st.one_of(
                      # denominators that share factors with each other
                      # and with numerators
                      "1/(x+1)", "x/(x+1)^2", "-y/(x^2+y^2)",
-                     "(x+y)/(x*y-1)"]).map(parse))
+                     "(x+y)/(x*y-1)",
+                     # denominators whose irreducibles are not monic
+                     "1/(2*x+1)", "y/(2*x+y)^2"]).map(parse))
 
 
 @st.composite
@@ -84,7 +87,22 @@ def small_graphs(draw):
     return g
 
 
+def _symbolic_cycle(*texts):
+    g = WeightedGraph()
+    for i, text in enumerate(texts):
+        g.add_edge(i, (i + 1) % len(texts), parse(text))
+    return g
+
+
 @given(small_graphs())
+# x/(x+1) + 1/(x+1): the whole denominator cancels
+@example(_symbolic_cycle("x/(x+1)", "1", "1", "1/(x+1)"))
+# (x+y)^2/(x*y-1)^2 - (x+y)^2/(x*y-1)^2: the sum is 0
+@example(_symbolic_cycle("(x+y)/(x*y-1)", "-(x+y)/(x*y-1)",
+                         "(x+y)/(x*y-1)", "(x+y)/(x*y-1)"))
+# y/((2x+1)(2x+y)^2) + 1: irreducibles with leading coefficient 2 stay in
+# the denominator
+@example(_symbolic_cycle("1/(2*x+1)", "1", "y/(2*x+y)^2", "1"))
 @settings(max_examples=80, deadline=None)
 def test_oracle_equals_sum_over_enumerated_matchings(g):
     matchings = enumerate_matchings(g)
@@ -167,8 +185,27 @@ def test_oracle_normalizes_once(monkeypatch):
 
     monkeypatch.setattr(rational, "poly_cofactors", counting)
     value = oracle_mgf(g)
-    assert len(calls) <= 1
+    assert calls == []
     assert value == evaluate(AztecInstance(3, dungeon_period_N()))[0]
+
+
+def test_symbolic_oracle_takes_no_gcd_and_no_sympy_division(monkeypatch):
+    inst = AztecInstance(4, dungeon_period_N())
+    expected = evaluate(inst)[0]
+    rational._factor_cache.clear()
+    rational._irreducibles.clear()
+    calls = []
+
+    def counting(name, call):
+        return lambda *args: calls.append(name) or call(*args)
+
+    monkeypatch.setattr(rational, "poly_cofactors",
+                        counting("poly_cofactors", poly_cofactors))
+    for name in ("cofactors", "exquo"):
+        monkeypatch.setattr(PolyElement, name,
+                            counting(name, getattr(PolyElement, name)))
+    assert oracle_mgf(to_graph(inst)) == expected
+    assert calls == []
 
 
 def test_size_cap():

@@ -787,12 +787,12 @@ def test_factor_cache_and_registry_are_cleared_together():
 def test_a_known_irreducible_that_does_not_divide_is_passed_over(
         monkeypatch):
     """(x - X)*(y + 2), X = crc32("x") + 2, is 0 at the fixed point, so
-    the point filter lets the known x+y+1 through: its sparse division
+    the point filter lets the known x+y+1 through: its packed division
     fails once, and the factors are still sympy's."""
     _forget_factors()
     poly_factor(parse("x+y+1").num)
     failed = []
-    exquo = sympy.polys.rings.PolyElement.exquo
+    exquo = rational._exquo
 
     def counted(f, g):
         try:
@@ -801,12 +801,67 @@ def test_a_known_irreducible_that_does_not_divide_is_passed_over(
             failed.append(g)
             raise
 
-    monkeypatch.setattr(sympy.polys.rings.PolyElement, "exquo", counted)
+    monkeypatch.setattr(rational, "_exquo", counted)
     root = zlib.crc32(b"x") + 2
     p = parse(f"(x-{root})*(y+2)").num
     assert poly_factor(p) == _sympy_factors(p) == (
         1, ((parse(f"x-{root}").num, 1), (parse("y+2").num, 1)))
     assert len(failed) == 1
+
+
+# exponents at the edges of a packed field: a field holds the degree's bits
+# and one guard bit, so 1, 3, 7 fill it and 2, 4, 8 start a wider one
+edge_exponents = st.sampled_from([0, 1, 2, 3, 4, 7, 8])
+
+
+@st.composite
+def exquo_pairs(draw):
+    """(f, g) in one integer ring of 1 to 4 variables: f = g*h + r, with r
+    0 (exact) half the time and otherwise a few terms (mostly inexact)."""
+    n = draw(st.integers(1, 4))
+    ring = rational._ring(tuple("wxyz"[:n]))
+
+    def poly(max_terms, exponents=edge_exponents):
+        return ring.from_dict(draw(st.dictionaries(
+            st.tuples(*[exponents] * n),
+            st.integers(-6, 6).filter(bool), max_size=max_terms)))
+
+    # a constant divisor half as often as a sparse one
+    g = (poly(1, st.just(0)) if draw(st.integers(0, 2)) == 0
+         else poly(4))
+    assume(g)
+    r = poly(3) if draw(st.booleans()) else ring.zero
+    return g * poly(5) + r, g
+
+
+@given(exquo_pairs())
+@example((rational._ring(("x", "y")).from_dict({(2, 0): 1}),   # x^2/(x+y)
+          rational._ring(("x", "y")).from_dict({(1, 0): 1, (0, 1): 1})))
+# y by x^2: packed for y's degrees, x^2 would read as y
+@example((rational._ring(("x", "y")).from_dict({(0, 1): 1}),
+          rational._ring(("x", "y")).from_dict({(2, 0): 1})))
+# read from the bottom, x^2+1 by x+1 meets no term that fails to divide:
+# the quotient runs on past x^2 until a guard bit stops it
+@example((rational._ring(("x",)).from_dict({(2,): 1, (0,): 1}),
+          rational._ring(("x",)).from_dict({(1,): 1, (0,): 1})))
+@example((rational._ring(("x",)).from_dict({(7,): 3, (0,): -3}),
+          rational._ring(("x",)).from_dict({(0,): 3})))       # 3x^7-3 by 3
+@example((rational._ring(("x", "y")).from_dict({(8, 7): 2, (0, 0): 1}),
+          rational._ring(("x", "y")).from_dict({(0, 0): 2})))  # odd by 2
+@settings(max_examples=200, deadline=None)
+def test_exquo_agrees_with_sympys_exquo(pair):
+    f, g = pair
+
+    def divide(exquo):
+        try:
+            return exquo(f, g)
+        except ExactQuotientFailed:
+            return "inexact"
+
+    expected = divide(sympy.polys.rings.PolyElement.exquo)
+    assert divide(rational._exquo) == expected
+    if expected != "inexact":
+        assert expected * g == f
 
 
 def _count_sympy_factorizations(monkeypatch):
