@@ -62,6 +62,7 @@ from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 from sympy import Symbol as _Symbol
 from sympy.polys.domains import ZZ as _ZZ
+from sympy.polys.galoistools import gf_irreducible_p as _gf_irreducible_p
 from sympy.polys.orderings import grlex as _grlex
 from sympy.polys.polyerrors import ExactQuotientFailed as _ExactQuotientFailed
 from sympy.polys.polyerrors import HeuristicGCDFailed as _HeuristicGCDFailed
@@ -916,8 +917,12 @@ def poly_factor(p: MultiPoly):
        A division is tried only where the factor's value at a fixed
        integer point divides the remainder's: even one that fails at once
        packs all of the remainder's terms first.
-    2. A remainder of degree 1 in some x, A*x + B with B != 0 and
-       gcd(A, B) = 1, is irreducible (Gauss's lemma).
+    2. The remainder is settled without sympy's factorizer where it can be
+       (`_remainder_factors`): a monomial splits into its variables; a
+       remainder with a whole integer coefficient in some x is proved
+       irreducible by one specialization that stays irreducible modulo a
+       small prime (`_certified_irreducible`); and A*x + B with B != 0 and
+       gcd(A, B) = 1 is irreducible (Gauss's lemma).
     3. Any other remainder goes to sympy's `factor_list`.
 
     Factorization over ZZ is unique, so the passes change neither the
@@ -977,9 +982,17 @@ def _factor_primitive(p: MultiPoly):
 
 
 def _remainder_factors(q: PolyElement):
-    """factor_list of a primitive q with a positive leading coefficient,
-    answered without sympy's factorizer when q is A*x + B with B != 0 and
-    gcd(A, B) = 1: a factor free of x would divide both A and B."""
+    """factor_list of a primitive q with a positive leading coefficient.
+
+    Three cases need no sympy factorizer: a monomial, whose coefficient is
+    then 1; a q that `_certified_irreducible` proves irreducible; and
+    A*x + B with B != 0 and gcd(A, B) = 1, where a factor free of x would
+    divide both A and B."""
+    if len(q) == 1:
+        (e, k), = q.items()
+        return k, [(x, d) for x, d in zip(q.ring.gens, e) if d]
+    if _certified_irreducible(q):
+        return 1, [(q, 1)]
     degrees = q.degrees()
     if 1 in degrees:
         i = degrees.index(1)
@@ -989,6 +1002,61 @@ def _remainder_factors(q: PolyElement):
         if b and _ring_cofactors(a, b)[0].is_ground:
             return 1, [(q, 1)]
     return q.factor_list()
+
+
+# the values given to every other variable, and the primes, that
+# _certified_irreducible tries in this order: at most 5 x 10 tests, each on
+# a polynomial of degree at most _CERTIFIED_DEGREE
+_POINTS = (1, 2, -1, 3, -2)
+_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+_CERTIFIED_DEGREE = 12
+
+
+def _certified_irreducible(q: PolyElement) -> bool:
+    """Whether one specialization proves the primitive q irreducible.
+
+    Take a variable x of q, of degree d >= 1, for which the coefficient c_k
+    of some x^k is a nonzero integer as a whole: every term with x^k is free
+    of the other variables y.  Put one value y0 from `_POINTS` in for all
+    of y.  If u(x) = q(x, y0) keeps degree d, and u mod p is irreducible
+    over F_p (Rabin's test) for a prime p from `_PRIMES` that does not
+    divide LC(u), then q is irreducible; d = 1 needs no point and no prime.
+
+    Proof: let q = g*h.  LC_x(q)(y0) != 0 keeps the x-degrees of g and h
+    in u = g(x, y0)*h(x, y0), and p not dividing LC(u) keeps them in
+    u mod p, which is irreducible, so one factor, h say, has x-degree 0
+    (for d = 1 the degrees alone say so).  Then h in Z[y] divides the
+    integer c_k, so h is an integer, and it divides content(q) = 1.
+
+    x is the variable of least degree with such a coefficient (the first
+    in the ring on ties); a q in x alone needs one point only.  False when
+    q has no such x, when d exceeds `_CERTIFIED_DEGREE`, or when no try
+    succeeds.  Past that degree a try succeeds less often (about 1 in d
+    primes for a generic q) and costs more (Rabin's test grows as d^3):
+    on dense random irreducibles in two variables, `factor_list` was as
+    fast as the certificate from degree 10 and faster at 12, and a
+    remainder the certificate fails on goes to `factor_list` anyway.
+    """
+    terms = q.items()
+    for d, i in sorted((d, i) for i, d in enumerate(q.degrees()) if d):
+        # the x-exponents of terms that have another variable too
+        mixed = {e[i] for e, _ in terms if sum(e) != e[i]}
+        if any(e[i] not in mixed for e, _ in terms):
+            break
+    else:
+        return False
+    if d == 1:
+        return True
+    if d > _CERTIFIED_DEGREE:
+        return False
+    for y0 in _POINTS if mixed else _POINTS[:1]:
+        u = [0] * (d + 1)
+        for e, k in terms:
+            u[d - e[i]] += k * y0 ** (sum(e) - e[i])
+        for p in _PRIMES:  # u[0] is LC(u): 0 where y0 drops the degree
+            if u[0] % p and _gf_irreducible_p([k % p for k in u], p, _ZZ):
+                return True
+    return False
 
 
 def _at_point(q: PolyElement, variables: Tuple[str, ...]) -> int:

@@ -20,8 +20,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from sympy.polys.polyerrors import ExactQuotientFailed, HeuristicGCDFailed
 
-from matchgen import aztec, rational
-from matchgen.aztec import AztecInstance, evaluate_factored, to_graph
+from matchgen import aztec, families, rational
+from matchgen.aztec import (AztecInstance, evaluate, evaluate_factored,
+                            to_graph)
 from matchgen.exprs import parse
 from matchgen.families import dungeon_period_N
 from matchgen.graphs import oracle_mgf
@@ -706,12 +707,14 @@ def test_printer_matches_the_fraction_printer(p, scale, big_num, big_den):
 
 
 # irreducibles over Q: monomials, sums linear in one of several variables,
-# and others that only sympy's factorizer can settle
+# others that a specialization irreducible modulo a small prime certifies,
+# and x^4+1 and x^4-10*x^2+1, which are reducible modulo every prime, so
+# that only sympy's factorizer can settle them
 IRREDUCIBLES = [parse(text).num for text in (
     "x", "y", "z", "x+1", "y+1", "x+z", "2*x+3", "1-x*y", "x*y+z",
     "x*y^2+z+1", "2*x*y-3*z^2+y", "a*b*g*h+a*c*f*g+b*d*e*h+2*c*d*e*f",
     "x^2+1", "x^2+y^2", "x^3+x*y^2+1", "x^4+2*x^2*y^2+y^4+x",
-    "3*x^2-2*y")]
+    "3*x^2-2*y", "x^4+1", "x^4-10*x^2+1", "x^2+y")]
 
 
 def _forget_factors():
@@ -745,7 +748,10 @@ def _sympy_factors(p):
                 max_size=3, unique_by=lambda ie: ie[0]),
        st.fractions(max_denominator=12).filter(bool),
        st.sets(st.integers(0, len(IRREDUCIBLES) - 1)))
+# each has a term x or x^2 free of y, but x's coefficient is y+1 as a whole,
+# so no specialization may certify it irreducible
 @example([(4, 1), (5, 1)], Fraction(-2, 3), set())  # (y+1)*x + (y+1)*z
+@example([(4, 1), (19, 1)], Fraction(1), set())  # (y+1)*x^2 + y^2 + y
 @example([(11, 2), (8, 1)], Fraction(1), {11})
 @settings(max_examples=60, deadline=None)
 def test_factors_equal_sympys_over_any_known_irreducibles(powers, scale,
@@ -891,3 +897,71 @@ def test_a_sum_linear_in_one_variable_leaves_sympy_nothing(monkeypatch):
     assert poly_factor(p) == (1, ((p, 1),))
     assert poly_factor(p.scale(2)) == (2, ((p, 1),))
     assert calls == []
+
+
+def _forget_everything():
+    """Cold caches, as in a new process: factors, orbits and periods."""
+    _forget_factors()
+    aztec._LAST_ORBIT.clear()
+    families._family_period.cache_clear()
+
+
+def _checkered_values():
+    period = families.checkered_period()
+    return [evaluate(AztecInstance(n, period))[0] for n in range(1, 36)]
+
+
+def _symbolic_values():
+    return [evaluate_factored(AztecInstance(n, period()))
+            for period in (families.hexsquare_period,
+                           families.weighted_dungeon_period_M,
+                           dungeon_period_N)
+            for n in range(1, 5)]
+
+
+@pytest.mark.parametrize("values", [
+    lambda: [families.family_value("dungeon-D", n) for n in range(8)],
+    _checkered_values,
+    _symbolic_values,
+], ids=["dungeon-D-0-7", "checkered-1-35", "hexsquare-M-N-1-4"])
+def test_cold_runs_leave_sympys_factorizer_nothing(monkeypatch, values):
+    """Every remainder these runs factor is a monomial or certified
+    irreducible; the values are those of factor_list on every remainder."""
+    _forget_everything()
+    with monkeypatch.context() as m:
+        m.setattr(rational, "_remainder_factors", lambda q: q.factor_list())
+        expected = values()
+    _forget_everything()
+    calls = _count_sympy_factorizations(monkeypatch)
+    assert values() == expected
+    assert calls == []
+
+
+def test_a_monomial_leaves_sympy_nothing(monkeypatch):
+    _forget_factors()
+    calls = _count_sympy_factorizations(monkeypatch)
+    assert poly_factor(parse("x^3*y^2").num) == (
+        1, ((parse("x").num, 3), (parse("y").num, 2)))
+    assert calls == []
+
+
+@pytest.mark.parametrize("text", ["x^4+1", "x^4-10*x^2+1"])
+def test_irreducibles_reducible_modulo_every_prime_reach_sympy(monkeypatch,
+                                                              text):
+    _forget_factors()
+    calls = _count_sympy_factorizations(monkeypatch)
+    p = parse(text).num
+    assert poly_factor(p) == (1, ((p, 1),))
+    assert len(calls) == 1
+
+
+def test_a_degree_past_the_certified_bound_is_not_tried(monkeypatch):
+    tried = []
+    monkeypatch.setattr(rational, "_gf_irreducible_p",
+                        lambda *args: tried.append(args))
+    _forget_factors()
+    calls = _count_sympy_factorizations(monkeypatch)
+    p = parse(f"x^{rational._CERTIFIED_DEGREE + 1}+x*y^2+1").num
+    assert poly_factor(p) == (1, ((p, 1),))
+    assert len(calls) == 1
+    assert tried == []
