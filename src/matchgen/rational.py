@@ -11,8 +11,9 @@ The arithmetic contract:
   parts.
 - Division.  Besides the gcd's cofactors, a polynomial is divided only by
   a known irreducible, through `_divide`: Johnson's heap division
-  on exponent vectors packed into ints (`_Packing`, which `_power` and the
-  oracle's sums share), stopping at the first term that does not divide.
+  on exponent vectors packed into ints (`_Packing`, which powers,
+  expansions and the oracle's sums share), stopping at the first term
+  that does not divide.
   `poly_factor` divides out the irreducibles it has found before
   (`_exquo`), and `common_denominator` divides the oracle's total by the
   irreducibles of its denominator; neither takes a gcd.  A polynomial
@@ -25,16 +26,20 @@ The arithmetic contract:
   expanded value).  Nothing is expanded only to be factored again, so
   `FactoredRF == RationalFunction` expands the factored side and
   `FactoredRF.substitute` returns a FactoredRF.  A square root halves the
-  exponents of the factored form.
+  exponents of the factored form.  An expansion (`FactoredRF.to_rf`)
+  multiplies each side's powers as packed terms in one `_Packing` and
+  builds it with no gcd (Gauss's lemma); a substitution of constants for
+  every variable of a polynomial is one integer sum.
 - Products.  A long product is one sum of exponent counts (`counts`),
   turned into a FactoredRF once by `from_counts`, over a pairwise coprime
   base of the integer keys so that its coefficient needs no gcd.
-- Powers.  Every power of a polynomial, and so every expansion of a
-  factored value, goes through `_power`: J. C. P. Miller's recurrence on
-  exponent vectors packed into one int, in about (terms of p) x (terms of
-  p^n) coefficient products, each term of p^n one exact integer division.
-  Up to 3 terms expand by the multinomial theorem, and exponents below
-  `_MILLER_FROM` by repeated squaring, where those are faster.
+- Powers.  A power of a polynomial is J. C. P. Miller's recurrence on
+  exponent vectors packed into one int (`_packed_power`), in about
+  (terms of p) x (terms of p^n) coefficient products, each term of p^n
+  one exact integer division.  An expansion raises each factor in its
+  side's packing, and `_power` in a packing of its own.  Up to 3 terms
+  expand by the multinomial theorem, and exponents below `_MILLER_FROM`
+  by repeated squaring, where those are faster.
 - Printing.  Only this module reads a polynomial's layout.  `__str__` and
   `size` read ints reduced by gcd(k, b) (`_coefficients`), digits go through
   `Decimal`, and `common_denominator` puts the oracle's weights over one D.
@@ -58,7 +63,7 @@ from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from types import MappingProxyType
-from typing import Dict, Iterable, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from sympy import Symbol as _Symbol
 from sympy.polys.domains import ZZ as _ZZ
@@ -292,27 +297,13 @@ def _from_ring(variables: Tuple[str, ...], poly: PolyElement,
 
 
 def _power(p: PolyElement, n: int) -> PolyElement:
-    """p ** n for n >= 1, by J. C. P. Miller's recurrence on packed exponents.
+    """p ** n for n >= 1.
 
-    Each exponent vector e is packed into the int w(e) (`_Packing`), with
-    fields wide enough for n times p's degrees.  w is linear and
-    one-to-one on the exponent vectors of p and of q = p^n, so it grades
-    both and p's lowest term c0*m0 is unique.  With E the Euler operator of
-    w, p*E(q) = n*E(p)*q; at the offset v = w(t) - n*w(m0) of q's term t
-    that reads
-        c0 * v * q[v] = sum over p's other terms c*m, d = w(m) - w(m0),
-                        of c * (n*d - (v - d)) * q[v - d],
-    an exact division.  Each finished q[v] adds its share to the pending
-    offsets v + d, and a heap pops the smallest, whose sum is then
-    complete.  The identity holds at every exponent vector, so the share
-    summed for one outside q's exponent box is 0, even where its packed
-    int is that of a term of q.  The cost is about (terms of p) x (terms
-    of q), where the last squaring of repeated squaring alone costs
-    (terms of q)^2 / 4.
-
-    Two faster paths are kept: sympy's `**` for up to 3 terms, which
-    expands k terms by the multinomial theorem in n^(k-1) products, and
-    repeated squaring for exponents below _MILLER_FROM.
+    From `_MILLER_FROM` on, p of more than 3 terms is raised by Miller's
+    recurrence (`_packed_power`) on a packing with fields for n times p's
+    degrees.  Two faster paths are kept: sympy's `**` for up to 3 terms,
+    which expands k terms by the multinomial theorem in n^(k-1) products,
+    and repeated squaring for exponents below _MILLER_FROM.
     """
     if len(p) <= 3:
         return p ** n
@@ -326,12 +317,35 @@ def _power(p: PolyElement, n: int) -> PolyElement:
                 return out
             p = p.square()
     packing = _Packing([n * d for d in p.degrees()])
-    (w0, c0), *rest = sorted(packing.terms(p).items())
+    return packing.poly(p.ring, _packed_power(packing.terms(p), n))
+
+
+def _packed_power(p: Mapping[int, int], n: int) -> Dict[int, int]:
+    """p ** n on packed terms, by J. C. P. Miller's recurrence.
+
+    The packing (`_Packing`) must have fields wide enough for n times p's
+    degrees.  The packed int w(e) is linear in the exponent vector e and
+    one-to-one on the exponent vectors of p and of q = p^n, so it grades
+    both and p's lowest term c0*m0 is unique.  With E the Euler operator
+    of w, p*E(q) = n*E(p)*q; at the offset v = w(t) - n*w(m0) of q's term
+    t that reads
+        c0 * v * q[v] = sum over p's other terms c*m, d = w(m) - w(m0),
+                        of c * (n*d - (v - d)) * q[v - d],
+    an exact division.  Each finished q[v] adds its share to the pending
+    offsets v + d, and a heap pops the smallest, whose sum is then
+    complete.  The identity holds at every exponent vector, so the share
+    summed for one outside q's exponent box is 0, even where its packed
+    int is that of a term of q.  The cost is about (terms of p) x (terms
+    of q), where the last squaring of repeated squaring alone costs
+    (terms of q)^2 / 4.
+    """
+    (w0, c0), *rest = sorted(p.items())
     rest = [(w - w0, n * (w - w0), c) for w, c in rest]
+    base = n * w0
     q, pending, heap = {}, {}, []
     v, qv = 0, c0 ** n
     while True:
-        q[v] = qv
+        q[v + base] = qv
         for d, nd, c in rest:
             t, x = v + d, (nd - v) * c * qv
             if t in pending:
@@ -347,8 +361,24 @@ def _power(p: PolyElement, n: int) -> PolyElement:
         if not total:
             break
         qv = total // (c0 * v)
-    base = n * w0
-    return packing.poly(p.ring, {v + base: c for v, c in q.items()})
+    return q
+
+
+def _packed_sum(pairs: Iterable[Tuple[Iterable[Tuple[int, int]],
+                                      Mapping[int, int]]]) -> Dict[int, int]:
+    """The sum of a * b over pairs of packed terms of one packing, wide
+    enough for the products: a as (packed, coefficient) pairs, b as a
+    dict."""
+    out: Dict[int, int] = {}
+    get = out.get
+    for a, b in pairs:
+        for m, x in a:
+            for k, y in b.items():
+                k += m
+                out[k] = get(k, 0) + x * y
+    for m in [m for m, c in out.items() if not c]:
+        del out[m]
+    return out
 
 
 # the exponent from which _power's recurrence beats repeated squaring: on
@@ -396,8 +426,9 @@ class _Packing:
     linear, so monomials multiply by adding ints, and int order is the lex
     order with the last variable first, a monomial order.  For packed m and
     n, m - n sets a guard bit exactly when some n_i exceeds m_i: the lowest
-    field that borrows keeps its top bit set.  `_power`, `_exquo` and the
-    oracle's sums (`common_denominator`) pack this way.
+    field that borrows keeps its top bit set.  `_power`, `_exquo`,
+    `FactoredRF.to_rf` and the oracle's sums (`common_denominator`) pack
+    this way.
     """
 
     __slots__ = ("shifts", "masks", "guard")
@@ -410,14 +441,17 @@ class _Packing:
             self.masks.append((1 << width - self.shifts[-1]) - 1)
             self.guard |= 1 << width - 1
 
-    def pack(self, m: Iterable[int]) -> int:
-        return sum(e << s for e, s in zip(m, self.shifts))
-
     def unpack(self, w: int) -> ExpVec:
         return tuple(w >> s & k for s, k in zip(self.shifts, self.masks))
 
-    def terms(self, p: PolyElement) -> Dict[int, int]:
-        return {self.pack(m): c for m, c in p.items()}
+    def terms(self, p: PolyElement,
+              fields: Optional[Iterable[int]] = None) -> Dict[int, int]:
+        """p's terms, packed; `fields` gives the field of each of p's
+        variables, the first ones in order by default."""
+        shifts = (self.shifts if fields is None
+                  else [self.shifts[i] for i in fields])
+        return {sum(e << s for e, s in zip(m, shifts)): c
+                for m, c in p.items()}
 
     def poly(self, ring: PolyRing, terms: Mapping[int, int]) -> PolyElement:
         return ring.dtype((self.unpack(w), c) for w, c in terms.items())
@@ -748,7 +782,9 @@ def _poly_substitute(p: MultiPoly, bindings) -> "RationalFunction":
     becomes c * s^k t^(D-k) N^k M^(D-k) * m over t^D M^D.  The integers
     scale the coefficients in one pass; terms that then agree in the
     exponents of the variables bound to non-constants share one product of
-    powers of N and M, in one integer ring.
+    powers of N and M, in one integer ring.  When every variable of p is
+    bound to a constant, the value is content * sum(c * prod of the
+    integers), one integer sum.
     """
     slots = [i for i, v in enumerate(p.variables) if v in bindings]
     if not slots:
@@ -756,15 +792,25 @@ def _poly_substitute(p: MultiPoly, bindings) -> "RationalFunction":
     values = [bindings[p.variables[i]] for i in slots]
     vs = tuple(sorted({v for v in p.variables if v not in bindings}.union(
         *(r.num.variables + r.den.variables for r in values))))
-    ring = _ring(vs)
     degrees = p.prim.degrees()
-    content, den, ints, tables = p.content, ring.one, [], {}
+    content, ints = p.content, []
     for i, r in zip(slots, values):
         st, top = r.num.content / r.den.content, degrees[i]
         ints.append((i, [st.numerator ** k * st.denominator ** (top - k)
                          for k in range(top + 1)]))
         content /= st.denominator ** top
+    if not vs:
+        total = 0
+        for e, c in p.prim.items():
+            for i, row in ints:
+                c *= row[e[i]]
+            total += c
+        return RationalFunction.const(content * total)
+    ring = _ring(vs)
+    den, tables = ring.one, {}
+    for i, r in zip(slots, values):
         if not r.is_const():
+            top = degrees[i]
             n = _embed(r.num.prim, r.num.variables, vs)
             d = _embed(r.den.prim, r.den.variables, vs)
             pn, pd = [ring.one], [ring.one]
@@ -803,9 +849,10 @@ def common_denominator(weights: Iterable[RationalFunction], k: int):
     Otherwise each weight is (cn/cd)*P/Q with P, Q primitive, and D is b
     times L = prod f^E over the primitive parts f of the irreducibles
     (`poly_factor`) of the distinct Q, E the largest exponent of f in any
-    Q.  w's numerator is cn*(b/cd)*P*(L/Q), looked up by w's (num, den)
-    pair (MultiPoly caches its hash), as packed terms (`_Packing`) with
-    fields wide enough for k times the numerators' degrees; `dot` sums
+    Q.  w's numerator is cn*(b/cd)*P*(L/Q), computed once per distinct
+    (num, den) value and looked up by the identity of w, one of the
+    weights given, as packed terms (`_Packing`) with fields wide enough
+    for k times the numerators' degrees; `dot` (`_packed_sum`) sums
     packed products in a dict.  `quotient` divides each f out of the total
     (`_divide`) while it goes, at most k*E times, and puts what is left of
     f^(k*E) in the denominator: no gcd is taken.  An f's leading
@@ -831,7 +878,13 @@ def common_denominator(weights: Iterable[RationalFunction], k: int):
             return RationalFunction.const(Fraction(total, b ** k))
 
         return numerator, 1, dot, quotient
-    pairs = dict.fromkeys((w.num, w.den) for w in weights)
+    # the distinct values, each weight object compared once; `numerator`
+    # then finds a weight by its identity, with no MultiPoly.__eq__
+    pairs, key_of = {}, {}
+    for w in weights:
+        if id(w) not in key_of:
+            key = w.num, w.den
+            key_of[id(w)] = w, pairs.setdefault(key, key)
     vs = tuple(sorted({v for n, d in pairs
                        for v in n.variables + d.variables}))
     ring = _ring(vs)
@@ -861,20 +914,12 @@ def common_denominator(weights: Iterable[RationalFunction], k: int):
                        for i in range(len(vs)))
     packed = {key: tuple(packing.terms(p).items())
               for key, p in scaled.items()}
+    # each entry holds its weight, so that no other object takes its id
+    by_id = {i: (w, packed[key]) for i, (w, key) in key_of.items()}
     divisors = {f: packing.terms(g) for f, g in irreducible.items()}
 
     def numerator(w: RationalFunction) -> Tuple[Tuple[int, int], ...]:
-        return packed[w.num, w.den]
-
-    def dot(pairs) -> Dict[int, int]:
-        out: Dict[int, int] = {}
-        get = out.get
-        for w, s in pairs:
-            for a, x in w:
-                for m, y in s.items():
-                    m += a
-                    out[m] = get(m, 0) + x * y
-        return {m: c for m, c in out.items() if c}
+        return by_id[id(w)][1]
 
     def quotient(total: Dict[int, int]) -> RationalFunction:
         if not total:
@@ -896,7 +941,7 @@ def common_denominator(weights: Iterable[RationalFunction], k: int):
             _from_ring(vs, packing.poly(ring, total), scale / b ** k),
             _from_ring(vs, den, scale), _normalized=True)
 
-    return numerator, {0: 1}, dot, quotient
+    return numerator, {0: 1}, _packed_sum, quotient
 
 
 _factor_cache: Dict[MultiPoly, Tuple[Fraction, Tuple[Tuple[MultiPoly, int], ...]]] = {}
@@ -1105,19 +1150,17 @@ class FactoredRF:
                                    **{f: -e for f, e in parts2}})
 
     def to_rf(self) -> "RationalFunction":
+        """This value expanded: the product of its positive powers over
+        that of its negative powers, each side by `_expand`.  Both sides
+        are products of monic factors, so the quotient is in canonical
+        form: no irreducible is on both sides and the denominator is
+        monic."""
         if not self.factors:
             return RationalFunction.const(self.coeff)
-        # every factor is multiplied in one ring; products of monic factors
-        # are monic, so each content is read off a leading coefficient
-        vs = tuple(sorted({v for f in self.factors for v in f.variables}))
-        ring = _ring(vs)
-        num, den = ring.one, ring.one
-        for f, e in self.factors.items():
-            power = _power(_embed(f.prim, f.variables, vs), abs(e))
-            num, den = (num * power, den) if e > 0 else (num, den * power)
-        return RationalFunction(_from_ring(vs, num, self.coeff / num.LC),
-                                _from_ring(vs, den, Fraction(1, den.LC)),
-                                _normalized=True)
+        num = [(f, e) for f, e in self.factors.items() if e > 0]
+        den = [(f, -e) for f, e in self.factors.items() if e < 0]
+        return RationalFunction(_expand(num, self.coeff),
+                                _expand(den, Fraction(1)), _normalized=True)
 
     def substitute(self, bindings: Mapping[str, "RationalFunction"]
                    ) -> "FactoredRF":
@@ -1309,6 +1352,48 @@ def _factored(coeff: Fraction, factors: Dict[MultiPoly, int]) -> FactoredRF:
     object.__setattr__(out, "factors", factors)
     object.__setattr__(out, "_hash", None)
     return out
+
+
+def _expand(factors: List[Tuple[MultiPoly, int]], c: Fraction) -> MultiPoly:
+    """c * prod(f^e) over distinct monic irreducibles f, each e > 0.
+
+    The product is taken in one packing (`_Packing`) with fields for the
+    sum of e * f's degree in each variable: each power is packed once,
+    raised by `_packed_power` where `_power` would take the recurrence,
+    and otherwise by `_power` in f's own ring; the powers are multiplied
+    as packed terms, smallest first, and unpacked once.  One factor needs
+    no packing.
+
+    The result is built in canonical form without a gcd.  By Gauss's
+    lemma the product of the primitive parts is primitive.  Its leading
+    coefficient in graded-lex order is the product of theirs, all
+    positive.  And it uses every variable of its factors.  The content is
+    c times the factors' contents, 1/LC of each primitive part.
+    """
+    if not factors:
+        return MultiPoly.const(c)
+    content = c * math.prod(f.content ** e for f, e in factors)
+    if len(factors) == 1:
+        (f, e), = factors
+        return _make(f.variables, _power(f.prim, e), content)
+    vs = tuple(sorted({v for f, _ in factors for v in f.variables}))
+    bounds = [0] * len(vs)
+    for f, e in factors:
+        for i, d in zip(_positions(vs, f.variables), f.prim.degrees()):
+            bounds[i] += e * d
+    packing = _Packing(bounds)
+    powers = []
+    for f, e in factors:
+        fields = _positions(vs, f.variables)
+        if e < _MILLER_FROM or len(f.prim) <= 3:
+            powers.append(packing.terms(_power(f.prim, e), fields))
+        else:
+            powers.append(_packed_power(packing.terms(f.prim, fields), e))
+    powers.sort(key=len)
+    product = powers[0]
+    for power in powers[1:]:
+        product = _packed_sum([(product.items(), power)])
+    return _make(vs, packing.poly(_ring(vs), product), content)
 
 
 def _strip(x: int, d: int) -> Tuple[int, int]:

@@ -208,6 +208,28 @@ def test_symbolic_oracle_takes_no_gcd_and_no_sympy_division(monkeypatch):
     assert calls == []
 
 
+
+def test_symbolic_oracle_compares_each_weight_once(monkeypatch):
+    """The weights are deduplicated by value once, and each edge's numerator
+    is found by its weight's identity: a lookup by value per edge would
+    run MultiPoly.__eq__ about 280 times on N at order 4."""
+    inst = AztecInstance(4, dungeon_period_N())
+    expected = evaluate(inst)[0]
+    g = to_graph(inst)
+    weights = [w for _, _, w in g.edges()]
+    objects = len({id(w) for w in weights})
+    values = len({(w.num, w.den) for w in weights})
+    calls = []
+    eq = rational.MultiPoly.__eq__
+    monkeypatch.setattr(rational.MultiPoly, "__eq__",
+                        lambda a, b: calls.append(1) or eq(a, b))
+    value = oracle_mgf(g)
+    compared = len(calls)
+    assert value == expected
+    # a (num, den) key compares twice per object with an equal value, and
+    # a denominator at most twice per value
+    assert compared <= 2 * (objects + values) < len(weights)
+
 def test_size_cap():
     g = WeightedGraph(vertices=range(50))
     with pytest.raises(SizeCapExceeded):

@@ -571,6 +571,138 @@ class TestFactoredSubstitute:
         assert f.substitute({"x": RF.const(2), "y": RF.const(2)}) == 0
 
 
+def _irreducible(text):
+    """The one monic irreducible factor of the polynomial `text`."""
+    (f,) = FactoredRF.from_rf(parse(text)).factors
+    return f
+
+
+# monic irreducibles: single variables, 2x+1 (primitive part of leading
+# coefficient 2), and factors of more than 3 terms, which to_rf raises by
+# the recurrence from _MILLER_FROM on
+_EXPANSION_POOL = [_irreducible(text) for text in (
+    "x", "y", "z", "w", "x+1", "2*x+1", "y^2+x", "z+w",
+    "x^2+x*y+y^2+z+1", "3*z*w-w^2+z+2*w-1", "x*y+y+z+w")]
+
+
+@st.composite
+def expandable(draw):
+    coeff = draw(st.fractions(min_value=-5, max_value=5, max_denominator=7)
+                 .filter(bool))
+    chosen = draw(st.lists(st.sampled_from(_EXPANSION_POOL), unique=True,
+                           max_size=4))
+    return FactoredRF(coeff, {f: draw(st.integers(-7, 7).filter(bool))
+                              for f in chosen})
+
+
+def _expanded(v):
+    """v as a RationalFunction, built from MultiPoly * and ** alone."""
+    num, den = MultiPoly.const(v.coeff), MultiPoly.const(1)
+    for f, e in v.factors.items():
+        if e > 0:
+            num = num * f ** e
+        else:
+            den = den * f ** -e
+    return RF(num, den)
+
+
+def _product(coeff, powers):
+    """coeff * prod(f^e) over (text, e), f the irreducible of text."""
+    return FactoredRF(coeff, {_irreducible(t): e for t, e in powers})
+
+
+class TestPackedExpansion:
+    @given(expandable())
+    @example(FactoredRF(Fraction(-7, 3)))
+    @example(_product(2, [("x", 3), ("y", 2), ("z", -4)]))
+    @example(_product(Fraction(-3, 2), [("2*x+1", 6), ("x^2+x*y+y^2+z+1", 7),
+                                        ("z+w", -2)]))
+    @example(_product(Fraction(5, 4), [("x+1", 2), ("y^2+x", 6), ("z+w", -3),
+                                       ("3*z*w-w^2+z+2*w-1", -6)]))
+    @example(_product(1, [("2*x+1", -7), ("x*y+y+z+w", -6), ("w", -1)]))
+    @settings(max_examples=60, deadline=None)
+    def test_to_rf_equals_the_multipoly_product(self, v):
+        out = v.to_rf()
+        expected = _expanded(v)
+        assert out == expected
+        assert str(out) == str(expected)
+        assert hash(out) == hash(expected)
+
+    def test_sides_are_built_without_a_content_gcd(self, monkeypatch):
+        # both sides have several factors, one raised by the recurrence
+        values = [_product(Fraction(-2, 9), [
+                      ("x", 1), ("2*x+1", 2), ("x^2+x*y+y^2+z+1", 6),
+                      ("z+w", -1), ("y", -3), ("3*z*w-w^2+z+2*w-1", -7)]),
+                  FactoredRF.from_rf(parse("(x+y)^7*(3*x+1)/(y^2*(z+2)^3)"))]
+        expected = [_expanded(v) for v in values]
+        for name in ("_from_ring", "poly_cofactors"):
+            monkeypatch.setattr(rational, name, None)
+        monkeypatch.setattr(sympy.polys.rings.PolyElement, "primitive", None)
+        assert [v.to_rf() for v in values] == expected
+
+
+def _at(p, point):
+    """p at a point of Fractions, term by term."""
+    return sum((c * math.prod(point[v] ** k for v, k in zip(p.variables, e))
+                for e, c in p.terms.items()), Fraction(0))
+
+
+_constants = st.one_of(st.integers(-3, 3),
+                       st.fractions(min_value=-3, max_value=3,
+                                    max_denominator=5))
+
+
+@given(sparse_polys(), st.lists(_constants, min_size=3, max_size=3),
+       st.booleans())
+@example(parse("x^2*y-3*z/2+1").num, [Fraction(-1, 2), 4, 0], False)
+@example(parse("x^2*y-3*z/2+1").num, [Fraction(-1, 2), 4, 0], True)
+@settings(max_examples=100, deadline=None)
+def test_constant_substitution_agrees_with_the_general_path(p, values,
+                                                            partial):
+    """Binding every variable of p to a constant sums ints.  p*t, with t
+    left unbound, takes the general path to p's value times t, and so
+    does a binding that leaves one of p's variables free."""
+    bindings = {v: RF.const(c) for v, c in zip("xyz", values)}
+    if partial and p.variables:
+        del bindings[p.variables[0]]
+    t = RF.var("t")
+    out = RF.from_poly(p).substitute(bindings)
+    assert RF.from_poly(p * t.num).substitute(bindings) == out * t
+    expected = RF.const(0)
+    for e, c in p.terms.items():
+        term = RF.const(c)
+        for v, k in zip(p.variables, e):
+            term = term * bindings.get(v, RF.var(v)) ** k
+        expected = expected + term
+    assert out == expected
+    if not partial:
+        assert out.is_const()
+        assert out.as_const() == _at(p, dict(zip("xyz", map(Fraction,
+                                                          values))))
+
+
+def test_constant_substitution_builds_no_ring(monkeypatch):
+    r = parse("x^2*(x^2+y^2)^3*(x^2+x*y+y^2+1)^7/(2*y+1)^2")
+    f = FactoredRF.from_rf(r)
+    point = {"x": Fraction(1, 2), "y": Fraction(-3)}
+    expected = _at(r.num, point) / _at(r.den, point)
+    bindings = {v: RF.const(c) for v, c in point.items()}
+    monkeypatch.setattr(rational, "_ring", None)
+    assert r.substitute(bindings) == expected
+    assert f.substitute(bindings) == expected
+
+
+def test_a_vanishing_denominator_raises_on_the_constant_path():
+    r = parse("(x+y)^2/(x^2-y)")
+    at = {"x": RF.const(2), "y": RF.const(4)}
+    with pytest.raises(ZeroDivisionError):
+        r.substitute(at)
+    with pytest.raises(ZeroDivisionError):
+        FactoredRF.from_rf(r).substitute(at)
+    assert r.inverse().substitute(at) == 0
+    assert FactoredRF.from_rf(r.inverse()).substitute(at) == 0
+
+
 nonzero = factored().filter(lambda f: not f.is_zero())
 
 
