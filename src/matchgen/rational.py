@@ -6,19 +6,21 @@ immutable after construction.
 
 The arithmetic contract:
 
-- Normalization.  A RationalFunction is reduced by one sympy call,
-  `poly_cofactors`, which returns the gcd together with both reduced
-  parts.
+- Layout.  A polynomial is a Fraction content times a dict from exponent
+  tuples to ints (`MultiPoly.prim`), and its arithmetic is this module's
+  own.  sympy's ring is built in one adapter (`_ring`), for two calls:
+  `_cofactors` and `_factor_list`.
+- Normalization.  A RationalFunction is reduced by one gcd,
+  `poly_cofactors`, which returns the gcd with both reduced parts.  A gcd
+  with a one-term polynomial is read off its exponents and coefficients;
+  any other is sympy's `cofactors`.
 - Division.  Besides the gcd's cofactors, a polynomial is divided only by
-  a known irreducible, through `_divide`: Johnson's heap division
-  on exponent vectors packed into ints (`_Packing`, which powers,
-  expansions and the oracle's sums share), stopping at the first term
-  that does not divide.
-  `poly_factor` divides out the irreducibles it has found before
+  a known irreducible, through `_divide`: Johnson's heap division on
+  exponent vectors packed into ints (`_Packing`, which products, powers
+  and the oracle's sums share), stopping at the first term that does not
+  divide.  `poly_factor` divides out the irreducibles it has found before
   (`_exquo`), and `common_denominator` divides the oracle's total by the
-  irreducibles of its denominator; neither takes a gcd.  A polynomial
-  moves between rings by `_embed`, which matches variables by name once
-  per pair of rings.
+  irreducibles of its denominator; neither takes a gcd.
 - Conversion.  A value is factored once, where it enters the pipeline
   (period entries, closed-form references), and stays a FactoredRF through
   products, sums, powers and substitution.  It is expanded once, where it
@@ -33,16 +35,16 @@ The arithmetic contract:
 - Products.  A long product is one sum of exponent counts (`counts`),
   turned into a FactoredRF once by `from_counts`, over a pairwise coprime
   base of the integer keys so that its coefficient needs no gcd.
-- Powers.  A power of a polynomial is J. C. P. Miller's recurrence on
-  exponent vectors packed into one int (`_packed_power`), in about
-  (terms of p) x (terms of p^n) coefficient products, each term of p^n
-  one exact integer division.  An expansion raises each factor in its
-  side's packing, and `_power` in a packing of its own.  Up to 3 terms
-  expand by the multinomial theorem, and exponents below `_MILLER_FROM`
-  by repeated squaring, where those are faster.
+- Powers.  A power of one term scales its exponents.  Other products
+  and powers of polynomials are taken by `_expand`, in one packing wide
+  enough for the result.  A power (`_packed_power`) from `_MILLER_FROM`
+  on is J. C. P. Miller's recurrence (`_miller`), in about (terms of p) x
+  (terms of p^n) coefficient products, each term of p^n one exact
+  integer division; below, repeated squaring.
 - Printing.  Only this module reads a polynomial's layout.  `__str__` and
-  `size` read ints reduced by gcd(k, b) (`_coefficients`), digits go through
-  `Decimal`, and `common_denominator` puts the oracle's weights over one D.
+  `size` read ints reduced by gcd(k, b) (`_coefficients`), in graded-lex
+  order (`_grlex`), digits go through `Decimal`, and `common_denominator`
+  puts the oracle's weights over one D.
 - Constants.  A value with no variable stays a number: two constant
   RationalFunctions add, multiply, divide and raise as Fractions over the
   one shared denominator `_ONE`, with no polynomial gcd, and
@@ -60,20 +62,19 @@ import zlib
 from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
-from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from types import MappingProxyType
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
-from sympy import Symbol as _Symbol
 from sympy.polys.domains import ZZ as _ZZ
 from sympy.polys.galoistools import gf_irreducible_p as _gf_irreducible_p
-from sympy.polys.orderings import grlex as _grlex
-from sympy.polys.polyerrors import ExactQuotientFailed as _ExactQuotientFailed
 from sympy.polys.polyerrors import HeuristicGCDFailed as _HeuristicGCDFailed
-from sympy.polys.rings import PolyElement, PolyRing
+from sympy.polys.rings import PolyRing
 
 ExpVec = Tuple[int, ...]
+# an integer polynomial: exponent vectors over a tuple of variables, each
+# with a nonzero int coefficient
+Terms = Dict[ExpVec, int]
 
 
 def _as_fraction(x) -> Fraction:
@@ -84,45 +85,60 @@ def _as_fraction(x) -> Fraction:
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
-@lru_cache(maxsize=256)
-def _ring(variables: Tuple[str, ...]) -> PolyRing:
-    """The integer polynomial ring in `variables`, built on first use.
-
-    Its graded-lex order makes the ring's leading term the one MultiPoly
-    prints first, so "monic" means the same on both sides.  Rings compare
-    by their symbols, so an element outlives its ring's cache entry.
-    """
-    return PolyRing([_Symbol(v) for v in variables], _ZZ, _grlex)
+def _grlex(e: ExpVec) -> Tuple[int, ExpVec]:
+    """The graded-lex key of an exponent vector, sympy's `grlex`: the
+    leading term is the largest, and terms print in descending order."""
+    return sum(e), e
 
 
-# shared by all constants; PolyRing.zero and .one make a new element per read
-_GROUND = (_ring(()).zero, _ring(()).one)
+def _lc(terms: Terms) -> int:
+    return terms[max(terms, key=_grlex)]
+
+
+def _degrees(terms: Terms) -> List[int]:
+    """The degree in each variable of nonzero terms."""
+    return [max(column) for column in zip(*terms)]
+
+
+def _is_ground(terms: Terms) -> bool:
+    return not any(map(any, terms))
 
 
 class MultiPoly:
     """A multivariate polynomial with Fraction coefficients.
 
     `variables` is the sorted tuple of variable names that actually occur.
-    The value is `content * prim`: `prim` is an element of the integer ring
-    `_ring(variables)` that is primitive (its coefficients have gcd 1) and
-    has a positive leading coefficient in graded-lex order, and `content`
-    is a nonzero Fraction; zero is content 0 over the ring with no
+    The value is `content * prim`: `prim` maps exponent vectors (relative
+    to `variables`) to ints, is primitive (its coefficients have gcd 1) and
+    has a positive leading coefficient in graded-lex order (`_grlex`), and
+    `content` is a nonzero Fraction; zero is content 0 over no terms and no
     variables.  That form is unique, so == and hash are structural.
-    `terms` reads the value as a mapping from exponent vectors (relative to
-    `variables`) to nonzero Fraction coefficients.
+    `terms` reads the value as a mapping from exponent vectors to nonzero
+    Fraction coefficients.
     """
 
     __slots__ = ("variables", "content", "prim", "_hash")
 
     def __new__(cls, variables: Tuple[str, ...],
                 terms: Mapping[ExpVec, Fraction]):
+        """The polynomial with these terms: each exponent vector gives a
+        nonnegative int exponent for each of `variables`, all distinct."""
+        variables = tuple(variables)
+        if not all(isinstance(k, int) for e in terms for k in e):
+            raise TypeError(f"exponents {list(terms)} are not all ints")
+        if (len(set(variables)) != len(variables) or any(
+                len(e) != len(variables) or min(e, default=0) < 0
+                for e in terms)):
+            raise ValueError(f"exponents {list(terms)} are not nonnegative "
+                             f"and one for each of {variables}, distinct")
         terms = {e: _as_fraction(c) for e, c in terms.items() if c}
         den = math.lcm(*(c.denominator for c in terms.values()))
-        vs = tuple(sorted(variables))
-        prim = _ring(tuple(variables)).from_dict({
-            e: c.numerator * (den // c.denominator) for e, c in terms.items()})
-        return _from_ring(vs, _embed(prim, tuple(variables), vs),
-                          Fraction(1, den))
+        order = sorted(range(len(variables)), key=variables.__getitem__)
+        return _canonical(
+            tuple(variables[i] for i in order),
+            {tuple(e[i] for i in order): c.numerator * (den // c.denominator)
+             for e, c in terms.items()},
+            Fraction(1, den))
 
     def __setattr__(self, *a):
         raise AttributeError("MultiPoly is immutable")
@@ -132,11 +148,11 @@ class MultiPoly:
     @staticmethod
     def const(c) -> "MultiPoly":
         c = _as_fraction(c)
-        return _make((), _GROUND[bool(c)], c)
+        return _make((), {(): 1} if c else {}, c)
 
     @staticmethod
     def var(name: str) -> "MultiPoly":
-        return _make((name,), _ring((name,)).gens[0], Fraction(1))
+        return _make((name,), {(1,): 1}, Fraction(1))
 
     # -- basic queries ------------------------------------------------
 
@@ -157,7 +173,7 @@ class MultiPoly:
         return self.content
 
     def total_degree(self) -> int:
-        return sum(self.prim.LM)
+        return max(map(sum, self.prim), default=0)
 
     def size(self) -> Tuple[int, int, int]:
         """(terms, total degree, coefficient bits), the bits bounding log2 of
@@ -169,7 +185,7 @@ class MultiPoly:
     def leading_coeff(self) -> Fraction:
         if not self.content:
             raise ValueError("zero polynomial has no leading term")
-        return self.content * self.prim.LC
+        return self.content * _lc(self.prim)
 
     # -- arithmetic ---------------------------------------------------
 
@@ -181,8 +197,6 @@ class MultiPoly:
 
     def __hash__(self):
         if self._hash is None:
-            # not the PolyElement's hash, which hashes its ring's order
-            # object by id and so changes from run to run
             object.__setattr__(self, "_hash", hash(
                 (self.variables, self.content, frozenset(self.prim.items()))))
         return self._hash
@@ -195,12 +209,16 @@ class MultiPoly:
             return self
         if not self.content:
             return other
-        vs, a, b = _align(self, other)
+        vs = tuple(sorted(set(self.variables) | set(other.variables)))
         ca, cb = self.content, other.content
         den = math.lcm(ca.denominator, cb.denominator)
-        s = (a.mul_ground(ca.numerator * (den // ca.denominator))
-             + b.mul_ground(cb.numerator * (den // cb.denominator)))
-        return _from_ring(vs, s, Fraction(1, den))
+        ka = ca.numerator * (den // ca.denominator)
+        kb = cb.numerator * (den // cb.denominator)
+        out = {e: ka * c for e, c in _reindex(self, vs).items()}
+        for e, c in _reindex(other, vs).items():
+            out[e] = out.get(e, 0) + kb * c
+        return _canonical(vs, {e: c for e, c in out.items() if c},
+                          Fraction(1, den))
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
         return self + (-other)
@@ -210,10 +228,7 @@ class MultiPoly:
             return other.scale(self.content)
         if not other.variables:
             return self.scale(other.content)
-        # a product of primitive polynomials is primitive (Gauss), and of
-        # positive leading coefficients positive
-        vs, a, b = _align(self, other)
-        return _make(vs, a * b, self.content * other.content)
+        return _expand([(self, 1), (other, 1)], Fraction(1))
 
     def scale(self, c) -> "MultiPoly":
         c = _as_fraction(c)
@@ -226,7 +241,10 @@ class MultiPoly:
             raise ValueError("negative power of a polynomial")
         if n == 0:
             return _ONE
-        return _make(self.variables, _power(self.prim, n), self.content ** n)
+        if len(self.prim) <= 1:  # zero, a constant or a monomial x^e
+            prim = {tuple(k * n for k in m): 1 for m in self.prim}
+            return _make(self.variables, prim, self.content ** n)
+        return _expand([(self, n)], Fraction(1))
 
     # -- printing -----------------------------------------------------
 
@@ -235,7 +253,8 @@ class MultiPoly:
         graded-lex order, as ints: k * a/b, k an integer of the primitive
         part and a/b the content in lowest terms, reduces by gcd(k, b)."""
         a, b = self.content.numerator, self.content.denominator
-        for e, k in self.prim.terms():
+        for e, k in sorted(self.prim.items(), key=lambda t: _grlex(t[0]),
+                           reverse=True):
             g = math.gcd(k, b)
             yield e, (k < 0) != (a < 0), abs(k * a) // g, b // g
 
@@ -265,7 +284,8 @@ def _digits(num: int, den: int) -> str:
 
 
 def _make(variables, prim, content) -> MultiPoly:
-    """A MultiPoly from parts already in canonical form."""
+    """A MultiPoly from parts already in canonical form, prim taken
+    uncopied: no MultiPoly changes its prim."""
     out = object.__new__(MultiPoly)
     object.__setattr__(out, "variables", variables)
     object.__setattr__(out, "prim", prim)
@@ -275,52 +295,90 @@ def _make(variables, prim, content) -> MultiPoly:
 
 
 # the denominator of every constant and the gcd of every coprime pair
-_ONE = _make((), _GROUND[1], Fraction(1))
+_ONE = _make((), {(): 1}, Fraction(1))
 
 
-def _from_ring(variables: Tuple[str, ...], poly: PolyElement,
+def _canonical(variables: Tuple[str, ...], terms: Terms,
                content: Fraction) -> MultiPoly:
-    """content * poly for a poly in _ring(variables), in canonical form:
-    unused variables dropped, integer content and sign moved to `content`."""
-    if not poly:
+    """content * terms, over `variables` with no zero coefficient, in
+    canonical form: unused variables dropped, integer content and sign
+    moved to `content`."""
+    if not terms:
         return MultiPoly.const(0)
-    used = poly.degrees()
+    used = _degrees(terms)
     if not all(used):
-        kept = tuple(v for v, d in zip(variables, used) if d)
-        variables, poly = kept, _embed(poly, variables, kept)
-    if not variables:
-        return MultiPoly.const(content * poly.LC)
-    c, poly = poly.primitive()
-    if poly.LC < 0:
-        c, poly = -c, -poly
-    return _make(variables, poly, content * c)
+        keep = [i for i, d in enumerate(used) if d]
+        variables = tuple(variables[i] for i in keep)
+        terms = {tuple(e[i] for i in keep): c for e, c in terms.items()}
+    g = math.gcd(*terms.values())
+    if _lc(terms) < 0:
+        g = -g
+    if g != 1:
+        terms = {e: c // g for e, c in terms.items()}
+    return _make(variables, terms, content * g)
 
 
-def _power(p: PolyElement, n: int) -> PolyElement:
-    """p ** n for n >= 1.
+def _reindex(p: MultiPoly, variables: Tuple[str, ...]) -> Terms:
+    """p's terms over `variables`, which hold all of p's."""
+    if p.variables == variables:
+        return p.prim
+    take = [p.variables.index(v) if v in p.variables else -1
+            for v in variables]
+    return {tuple(e[i] if i >= 0 else 0 for i in take): c
+            for e, c in p.prim.items()}
 
-    From `_MILLER_FROM` on, p of more than 3 terms is raised by Miller's
-    recurrence (`_packed_power`) on a packing with fields for n times p's
-    degrees.  Two faster paths are kept: sympy's `**` for up to 3 terms,
-    which expands k terms by the multinomial theorem in n^(k-1) products,
-    and repeated squaring for exponents below _MILLER_FROM.
+
+def _expand(factors: List[Tuple[MultiPoly, int]], c: Fraction) -> MultiPoly:
+    """c * prod(f^e) over non-constant f in canonical form, each e > 0.
+
+    The product is taken in one packing (`_Packing`) with fields for the
+    sum of e * f's degree in each variable: each power is packed once and
+    raised by `_packed_power`, the powers are multiplied as packed terms,
+    smallest first, and unpacked once.  One factor to the first power
+    needs no packing.
+
+    The result is built in canonical form without a gcd.  By Gauss's
+    lemma the product of the primitive parts is primitive.  Its leading
+    coefficient in graded-lex order is the product of theirs, all
+    positive.  And it uses every variable of its factors.  The content is
+    c times the factors' contents to their powers.
     """
-    if len(p) <= 3:
-        return p ** n
-    if n < _MILLER_FROM:
-        out = None
-        while True:
-            if n & 1:
-                out = p if out is None else out * p
-            n >>= 1
-            if not n:
-                return out
-            p = p.square()
-    packing = _Packing([n * d for d in p.degrees()])
-    return packing.poly(p.ring, _packed_power(packing.terms(p), n))
+    if not factors:
+        return MultiPoly.const(c)
+    content = c * math.prod(f.content ** e for f, e in factors)
+    if len(factors) == 1 and factors[0][1] == 1:
+        return _make(factors[0][0].variables, factors[0][0].prim, content)
+    vs = tuple(sorted({v for f, _ in factors for v in f.variables}))
+    terms = [(_reindex(f, vs), e) for f, e in factors]
+    packing = _Packing(map(sum, zip(*(
+        [e * d for d in _degrees(t)] for t, e in terms))))
+    powers = sorted((_packed_power(packing.terms(t), e) for t, e in terms),
+                    key=len)
+    product = powers[0]
+    for power in powers[1:]:
+        product = _packed_sum([(product.items(), power)])
+    return _make(vs, packing.poly(product), content)
 
 
-def _packed_power(p: Mapping[int, int], n: int) -> Dict[int, int]:
+def _packed_power(p: Dict[int, int], n: int) -> Dict[int, int]:
+    """p ** n for n >= 1 on nonzero packed terms, in a packing with fields
+    for n times p's degrees: from `_MILLER_FROM` on by Miller's recurrence
+    (`_miller`), below by repeated squaring (`_packed_sum`)."""
+    if n == 1:
+        return p
+    if n >= _MILLER_FROM:
+        return _miller(p, n)
+    out = None
+    while True:
+        if n & 1:
+            out = p if out is None else _packed_sum([(out.items(), p)])
+        n >>= 1
+        if not n:
+            return out
+        p = _packed_sum([(p.items(), p)])
+
+
+def _miller(p: Mapping[int, int], n: int) -> Dict[int, int]:
     """p ** n on packed terms, by J. C. P. Miller's recurrence.
 
     The packing (`_Packing`) must have fields wide enough for n times p's
@@ -381,41 +439,11 @@ def _packed_sum(pairs: Iterable[Tuple[Iterable[Tuple[int, int]],
     return out
 
 
-# the exponent from which _power's recurrence beats repeated squaring: on
-# dungeon-D's P, a dense 4x4 grid, 1+q+...+q^4 and 4- and 6-term polynomials
-# without a constant term it took 0.8 to 1.4 times squaring's time at 5,
-# and 0.6 to 0.95 times at 6 (CPython 3.11, no gmpy2)
+# the exponent from which _packed_power's recurrence beats repeated
+# squaring: on dungeon-D's P, a dense 4x4 grid, 1+q+...+q^4 and 4- and
+# 6-term polynomials without a constant term it took 0.8 to 1.4 times
+# squaring's time at 5, and 0.6 to 0.95 times at 6 (CPython 3.11, no gmpy2)
 _MILLER_FROM = 6
-
-
-def _align(a: MultiPoly, b: MultiPoly):
-    """The union of two variable sets and both polynomials in its ring."""
-    if a.variables == b.variables:
-        return a.variables, a.prim, b.prim
-    vs = tuple(sorted(set(a.variables) | set(b.variables)))
-    return vs, _embed(a.prim, a.variables, vs), _embed(b.prim, b.variables, vs)
-
-
-def _embed(p: PolyElement, src: Tuple[str, ...],
-           dst: Tuple[str, ...]) -> PolyElement:
-    """p, an element of _ring(src), as an element of _ring(dst).
-
-    Every variable p uses must be in dst.  Exponents move by position,
-    matched by variable name once per pair of rings (`_positions`), where
-    sympy's `set_ring` compares and prints Symbols on every call.
-    """
-    if src == dst:
-        return p
-    pos = _positions(src, dst)
-    return _ring(dst).dtype(
-        (tuple(m[i] if i >= 0 else 0 for i in pos), c) for m, c in p.items())
-
-
-@lru_cache(maxsize=1024)
-def _positions(src: Tuple[str, ...], dst: Tuple[str, ...]) -> Tuple[int, ...]:
-    """For each variable of dst, its position in src, or -1."""
-    index = {v: i for i, v in enumerate(src)}
-    return tuple(index.get(v, -1) for v in dst)
 
 
 class _Packing:
@@ -426,9 +454,8 @@ class _Packing:
     linear, so monomials multiply by adding ints, and int order is the lex
     order with the last variable first, a monomial order.  For packed m and
     n, m - n sets a guard bit exactly when some n_i exceeds m_i: the lowest
-    field that borrows keeps its top bit set.  `_power`, `_exquo`,
-    `FactoredRF.to_rf` and the oracle's sums (`common_denominator`) pack
-    this way.
+    field that borrows keeps its top bit set.  `_expand`, `_exquo` and the
+    oracle's sums (`common_denominator`) pack this way.
     """
 
     __slots__ = ("shifts", "masks", "guard")
@@ -444,22 +471,17 @@ class _Packing:
     def unpack(self, w: int) -> ExpVec:
         return tuple(w >> s & k for s, k in zip(self.shifts, self.masks))
 
-    def terms(self, p: PolyElement,
-              fields: Optional[Iterable[int]] = None) -> Dict[int, int]:
-        """p's terms, packed; `fields` gives the field of each of p's
-        variables, the first ones in order by default."""
-        shifts = (self.shifts if fields is None
-                  else [self.shifts[i] for i in fields])
-        return {sum(e << s for e, s in zip(m, shifts)): c
+    def terms(self, p: Terms) -> Dict[int, int]:
+        return {sum(e << s for e, s in zip(m, self.shifts)): c
                 for m, c in p.items()}
 
-    def poly(self, ring: PolyRing, terms: Mapping[int, int]) -> PolyElement:
-        return ring.dtype((self.unpack(w), c) for w, c in terms.items())
+    def poly(self, terms: Mapping[int, int]) -> Terms:
+        return {self.unpack(w): c for w, c in terms.items()}
 
 
-def _exquo(f: PolyElement, g: PolyElement) -> PolyElement:
-    """f / g for two elements of one integer ring, when g divides f exactly;
-    otherwise ExactQuotientFailed, as sympy's `exquo` raises.
+def _exquo(f: Terms, g: Terms) -> Optional[Terms]:
+    """f / g for integer terms over one tuple of variables, or None if g
+    does not divide f exactly.
 
     A g of higher degree than f in some variable does not divide it;
     otherwise the fields are packed for f's degrees (`_Packing`), and
@@ -469,13 +491,12 @@ def _exquo(f: PolyElement, g: PolyElement) -> PolyElement:
         raise ZeroDivisionError("polynomial division")
     if not f:
         return f
-    bounds = f.degrees()
-    if all(a >= b for a, b in zip(bounds, g.degrees())):
-        packing = _Packing(bounds)
-        q = _divide(packing.terms(f), packing.terms(g), packing.guard)
-        if q is not None:
-            return packing.poly(f.ring, q)
-    raise _ExactQuotientFailed(f, g)
+    bounds = _degrees(f)
+    if any(a < b for a, b in zip(bounds, _degrees(g))):
+        return None
+    packing = _Packing(bounds)
+    q = _divide(packing.terms(f), packing.terms(g), packing.guard)
+    return None if q is None else packing.poly(q)
 
 
 def _divide(f: Mapping[int, int], g: Mapping[int, int],
@@ -521,7 +542,7 @@ def _divide(f: Mapping[int, int], g: Mapping[int, int],
 
 
 # ---------------------------------------------------------------------------
-# GCD with cofactors
+# GCD with cofactors, and sympy's ring
 # ---------------------------------------------------------------------------
 
 
@@ -529,11 +550,11 @@ def poly_cofactors(f: MultiPoly, g: MultiPoly
                    ) -> Tuple[MultiPoly, MultiPoly, MultiPoly]:
     """(h, f/h, g/h) for the monic GCD h of f and g (1 for coprime inputs).
 
-    Polynomials that share a variable go to one `cofactors` call on their
-    primitive parts in a shared integer ring (`_ring_cofactors`): sympy's
-    gcd computes both quotients anyway.  The gcd is only defined up to a
-    unit, so it is made monic and its leading coefficient moved into the
-    quotients; a constant gcd leaves f and g as they are.
+    Polynomials that share a variable go to `_cofactors` on their
+    primitive parts over the union of their variables, which computes
+    both quotients with the gcd.  The gcd is only defined up to a unit, so
+    it is made monic and its leading coefficient moved into the quotients;
+    a constant gcd leaves f and g as they are.
     gcd(0, g) is monic g; gcd(0, 0) is 0, with zero quotients.
     """
     if f.is_zero():
@@ -547,27 +568,56 @@ def poly_cofactors(f: MultiPoly, g: MultiPoly
     if (f.is_const() or g.is_const()
             or not set(f.variables) & set(g.variables)):
         return _ONE, f, g
-    vs, pf, pg = _align(f, g)
-    h, fq, gq = _ring_cofactors(pf, pg)
-    if h.is_ground:
+    vs = tuple(sorted(set(f.variables) | set(g.variables)))
+    h, fq, gq = _cofactors(_reindex(f, vs), _reindex(g, vs))
+    if _is_ground(h):
         return _ONE, f, g
-    lc = h.LC
-    return (_from_ring(vs, h, Fraction(1, lc)),
-            _from_ring(vs, fq, f.content * lc),
-            _from_ring(vs, gq, g.content * lc))
+    lc = _lc(h)
+    return (_canonical(vs, h, Fraction(1, lc)),
+            _canonical(vs, fq, f.content * lc),
+            _canonical(vs, gq, g.content * lc))
 
 
-def _ring_cofactors(f: PolyElement, g: PolyElement
-                    ) -> Tuple[PolyElement, PolyElement, PolyElement]:
-    """(h, f/h, g/h) for a gcd h of two elements of one integer ring.
+def _cofactors(f: Terms, g: Terms) -> Tuple[Terms, Terms, Terms]:
+    """(h, f/h, g/h) for a gcd h of two nonzero integer polynomials over
+    one tuple of variables.
 
-    sympy's sparse heuristic gcd can give up; the dense gcd, which falls
-    back to subresultants, then answers.
+    Where one of them is a term c*x^e, h is gcd(c, content of the other)
+    times x to the least exponent of each variable over both; the rest go
+    to sympy's `cofactors` (`_ring`).  Its sparse heuristic gcd can give
+    up; the dense gcd, which falls back to subresultants, then answers.
     """
+    if len(g) == 1 < len(f):
+        h, gq, fq = _cofactors(g, f)
+        return h, fq, gq
+    if len(f) == 1:
+        (e, c), = f.items()
+        k = math.gcd(c, *g.values())
+        m = tuple(map(min, e, *g))
+        return ({m: k}, {tuple(a - b for a, b in zip(e, m)): c // k},
+                {tuple(a - b for a, b in zip(x, m)): y // k
+                 for x, y in g.items()})
+    ring = _ring(len(next(iter(f))))
+    f, g = ring.from_dict(f), ring.from_dict(g)
     try:
-        return f.cofactors(g)
+        out = f.cofactors(g)
     except _HeuristicGCDFailed:
-        return f.ring.dmp_inner_gcd(f, g)
+        out = ring.dmp_inner_gcd(f, g)
+    return tuple({e: int(c) for e, c in p.items()} for p in out)
+
+
+def _factor_list(q: Terms) -> Tuple[int, List[Tuple[Terms, int]]]:
+    """sympy's `factor_list` of an integer polynomial (`_ring`)."""
+    coeff, parts = _ring(len(next(iter(q)))).from_dict(q).factor_list()
+    return int(coeff), [({e: int(c) for e, c in f.items()}, k)
+                        for f, k in parts]
+
+
+def _ring(n: int) -> PolyRing:
+    """sympy's ring of integer polynomials in n variables, the one place a
+    sympy polynomial is built: `_cofactors` and `_factor_list` move terms
+    into it by `from_dict` and read its elements back as dicts."""
+    return PolyRing([f"x{i}" for i in range(n)], _ZZ)
 
 
 # ---------------------------------------------------------------------------
@@ -782,58 +832,53 @@ def _poly_substitute(p: MultiPoly, bindings) -> "RationalFunction":
     becomes c * s^k t^(D-k) N^k M^(D-k) * m over t^D M^D.  The integers
     scale the coefficients in one pass; terms that then agree in the
     exponents of the variables bound to non-constants share one product of
-    powers of N and M, in one integer ring.  When every variable of p is
-    bound to a constant, the value is content * sum(c * prod of the
-    integers), one integer sum.
+    powers of N and M.  When every variable of p is bound to a constant,
+    the value is content * sum(c * prod of the integers), one integer sum.
     """
     slots = [i for i, v in enumerate(p.variables) if v in bindings]
     if not slots:
         return RationalFunction.from_poly(p)
     values = [bindings[p.variables[i]] for i in slots]
-    vs = tuple(sorted({v for v in p.variables if v not in bindings}.union(
-        *(r.num.variables + r.den.variables for r in values))))
-    degrees = p.prim.degrees()
+    degrees = _degrees(p.prim)
     content, ints = p.content, []
     for i, r in zip(slots, values):
         st, top = r.num.content / r.den.content, degrees[i]
         ints.append((i, [st.numerator ** k * st.denominator ** (top - k)
                          for k in range(top + 1)]))
         content /= st.denominator ** top
-    if not vs:
+    if len(slots) == len(p.variables) and all(r.is_const() for r in values):
         total = 0
         for e, c in p.prim.items():
             for i, row in ints:
                 c *= row[e[i]]
             total += c
         return RationalFunction.const(content * total)
-    ring = _ring(vs)
-    den, tables = ring.one, {}
+    den, tables = _ONE, {}
     for i, r in zip(slots, values):
         if not r.is_const():
-            top = degrees[i]
-            n = _embed(r.num.prim, r.num.variables, vs)
-            d = _embed(r.den.prim, r.den.variables, vs)
-            pn, pd = [ring.one], [ring.one]
-            for _ in range(top):
+            n, d = (_make(x.variables, x.prim, Fraction(1))
+                    for x in (r.num, r.den))
+            pn, pd = [_ONE], [_ONE]
+            for _ in range(degrees[i]):
                 pn.append(pn[-1] * n)
                 pd.append(pd[-1] * d)
             tables[i] = [a * b for a, b in zip(pn, reversed(pd))]
             den = den * pd[-1]
-    groups: Dict[ExpVec, Dict[ExpVec, int]] = {}
+    groups: Dict[ExpVec, Terms] = {}
     for e, c in p.prim.items():
         for i, row in ints:
             c *= row[e[i]]
         rest = tuple(0 if i in slots else k for i, k in enumerate(e))
         part = groups.setdefault(tuple(e[i] for i in tables), {})
         part[rest] = part.get(rest, 0) + c
-    num = ring.zero
+    num = MultiPoly.const(0)
     for ks, part in groups.items():
-        term = _embed(p.prim.ring.from_dict(part), p.variables, vs)
+        term = _canonical(p.variables, {e: c for e, c in part.items() if c},
+                          Fraction(1))
         for k, table in zip(ks, tables.values()):
             term = term * table[k]
         num = num + term
-    return RationalFunction(_from_ring(vs, num, content),
-                            _from_ring(vs, den, Fraction(1)))
+    return RationalFunction(num.scale(content), den)
 
 
 def common_denominator(weights: Iterable[RationalFunction], k: int):
@@ -887,33 +932,25 @@ def common_denominator(weights: Iterable[RationalFunction], k: int):
             key_of[id(w)] = w, pairs.setdefault(key, key)
     vs = tuple(sorted({v for n, d in pairs
                        for v in n.variables + d.variables}))
-    ring = _ring(vs)
     exps = {d: dict(poly_factor(d)[1]) for _, d in pairs}
     top = {}
     for factors in exps.values():
         for f, e in factors.items():
             top[f] = max(e, top.get(f, 0))
-    irreducible = {f: _embed(f.prim, f.variables, vs) for f in top}
-
-    def cofactor(d: MultiPoly) -> PolyElement:
-        out = ring.one
-        for f, e in top.items():
-            e -= exps[d].get(f, 0)
-            if e:
-                out = out * _power(irreducible[f], e)
-        return out
-
     coeff = {(n, d): n.content / d.content for n, d in pairs}
     b = math.lcm(*(c.denominator for c in coeff.values()))
-    scaled = {(n, d): _embed(n.prim, n.variables, vs).mul_ground(
-                  c.numerator * (b // c.denominator)) * cofactor(d)
-              for (n, d), c in coeff.items()}
+    # each (num, den) value's b * n.content / d.content, an int
+    ints = {k: c.numerator * (b // c.denominator) for k, c in coeff.items()}
+    # the primitive part of n times the cofactor L/Q of its denominator
+    scaled = {(n, d): _reindex(_expand([(n, 1), *(
+        (f, e - exps[d].get(f, 0)) for f, e in top.items()
+        if e != exps[d].get(f, 0))], Fraction(1)), vs) for n, d in pairs}
+    irreducible = {f: _reindex(f, vs) for f in top}
     # wide enough for the divisors too, as _divide needs
-    polys = [*scaled.values(), *irreducible.values()]
-    packing = _Packing(k * max(p.degrees()[i] for p in polys)
-                       for i in range(len(vs)))
-    packed = {key: tuple(packing.terms(p).items())
-              for key, p in scaled.items()}
+    packing = _Packing(k * max(column) for column in zip(
+        *map(_degrees, [*scaled.values(), *irreducible.values()])))
+    packed = {key: tuple((w, ints[key] * x) for w, x in packing.terms(
+        scaled[key]).items()) for key in pairs}
     # each entry holds its weight, so that no other object takes its id
     by_id = {i: (w, packed[key]) for i, (w, key) in key_of.items()}
     divisors = {f: packing.terms(g) for f, g in irreducible.items()}
@@ -924,7 +961,7 @@ def common_denominator(weights: Iterable[RationalFunction], k: int):
     def quotient(total: Dict[int, int]) -> RationalFunction:
         if not total:
             return RationalFunction.const(0)
-        den = ring.one
+        rest = []
         for f, g in divisors.items():
             left = k * top[f]
             while left:
@@ -933,13 +970,13 @@ def common_denominator(weights: Iterable[RationalFunction], k: int):
                     break
                 total, left = q, left - 1
             if left:
-                den = den * _power(irreducible[f], left)
-        # the irreducibles are primitive, not monic (2x+1): both parts are
-        # divided by den's leading coefficient, so that den turns monic
-        scale = Fraction(1, den.LC)
+                rest.append((f, left))
+        # the irreducibles are monic but their primitive parts are not
+        # (2x+1): the numerator takes the denominator's content too
+        den = _expand(rest, Fraction(1))
         return RationalFunction(
-            _from_ring(vs, packing.poly(ring, total), scale / b ** k),
-            _from_ring(vs, den, scale), _normalized=True)
+            _canonical(vs, packing.poly(total), den.content / b ** k), den,
+            _normalized=True)
 
     return numerator, {0: 1}, _packed_sum, quotient
 
@@ -993,7 +1030,7 @@ def poly_factor(p: MultiPoly):
 def _factor_primitive(p: MultiPoly):
     """poly_factor of a non-constant p with content 1, in its three passes."""
     vs, q = p.variables, p.prim
-    degrees = dict(zip(vs, q.degrees()))
+    degrees = dict(zip(vs, _degrees(q)))
     at = _at_point(q, vs)
     c, out = Fraction(1), []
     for f, (f_at, f_degrees) in _irreducibles.items():
@@ -1001,52 +1038,51 @@ def _factor_primitive(p: MultiPoly):
             continue
         e = 0
         while (at % f_at == 0 if f_at else at == 0):
-            try:
-                q = _exquo(q, _embed(f.prim, f.variables, vs))
-            except _ExactQuotientFailed:
+            quotient = _exquo(q, _reindex(f, vs))
+            if quotient is None:
                 break
-            e += 1
+            q, e = quotient, e + 1
             at = at // f_at if f_at else _at_point(q, vs)
         if e:
-            c *= f.prim.LC ** e
+            c *= _lc(f.prim) ** e
             out.append((f, e))
-            if q.is_ground:
+            if _is_ground(q):
                 break
-    if not q.is_ground:
+    if not _is_ground(q):
         coeff, parts = _remainder_factors(q)
         c *= coeff
         for fac, e in parts:
-            lc = fac.LC
+            lc = _lc(fac)
             c *= lc ** e
-            f = _from_ring(vs, fac, Fraction(1, lc))
+            f = _canonical(vs, fac, Fraction(1, lc))
             _irreducibles[f] = (_at_point(f.prim, f.variables),
-                                dict(zip(f.variables, f.prim.degrees())))
+                                dict(zip(f.variables, _degrees(f.prim))))
             out.append((f, e))
     out.sort(key=lambda fe: (fe[0].total_degree(), str(fe[0])))
     return c, tuple(out)
 
 
-def _remainder_factors(q: PolyElement):
+def _remainder_factors(q: Terms) -> Tuple[int, List[Tuple[Terms, int]]]:
     """factor_list of a primitive q with a positive leading coefficient.
 
     Three cases need no sympy factorizer: a monomial, whose coefficient is
     then 1; a q that `_certified_irreducible` proves irreducible; and
     A*x + B with B != 0 and gcd(A, B) = 1, where a factor free of x would
-    divide both A and B."""
+    divide both A and B.  Any other q goes to sympy's `_factor_list`."""
     if len(q) == 1:
         (e, k), = q.items()
-        return k, [(x, d) for x, d in zip(q.ring.gens, e) if d]
+        return k, [({tuple(int(i == j) for j in range(len(e))): 1}, d)
+                   for i, d in enumerate(e) if d]
     if _certified_irreducible(q):
         return 1, [(q, 1)]
-    degrees = q.degrees()
+    degrees = _degrees(q)
     if 1 in degrees:
         i = degrees.index(1)
-        a = q.ring.from_dict({e[:i] + (0,) + e[i + 1:]: k
-                              for e, k in q.items() if e[i]})
-        b = q.ring.from_dict({e: k for e, k in q.items() if not e[i]})
-        if b and _ring_cofactors(a, b)[0].is_ground:
+        a = {e[:i] + (0,) + e[i + 1:]: k for e, k in q.items() if e[i]}
+        b = {e: k for e, k in q.items() if not e[i]}
+        if b and _is_ground(_cofactors(a, b)[0]):
             return 1, [(q, 1)]
-    return q.factor_list()
+    return _factor_list(q)
 
 
 # the values given to every other variable, and the primes, that
@@ -1057,7 +1093,7 @@ _PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 _CERTIFIED_DEGREE = 12
 
 
-def _certified_irreducible(q: PolyElement) -> bool:
+def _certified_irreducible(q: Terms) -> bool:
     """Whether one specialization proves the primitive q irreducible.
 
     Take a variable x of q, of degree d >= 1, for which the coefficient c_k
@@ -1083,7 +1119,7 @@ def _certified_irreducible(q: PolyElement) -> bool:
     remainder the certificate fails on goes to `factor_list` anyway.
     """
     terms = q.items()
-    for d, i in sorted((d, i) for i, d in enumerate(q.degrees()) if d):
+    for d, i in sorted((d, i) for i, d in enumerate(_degrees(q)) if d):
         # the x-exponents of terms that have another variable too
         mixed = {e[i] for e, _ in terms if sum(e) != e[i]}
         if any(e[i] not in mixed for e, _ in terms):
@@ -1104,7 +1140,7 @@ def _certified_irreducible(q: PolyElement) -> bool:
     return False
 
 
-def _at_point(q: PolyElement, variables: Tuple[str, ...]) -> int:
+def _at_point(q: Terms, variables: Tuple[str, ...]) -> int:
     """q at the integer point that gives each variable the CRC-32 of its
     name plus 2: the same point in every run, whatever the hash seed."""
     point = [zlib.crc32(v.encode()) + 2 for v in variables]
@@ -1352,48 +1388,6 @@ def _factored(coeff: Fraction, factors: Dict[MultiPoly, int]) -> FactoredRF:
     object.__setattr__(out, "factors", factors)
     object.__setattr__(out, "_hash", None)
     return out
-
-
-def _expand(factors: List[Tuple[MultiPoly, int]], c: Fraction) -> MultiPoly:
-    """c * prod(f^e) over distinct monic irreducibles f, each e > 0.
-
-    The product is taken in one packing (`_Packing`) with fields for the
-    sum of e * f's degree in each variable: each power is packed once,
-    raised by `_packed_power` where `_power` would take the recurrence,
-    and otherwise by `_power` in f's own ring; the powers are multiplied
-    as packed terms, smallest first, and unpacked once.  One factor needs
-    no packing.
-
-    The result is built in canonical form without a gcd.  By Gauss's
-    lemma the product of the primitive parts is primitive.  Its leading
-    coefficient in graded-lex order is the product of theirs, all
-    positive.  And it uses every variable of its factors.  The content is
-    c times the factors' contents, 1/LC of each primitive part.
-    """
-    if not factors:
-        return MultiPoly.const(c)
-    content = c * math.prod(f.content ** e for f, e in factors)
-    if len(factors) == 1:
-        (f, e), = factors
-        return _make(f.variables, _power(f.prim, e), content)
-    vs = tuple(sorted({v for f, _ in factors for v in f.variables}))
-    bounds = [0] * len(vs)
-    for f, e in factors:
-        for i, d in zip(_positions(vs, f.variables), f.prim.degrees()):
-            bounds[i] += e * d
-    packing = _Packing(bounds)
-    powers = []
-    for f, e in factors:
-        fields = _positions(vs, f.variables)
-        if e < _MILLER_FROM or len(f.prim) <= 3:
-            powers.append(packing.terms(_power(f.prim, e), fields))
-        else:
-            powers.append(_packed_power(packing.terms(f.prim, fields), e))
-    powers.sort(key=len)
-    product = powers[0]
-    for power in powers[1:]:
-        product = _packed_sum([(product.items(), power)])
-    return _make(vs, packing.poly(_ring(vs), product), content)
 
 
 def _strip(x: int, d: int) -> Tuple[int, int]:

@@ -378,6 +378,10 @@ def test_wrong_json_shape_is_a_json_error(capsys, tmp_path, command, text,
     pytest.param(["orbit", "--period", "checkered"],
                  "8de27ae55825aefe7ca3f6cec7f9006405a446fc"
                  "4cb98319ef4be9b61aa154d9", id="orbit-q-shift"),
+    # x^a*y^b*(x^2+y^2)^c*P^d expanded: pins the printed graded-lex order
+    pytest.param(["compute", "--family", "dungeon-D", "--n", "12"],
+                 "9902f88fb04ab4c98adf8b684f5bc2c4"
+                 "08b541f55dcc5745798abf9a3c6e0c24", id="dungeon-D-12"),
     pytest.param(["compute", "--family", "checkered", "--n", "12",
                   "--bind", "q=2"], '{"value": "6561/4"}\n',
                  id="checkered-family"),

@@ -1,7 +1,6 @@
 """Named weight-pattern families and their closed forms."""
 
 import pytest
-from sympy.polys.rings import PolyElement
 
 from matchgen import families, rational
 from matchgen.aztec import (AztecInstance, PeriodMatrix, evaluate,
@@ -46,12 +45,15 @@ def test_dungeon_d_order_16_expands_by_the_recurrence(monkeypatch):
     value = family_value("dungeon-D", 16)
     ones = {"x": RF.const(1), "y": RF.const(1)}
     assert value.substitute(ones) == RF.const(counts[16])
-    squares = []
-    square = PolyElement.square
-    monkeypatch.setattr(PolyElement, "square",
-                        lambda p: squares.append(p) or square(p))
-    assert len(rational._power(parse(P).num.prim, 85)) == 21931
-    assert not squares
+    base = parse(P).num
+    # no packed product at all: repeated squaring would square through it
+    products = []
+    packed_sum = rational._packed_sum
+    monkeypatch.setattr(rational, "_packed_sum",
+                        lambda pairs: products.append(pairs) or
+                        packed_sum(pairs))
+    assert len((base ** 85).terms) == 21931
+    assert not products
 
 
 def test_dungeon_e_counts():

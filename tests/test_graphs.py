@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from sympy.polys.rings import PolyElement
 
 from matchgen import rational
 from matchgen.aztec import (AztecInstance, PeriodMatrix, evaluate, reduce_step,
@@ -199,11 +198,11 @@ def test_symbolic_oracle_takes_no_gcd_and_no_sympy_division(monkeypatch):
     def counting(name, call):
         return lambda *args: calls.append(name) or call(*args)
 
-    monkeypatch.setattr(rational, "poly_cofactors",
-                        counting("poly_cofactors", poly_cofactors))
-    for name in ("cofactors", "exquo"):
-        monkeypatch.setattr(PolyElement, name,
-                            counting(name, getattr(PolyElement, name)))
+    # every gcd goes through poly_cofactors or _cofactors, and every sympy
+    # polynomial is built in _ring
+    for name in ("poly_cofactors", "_cofactors", "_ring"):
+        monkeypatch.setattr(rational, name,
+                            counting(name, getattr(rational, name)))
     assert oracle_mgf(to_graph(inst)) == expected
     assert calls == []
 

@@ -18,6 +18,7 @@ import sympy
 import sympy.polys.rings
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from sympy.polys.orderings import grlex
 from sympy.polys.polyerrors import ExactQuotientFailed, HeuristicGCDFailed
 
 from matchgen import aztec, families, rational
@@ -35,6 +36,12 @@ RF = RationalFunction
 def mp(variables, terms):
     return MultiPoly(tuple(variables),
                      {tuple(e): Fraction(c) for e, c in terms.items()})
+
+
+def sympy_ring(variables):
+    """sympy's ring of integer polynomials in `variables`, graded-lex, the
+    independent reference for gcds, divisions and the printed order."""
+    return sympy.polys.rings.PolyRing(list(variables), sympy.ZZ, grlex)
 
 
 coeffs = st.integers(min_value=-4, max_value=4)
@@ -96,7 +103,7 @@ def sparse_polys(draw, max_terms=4):
 @st.composite
 def power_bases(draw):
     """Integer polynomials of 1-5 terms in 1-4 variables, some without a
-    constant term, some whose lowest term in `_power`'s packed order (lex
+    constant term, some whose lowest term in `_miller`'s packed order (lex
     on the reversed exponent vector) has coefficient +-2 or +-3, which
     that order's exact division divides by."""
     k = draw(st.integers(1, 4))
@@ -140,6 +147,25 @@ class TestMultiPoly:
         assert z.is_zero()
         one = MultiPoly.const(1)
         assert one.is_const() and one.as_const() == 1
+        # below and from the recurrence's exponent on
+        for n in (3, rational._MILLER_FROM + 1):
+            assert z ** n == z
+            assert MultiPoly.const(-2) ** n == MultiPoly.const((-2) ** n)
+            assert mp("xy", {(2, 1): Fraction(-1, 3)}) ** n == mp(
+                "xy", {(2 * n, n): Fraction(-1, 3) ** n})
+
+    @pytest.mark.parametrize("variables,terms,error", [
+        (("x", "x"), {(1, 0): 1, (0, 1): 1}, ValueError),
+        (("x",), {(1, 2): 1}, ValueError),
+        (("x", "y"), {(1,): 0}, ValueError),
+        (("x",), {(-1,): 1}, ValueError),
+        (("x",), {(Fraction(1, 2),): 1}, TypeError),
+        (("x",), {(1.0,): 1}, TypeError),
+    ], ids=["repeated-variable", "long-exponents", "short-exponents",
+            "negative-exponent", "fraction-exponent", "float-exponent"])
+    def test_malformed_terms_are_refused(self, variables, terms, error):
+        with pytest.raises(error):
+            MultiPoly(variables, terms)
 
     def test_add_cancels(self):
         p = mp("xy", {(1, 0): 2})
@@ -270,6 +296,24 @@ class TestGcdAndFactor:
             return
         for p, cofactor in ((a, qa), (b, qb)):
             assert g * cofactor == p
+
+    @given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+        st.dictionaries(st.tuples(*[st.integers(0, 4)] * n),
+                        st.integers(-12, 12).filter(bool),
+                        min_size=1, max_size=1),
+        st.dictionaries(st.tuples(*[st.integers(0, 4)] * n),
+                        st.integers(-12, 12).filter(bool),
+                        min_size=1, max_size=5))))
+    @example(({(0, 1): 1}, {(2, 0): 1, (0, 2): 1}))  # y | x^2+y^2
+    @example(({(3, 0): -6}, {(2, 1): 4, (4, 2): -10}))
+    @settings(max_examples=200, deadline=None)
+    def test_one_term_gcd_agrees_with_sympys_cofactors(self, pair):
+        """A gcd with a term c*x^e is read off the exponents, with sympy's
+        gcd, sign and cofactors, in either argument order."""
+        ring = sympy_ring("xyz"[:len(next(iter(pair[0])))])
+        for f, g in (pair, pair[::-1]):
+            expected = ring.from_dict(f).cofactors(ring.from_dict(g))
+            assert rational._cofactors(f, g) == tuple(map(dict, expected))
 
     @given(polys())
     @settings(max_examples=40, deadline=None)
@@ -635,9 +679,10 @@ class TestPackedExpansion:
                       ("z+w", -1), ("y", -3), ("3*z*w-w^2+z+2*w-1", -7)]),
                   FactoredRF.from_rf(parse("(x+y)^7*(3*x+1)/(y^2*(z+2)^3)"))]
         expected = [_expanded(v) for v in values]
-        for name in ("_from_ring", "poly_cofactors"):
+        # _canonical takes every content gcd, and poly_cofactors every
+        # polynomial gcd
+        for name in ("_canonical", "poly_cofactors"):
             monkeypatch.setattr(rational, name, None)
-        monkeypatch.setattr(sympy.polys.rings.PolyElement, "primitive", None)
         assert [v.to_rf() for v in values] == expected
 
 
@@ -687,7 +732,10 @@ def test_constant_substitution_builds_no_ring(monkeypatch):
     point = {"x": Fraction(1, 2), "y": Fraction(-3)}
     expected = _at(r.num, point) / _at(r.den, point)
     bindings = {v: RF.const(c) for v, c in point.items()}
-    monkeypatch.setattr(rational, "_ring", None)
+    # the general path builds each grouped part by _canonical and
+    # multiplies the parts by _expand
+    for name in ("_canonical", "_expand"):
+        monkeypatch.setattr(rational, name, None)
     assert r.substitute(bindings) == expected
     assert f.substitute(bindings) == expected
 
@@ -783,7 +831,7 @@ def fraction_str(p):
     if not p.content:
         return "0"
     pieces = []
-    for e, k in p.prim.terms():
+    for e, k in sympy_ring(p.variables).from_dict(p.prim).terms():
         c = p.content * k
         mono = "*".join(v if k == 1 else f"{v}^{k}"
                         for v, k in zip(p.variables, e) if k)
@@ -809,7 +857,7 @@ def gcd_size(p):
     """MultiPoly.size() as the parser computed it from the layout."""
     a, b = abs(p.content.numerator), p.content.denominator
     bits = 0
-    for k in p.prim.itercoeffs():
+    for k in p.prim.values():
         g = math.gcd(k, b)
         bits = max(bits, (abs(k) * a // g - 1).bit_length(),
                    (b // g - 1).bit_length())
@@ -933,11 +981,10 @@ def test_a_known_irreducible_that_does_not_divide_is_passed_over(
     exquo = rational._exquo
 
     def counted(f, g):
-        try:
-            return exquo(f, g)
-        except ExactQuotientFailed:
+        q = exquo(f, g)
+        if q is None:
             failed.append(g)
-            raise
+        return q
 
     monkeypatch.setattr(rational, "_exquo", counted)
     root = zlib.crc32(b"x") + 2
@@ -957,7 +1004,7 @@ def exquo_pairs(draw):
     """(f, g) in one integer ring of 1 to 4 variables: f = g*h + r, with r
     0 (exact) half the time and otherwise a few terms (mostly inexact)."""
     n = draw(st.integers(1, 4))
-    ring = rational._ring(tuple("wxyz"[:n]))
+    ring = sympy_ring("wxyz"[:n])
 
     def poly(max_terms, exponents=edge_exponents):
         return ring.from_dict(draw(st.dictionaries(
@@ -972,41 +1019,43 @@ def exquo_pairs(draw):
     return g * poly(5) + r, g
 
 
+_XY, _X = sympy_ring("xy"), sympy_ring("x")
+
+
 @given(exquo_pairs())
-@example((rational._ring(("x", "y")).from_dict({(2, 0): 1}),   # x^2/(x+y)
-          rational._ring(("x", "y")).from_dict({(1, 0): 1, (0, 1): 1})))
+@example((_XY.from_dict({(2, 0): 1}),   # x^2/(x+y)
+          _XY.from_dict({(1, 0): 1, (0, 1): 1})))
 # y by x^2: packed for y's degrees, x^2 would read as y
-@example((rational._ring(("x", "y")).from_dict({(0, 1): 1}),
-          rational._ring(("x", "y")).from_dict({(2, 0): 1})))
+@example((_XY.from_dict({(0, 1): 1}),
+          _XY.from_dict({(2, 0): 1})))
 # read from the bottom, x^2+1 by x+1 meets no term that fails to divide:
 # the quotient runs on past x^2 until a guard bit stops it
-@example((rational._ring(("x",)).from_dict({(2,): 1, (0,): 1}),
-          rational._ring(("x",)).from_dict({(1,): 1, (0,): 1})))
-@example((rational._ring(("x",)).from_dict({(7,): 3, (0,): -3}),
-          rational._ring(("x",)).from_dict({(0,): 3})))       # 3x^7-3 by 3
-@example((rational._ring(("x", "y")).from_dict({(8, 7): 2, (0, 0): 1}),
-          rational._ring(("x", "y")).from_dict({(0, 0): 2})))  # odd by 2
+@example((_X.from_dict({(2,): 1, (0,): 1}),
+          _X.from_dict({(1,): 1, (0,): 1})))
+@example((_X.from_dict({(7,): 3, (0,): -3}),
+          _X.from_dict({(0,): 3})))       # 3x^7-3 by 3
+@example((_XY.from_dict({(8, 7): 2, (0, 0): 1}),
+          _XY.from_dict({(0, 0): 2})))  # odd by 2
 @settings(max_examples=200, deadline=None)
 def test_exquo_agrees_with_sympys_exquo(pair):
     f, g = pair
 
-    def divide(exquo):
-        try:
-            return exquo(f, g)
-        except ExactQuotientFailed:
-            return "inexact"
-
-    expected = divide(sympy.polys.rings.PolyElement.exquo)
-    assert divide(rational._exquo) == expected
-    if expected != "inexact":
+    try:
+        expected = f.exquo(g)
+    except ExactQuotientFailed:
+        expected = None
+    else:
         assert expected * g == f
+        expected = dict(expected)
+    assert rational._exquo(dict(f), dict(g)) == expected
 
 
 def _count_sympy_factorizations(monkeypatch):
+    """Record each call of `_factor_list`, sympy's factorizer's one caller."""
     calls = []
-    factor_list = sympy.polys.rings.PolyElement.factor_list
-    monkeypatch.setattr(sympy.polys.rings.PolyElement, "factor_list",
-                        lambda f: calls.append(f) or factor_list(f))
+    factor_list = rational._factor_list
+    monkeypatch.setattr(rational, "_factor_list",
+                        lambda q: calls.append(q) or factor_list(q))
     return calls
 
 
@@ -1061,12 +1110,35 @@ def test_cold_runs_leave_sympys_factorizer_nothing(monkeypatch, values):
     irreducible; the values are those of factor_list on every remainder."""
     _forget_everything()
     with monkeypatch.context() as m:
-        m.setattr(rational, "_remainder_factors", lambda q: q.factor_list())
+        m.setattr(rational, "_remainder_factors", rational._factor_list)
         expected = values()
     _forget_everything()
     calls = _count_sympy_factorizations(monkeypatch)
     assert values() == expected
     assert calls == []
+
+
+def test_cold_runs_build_no_sympy_polynomial(monkeypatch):
+    """From cold caches, dungeon-D to order 7, checkered `evaluate` to
+    order 35 and the oracle on N at order 4 take every gcd with a one-term
+    polynomial and factor nothing in sympy: with the adapter to sympy's
+    ring refused, the values are those computed with it."""
+    cases = [lambda: [families.family_value("dungeon-D", n) for n in range(8)],
+             _checkered_values,
+             lambda: oracle_mgf(to_graph(
+                 AztecInstance(4, dungeon_period_N())))]
+    expected = []
+    for case in cases:
+        _forget_everything()
+        expected.append(case())
+
+    def refuse(n):
+        raise AssertionError(f"sympy's ring in {n} variables")
+
+    monkeypatch.setattr(rational, "_ring", refuse)
+    for case, value in zip(cases, expected):
+        _forget_everything()
+        assert case() == value
 
 
 def test_a_monomial_leaves_sympy_nothing(monkeypatch):
