@@ -1,8 +1,9 @@
 """Weighted graphs and the exhaustive matching generating function oracle.
 
-The oracle is deliberately simple: branch on a lowest-degree vertex and
-recurse, with each call memoizing its values on the set of vertices still
-alive. Everything else in the package is ultimately checked against it.
+The oracle is deliberately simple: number the vertices once in a
+breadth-first sweep, branch on the lowest vertex still alive and recurse,
+with each call memoizing its values on the set of vertices still alive.
+Everything else in the package is ultimately checked against it.
 It writes every edge weight over one common denominator D, sums products
 of the numerators as packed integer terms, and divides the sum by D^(|V|/2)
 once, at the end, by dividing out the irreducible factors of D while they
@@ -119,62 +120,58 @@ def graph_from_json(text: str) -> WeightedGraph:
 
 
 def _indexed(g: WeightedGraph, size_cap: int):
-    """Index g for the brute-force routines.
+    """Index g for the brute-force routines, in one sweep order.
 
-    Returns the vertices in repr order, one neighbour bitmask per vertex
-    and one (index, weight) list per vertex.  Zero-weight edges stand for
-    absent edges and are dropped here.
+    The order is breadth-first from a vertex of least degree, one
+    component after another, with ties broken by repr (Cuthill-McKee).
+    Branching on the lowest alive vertex then removes vertices along the
+    sweep, so the alive sets reached differ only on the sweep's frontier.
+    Returns the vertices in that order and one (index, weight) list per
+    vertex.  Zero-weight edges stand for absent edges and are dropped here.
     """
     if len(g.vertices) > size_cap:
         raise SizeCapExceeded(
             f"{len(g.vertices)} vertices exceeds cap {size_cap}")
-    order = sorted(g.vertices, key=repr)
-    index = {v: i for i, v in enumerate(order)}
-    nbr_mask = [0] * len(order)
-    nbrs: List[List[Tuple[int, RationalFunction]]] = [[] for _ in order]
+    adj: Dict[Vertex, List[Tuple[Vertex, RationalFunction]]] = {
+        v: [] for v in g.vertices}
     for key, w in g.weights.items():
-        if w.is_zero():
+        if not w.is_zero():
+            u, v = key
+            adj[u].append((v, w))
+            adj[v].append((u, w))
+    index: Dict[Vertex, int] = {}
+    for root in sorted(adj, key=lambda v: (len(adj[v]), repr(v))):
+        if root in index:
             continue
-        u, v = (index[x] for x in key)
-        nbr_mask[u] |= 1 << v
-        nbr_mask[v] |= 1 << u
-        nbrs[u].append((v, w))
-        nbrs[v].append((u, w))
-    return order, nbr_mask, nbrs
-
-
-def _branch_vertex(alive: int, nbr_mask: List[int]) -> int:
-    """The lowest-index vertex of minimum live degree in the bitmask alive."""
-    best, best_deg = -1, len(nbr_mask)
-    rest = alive
-    while rest:
-        low = rest & -rest
-        i = low.bit_length() - 1
-        deg = (nbr_mask[i] & alive).bit_count()
-        if deg < best_deg:
-            if deg == 0:
-                return i
-            best, best_deg = i, deg
-        rest ^= low
-    return best
+        index[root] = len(index)
+        queue = [root]
+        for v in queue:  # breadth-first: the queue grows while it is read
+            for u in sorted((u for u, _ in adj[v]), key=repr):
+                if u not in index:
+                    index[u] = len(index)
+                    queue.append(u)
+    order = list(index)
+    nbrs = [[(index[u], w) for u, w in adj[v]] for v in order]
+    return order, nbrs
 
 
 def oracle_mgf(g: WeightedGraph, size_cap: int = DEFAULT_SIZE_CAP) -> RationalFunction:
     """Sum over all perfect matchings of the product of edge weights.
 
-    Branches on a lowest-degree vertex.  Each call memoizes its values on
-    the set of vertices still alive, so a residual region reached along
-    many partial matchings is summed once.  Every weight is first written
-    over one common denominator D (`rational.common_denominator`), and
-    since a perfect matching has |V|/2 edges, the value is the sum of
-    products of numerators (its `dot`, on packed integer terms) over
-    D^(|V|/2), put in canonical form once, at the end, by its `quotient`.
+    Branches on the lowest alive vertex of `_indexed`'s sweep order.  Each
+    call memoizes its values on the set of vertices still alive, so a
+    residual region reached along many partial matchings is summed once.
+    Every weight is first written over one common denominator D
+    (`rational.common_denominator`), and since a perfect matching has
+    |V|/2 edges, the value is the sum of products of numerators (its
+    `dot`, on packed integer terms) over D^(|V|/2), put in canonical form
+    once, at the end, by its `quotient`.
     If every weight is constant, D is the lcm of their denominators and
     the sum runs in ints.
     """
-    _, nbr_mask, nbrs = _indexed(g, size_cap)
+    _, nbrs = _indexed(g, size_cap)
     numerator, one, dot, quotient = common_denominator(
-        (w for ws in nbrs for _, w in ws), len(nbr_mask) // 2)
+        (w for ws in nbrs for _, w in ws), len(nbrs) // 2)
     edges = [[(u, numerator(w)) for u, w in ws] for ws in nbrs]
     memo: Dict[int, object] = {}
 
@@ -183,30 +180,31 @@ def oracle_mgf(g: WeightedGraph, size_cap: int = DEFAULT_SIZE_CAP) -> RationalFu
             return one
         total = memo.get(alive)
         if total is None:
-            v = _branch_vertex(alive, nbr_mask)
+            v = (alive & -alive).bit_length() - 1
             total = memo[alive] = dot(
                 [(w, go(alive & ~(1 << v | 1 << u)))
                  for u, w in edges[v] if alive >> u & 1])
         return total
 
-    return quotient(go((1 << len(nbr_mask)) - 1))
+    return quotient(go((1 << len(nbrs)) - 1))
 
 
 def enumerate_matchings(g: WeightedGraph, size_cap: int = DEFAULT_SIZE_CAP):
     """All perfect matchings, each a frozenset of vertex-pair frozensets.
 
     Zero-weight edges are treated as absent here: a matching through a
-    missing edge contributes nothing.  Branches like oracle_mgf, without
-    a memo, since every matching is listed.
+    missing edge contributes nothing.  Branches like oracle_mgf, on the
+    lowest alive vertex of the same sweep order, without a memo, since
+    every matching is listed.
     """
-    order, nbr_mask, nbrs = _indexed(g, size_cap)
+    order, nbrs = _indexed(g, size_cap)
     out = []
 
     def go(alive: int, chosen):
         if not alive:
             out.append(frozenset(chosen))
             return
-        v = _branch_vertex(alive, nbr_mask)
+        v = (alive & -alive).bit_length() - 1
         for u, _ in nbrs[v]:
             if alive >> u & 1:
                 chosen.append(frozenset((order[v], order[u])))

@@ -1,17 +1,20 @@
 """Weighted graphs and the brute-force matching oracle."""
 
+import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from matchgen import rational
+from matchgen import graphs, rational
 from matchgen.aztec import (AztecInstance, PeriodMatrix, evaluate, reduce_step,
                             to_graph)
 from matchgen.exprs import parse
-from matchgen.families import dungeon_period_N
+from matchgen.families import (dungeon_period_N, hexsquare_period,
+                               weighted_dungeon_period_M)
 from matchgen.graphs import (SizeCapExceeded, WeightedGraph,
                              enumerate_matchings, graph_from_json,
                              graph_to_json, matching_weight, oracle_mgf,
@@ -19,6 +22,7 @@ from matchgen.graphs import (SizeCapExceeded, WeightedGraph,
 from matchgen.rational import FactoredRF
 from matchgen.rational import RationalFunction as RF
 from matchgen.rational import poly_cofactors
+from matchgen.verify import _random_completion
 
 
 def four_cycle():
@@ -167,11 +171,67 @@ def test_numeric_oracle_takes_no_gcd(monkeypatch):
     assert calls == []
 
 
-def test_oracle_counts_order_5_aztec_diamond():
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_oracle_counts_aztec_diamond(n):
     # Aztec diamond theorem: the order-n diamond has 2^(n(n+1)/2) matchings
-    g = to_graph(AztecInstance(5, PeriodMatrix.constant(1)))
-    assert len(g) == 60
-    assert oracle_mgf(g, size_cap=60) == RF.const(2 ** 15)
+    g = to_graph(AztecInstance(n, PeriodMatrix.constant(1)))
+    assert len(g) == 2 * n * (n + 1)
+    assert oracle_mgf(g, size_cap=len(g)) == RF.const(2 ** (n * (n + 1) // 2))
+
+
+def _generic_4x4():
+    rng = random.Random(7)
+    return PeriodMatrix([[RF.const(Fraction(rng.randint(1, 5),
+                                            rng.randint(1, 3)))
+                          for _ in range(4)] for _ in range(4)])
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+@pytest.mark.parametrize("period", [
+    dungeon_period_N, weighted_dungeon_period_M, hexsquare_period,
+    _generic_4x4], ids=["N", "M", "hexsquare", "generic-4x4"])
+def test_oracle_equals_evaluate_beyond_the_cli_cap(period, n):
+    inst = AztecInstance(n, period())
+    g = to_graph(inst)
+    assert oracle_mgf(g, size_cap=len(g)) == evaluate(inst)[0]
+
+
+def _live_components(g):
+    """Each vertex's component, zero-weight edges counting as absent."""
+    live = {v: set() for v in g.vertices}
+    for key, w in g.weights.items():
+        if not w.is_zero():
+            u, v = key
+            live[u].add(v)
+            live[v].add(u)
+    component = {}
+    for root in g.vertices:
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            if v not in component:
+                component[v] = root
+                stack += live[v]
+    return live, component
+
+
+@pytest.mark.parametrize("g", [
+    to_graph(AztecInstance(4, dungeon_period_N())),
+    _random_completion(random.Random(3), 0).host,
+    WeightedGraph(["c", "z"], [("a", "e", RF.const(2)),
+                               ("b", "d", RF.const(1)),
+                               ("e", "c", RF.const(3)),
+                               ("z", "a", RF.const(0))]),
+], ids=["diamond", "completion", "components"])
+def test_vertices_are_numbered_in_one_breadth_first_sweep(g):
+    order, _ = graphs._indexed(g, len(g))
+    assert len(order) == len(g) and set(order) == g.vertices
+    live, component = _live_components(g)
+    runs = [c for c, _ in itertools.groupby(component[v] for v in order)]
+    assert len(runs) == len(set(runs))
+    for i, v in enumerate(order):
+        first = i == 0 or component[order[i - 1]] != component[v]
+        assert first or live[v] & set(order[:i])
 
 
 def test_oracle_normalizes_once(monkeypatch):
