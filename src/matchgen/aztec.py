@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 from itertools import accumulate, chain
+from operator import add, itemgetter
 from typing import List, Optional, Tuple
 
 from .cellular import whole_cell
@@ -144,68 +145,104 @@ def _read_part(rows: List[list], m: int) -> List[list]:
     return [row[:2 * m] for row in rows[:2 * m]]
 
 
-def _step(rows: List[list]) -> Tuple[List[list], List[list]]:
+# a zero or undefined block's cell: no factor, None for its new weights
+_UNDEFINED = None, (None, None), (None, None)
+_FACTOR, _UPPER, _LOWER = itemgetter(0), itemgetter(1), itemgetter(2)
+
+
+def _move(a, b, c, d, intern: dict) -> tuple:
+    """The cell of block [[a,b],[c,d]]: (factor, new upper pair, new lower
+    pair), the factor and weights interned, or `_UNDEFINED` for a zero
+    block or one with a None entry."""
+    # by identity: `None in block` would call the entries' __eq__
+    if a is None or b is None or c is None or d is None:
+        return _UNDEFINED
+    try:
+        cell = whole_cell((a, b, d, c))
+    except ZeroDivisionError:
+        return _UNDEFINED
+    delta, na, nb, nd, nc = (intern.setdefault(x, x)
+                             for x in (cell[0], *cell[1]))
+    return delta, (na, nb), (nc, nd)
+
+
+def _step(rows: List[list], cells: Optional[dict] = None,
+          intern: Optional[dict] = None) -> Tuple[List[list], List[list]]:
     """One shuffle step on a period's rows: its block factors and successor.
 
-    Block [[a,b],[c,d]] is the cell a, b, d, c in cyclic order.  One
-    `whole_cell` call per distinct (a, b, c, d) gives its factor a*d + b*c
-    and new weights, so equal blocks share one factor object.  A zero or
-    undefined (None entry) block has factor None and leaves None where its
-    new weights would go.  Entries need only +, *, /, is_zero, == and hash.
+    Block [[a,b],[c,d]] is the cell a, b, d, c in cyclic order.  `cells`
+    maps a block, keyed by the ids of its four entries, to its factor
+    a*d + b*c and new weights (`_move`); a block not in it gets one
+    `whole_cell` call, whose factor and new weights are interned in
+    `intern`, so equal values the step makes are one object.  An orbit
+    passes the same two tables to every step, so a block seen at any
+    earlier step moves no cell again; every entry of the rows it passes
+    is interned there, which keeps its id from being reused.  A call
+    without the tables keys the blocks of `rows` alone.  A zero or
+    undefined (None entry) block has factor None and leaves None where
+    its new weights would go.  The successor is the new weights shifted
+    one row up and one column left, by slicing.  Entries need only +, *,
+    /, is_zero, == and hash.
     """
-    k, l = len(rows), len(rows[0])
-    factors, inv, cells = [], [[None] * l for _ in range(k)], {}
-    for bi in range(k // 2):
-        upper, lower = rows[2 * bi:2 * bi + 2]
-        row = []
-        for bj in range(l // 2):
-            cols = slice(2 * bj, 2 * bj + 2)
-            block = a, b, c, d = (*upper[cols], *lower[cols])
-            if block not in cells:
-                cells[block] = None
-                # by identity: `None in block` would call the entries' __eq__
-                if not (a is None or b is None or c is None or d is None):
-                    try:
-                        cells[block] = whole_cell((a, b, d, c))
-                    except ZeroDivisionError:
-                        pass
-            cell = cells[block]
-            if cell is None:
-                row.append(None)
-                continue
-            delta, (na, nb, nd, nc) = cell
-            inv[2 * bi][cols] = na, nb
-            inv[2 * bi + 1][cols] = nc, nd
-            row.append(delta)
-        factors.append(row)
-    return factors, [[inv[(i + 1) % k][(j + 1) % l] for j in range(l)]
-                     for i in range(k)]
+    cells = {} if cells is None else cells
+    intern = {} if intern is None else intern
+    factors, inv = [], []
+    for upper, lower in zip(rows[::2], rows[1::2]):
+        parts = upper[::2], upper[1::2], lower[::2], lower[1::2]
+        keys = list(zip(*[map(id, part) for part in parts]))
+        moved = list(map(cells.get, keys))
+        if None in moved:
+            for i, key in enumerate(keys):
+                if key not in cells:
+                    cells[key] = _move(*[part[i] for part in parts],
+                                       intern=intern)
+            moved = list(map(cells.__getitem__, keys))
+        factors.append(list(map(_FACTOR, moved)))
+        inv.append(list(chain.from_iterable(map(_UPPER, moved))))
+        inv.append(list(chain.from_iterable(map(_LOWER, moved))))
+    return factors, [row[1:] + row[:1] for row in inv[1:] + inv[:1]]
 
 
-def _tables(factors: List[list]) -> tuple:
-    """Prefix count tables of one step's block factors, and its zero blocks.
+def _tables(factors: List[list], read: dict) -> tuple:
+    """Packed prefix count table of one step's block factors, its count
+    keys, their field width, the bias `_Orbit.factor` unpacks with and the
+    step's zero blocks.
 
-    The factors are `_step`'s; the counts (`FactoredRF.counts`) of each
-    distinct factor object are read once.  counts[key][i][j] sums the
-    exponents of one key over the blocks above block row i and left of
-    block column j.  Zero or undefined blocks (None) are listed in
-    row-major order; the tables skip them.
+    The factors are `_step`'s.  `read` maps id(factor) to the factor's
+    counts (`FactoredRF.counts`) and is filled here for a factor not in
+    it; an orbit passes one table, and its factors are interned, so it
+    reads each distinct factor's counts once.  Each factor's counts are
+    packed into one signed int, the count of keys[i] times 2^(width*i).
+    A rectangle sum of blocks has at most kb*lb terms, so with width one
+    bit wider than kb*lb * max|count| every field of it stays within
+    (-2^(width-1), 2^(width-1)) and the packed sums never carry from one
+    key into the next.  table[i][j] sums the packed counts over the
+    blocks above block row i and left of block column j.  Zero or
+    undefined blocks (None) pack to 0 and are listed in row-major order.
     """
-    width = len(factors[0]) + 1
     bad = [(bi, bj) for bi, row in enumerate(factors)
            for bj, delta in enumerate(row) if delta is None]
     distinct = {id(delta): delta for row in factors for delta in row
                 if delta is not None}
-    read = {i: delta.counts() for i, delta in distinct.items()}
-    keyed = [[{} if delta is None else read[id(delta)] for delta in row]
-             for row in factors]
-    counts = {key: [[0] * width] for keys in read.values() for key in keys}
-    for row in keyed:
-        for key, table in counts.items():
-            prefix = accumulate((keys.get(key, 0) for keys in row),
-                                initial=0)
-            table.append([s + t for s, t in zip(table[-1], prefix)])
-    return counts, bad
+    for i, delta in distinct.items():
+        if i not in read:
+            read[i] = delta.counts()
+    counts = [read[i] for i in distinct]
+    keys = list(dict.fromkeys(chain.from_iterable(counts)))
+    blocks = len(factors) * len(factors[0])
+    width = (blocks * max(map(abs, chain.from_iterable(
+        c.values() for c in counts)), default=0)).bit_length() + 1
+    shift = {key: width * i for i, key in enumerate(keys)}
+    packed = {i: sum(e << shift[key] for key, e in c.items())
+              for i, c in zip(distinct, counts)}
+    packed[id(None)] = 0
+    table = [[0] * (len(factors[0]) + 1)]
+    for row in factors:
+        prefix = accumulate(map(packed.__getitem__, map(id, row)), initial=0)
+        table.append(list(map(add, table[-1], prefix)))
+    # 2^(width-1) in every field, which makes every field of a sum nonnegative
+    bias = sum(1 << (width * i + width - 1) for i in range(len(keys)))
+    return table, keys, width, bias, bad
 
 
 class _Orbit:
@@ -213,11 +250,16 @@ class _Orbit:
 
     `periods[j]` holds the rows of shuffle^j of the period, which step j
     starts from.  Every step has the period's block size (kb, lb) and keeps
-    the count `_tables` of its block factors, from which `factor` reads the
-    counts of any multiset of its blocks that an order or an orbit step
-    uses.  `_step` moves each distinct block's cell once, `_tables` reads
-    each distinct factor's counts once, and `FactoredRF.from_counts` turns
-    the sum of an order's counts into one value.
+    the packed count `_tables` of its block factors, from which `factor`
+    reads the counts of any multiset of its blocks that an order or an
+    orbit step uses.  The orbit keeps one intern table and one cell table
+    for its whole walk: the period's entries and every factor and weight
+    `_step` makes are interned, so equal values are one object, a block is
+    keyed by the ids of its entries, and a block seen at any step moves
+    its cell once.  The interned values keep those ids alive.  `_tables`
+    reads each distinct factor's counts once per orbit, and
+    `FactoredRF.from_counts` turns the sum of an order's counts into one
+    value.
 
     No step is cut to the part an order reads, and none needs to be.  Step
     j serves order m = n - j, which leaves a block unused only when the
@@ -231,15 +273,21 @@ class _Orbit:
 
     def __init__(self, period: PeriodMatrix):
         self.kb, self.lb = period.k // 2, period.l // 2
-        self.periods: List[List[list]] = [period.entries]
+        self._intern: dict = {}
+        self._cells: dict = {}
+        self._counts: dict = {}
+        self.periods: List[List[list]] = [
+            [[self._intern.setdefault(e, e) for e in row]
+             for row in period.entries]]
         self.steps: List[tuple] = []
 
     def _extend(self, count: int):
         """Walk until `count` steps are known."""
         while len(self.steps) < count:
-            factors, successor = _step(self.periods[-1])
+            factors, successor = _step(self.periods[-1], self._cells,
+                                       self._intern)
             self.periods.append(successor)
-            self.steps.append(_tables(factors))
+            self.steps.append(_tables(factors, self._counts))
 
     def factor(self, j: int, a: int = 1, r: int = 0, b: int = 1,
                c: int = 0) -> dict:
@@ -247,11 +295,27 @@ class _Orbit:
 
         Block (i, i') is taken (a + [i < r]) * (b + [i' < c]) times, so the
         exponent of each key is the rectangle sum
-        S[kb][lb]*ab + S[kb][c]*a + S[r][lb]*b + S[r][c] of its count table S.
+        S[kb][lb]*ab + S[kb][c]*a + S[r][lb]*b + S[r][c] of its count table
+        S.  The four packed sums are unpacked field by field, lowest key
+        first: each plus the bias has the field 2^(width-1) + S, so the
+        2^(width-1)'s of the four come off together as
+        (a + 1)(b + 1) * 2^(width-1).
         """
-        kb, lb = self.kb, self.lb
-        return {key: s[kb][lb] * a * b + s[kb][c] * a + s[r][lb] * b + s[r][c]
-                for key, s in self.steps[j][0].items()}
+        s, keys, width, bias, _ = self.steps[j]
+        full, part = s[self.kb], s[r]
+        whole, right = full[self.lb] + bias, full[c] + bias
+        low, corner = part[self.lb] + bias, part[c] + bias
+        mask, ab = (1 << width) - 1, a * b
+        off = (a + 1) * (b + 1) << (width - 1)
+        out = {}
+        for key in keys:
+            out[key] = ((whole & mask) * ab + (right & mask) * a
+                        + (low & mask) * b + (corner & mask) - off)
+            whole >>= width
+            right >>= width
+            low >>= width
+            corner >>= width
+        return out
 
     def step_factor(self, j: int) -> FactoredRF:
         """The factor of orbit step j + 1, each block's once.
@@ -288,8 +352,8 @@ class _Orbit:
         return out
 
 
-# the orbit read last, keyed on (k, l, entries) of its period
-_LAST_ORBIT: dict = {}
+# the orbit read last, with the (k, l, entries) key of its period
+_LAST_ORBIT: list = []
 
 
 def _kept_orbit(period: PeriodMatrix) -> _Orbit:
@@ -297,14 +361,14 @@ def _kept_orbit(period: PeriodMatrix) -> _Orbit:
 
     The orbit serves every order and every orbit step, so evaluation,
     orbit search, recurrence constants and shuffle all read the kept
-    orbit and share its walk.
+    orbit and share its walk.  The key is a snapshot of the entries, so
+    a period changed in place gets a new orbit; it is compared with ==,
+    which short-cuts on identity entry by entry and hashes nothing.
     """
     key = (period.k, period.l, tuple(map(tuple, period.entries)))
-    orbit = _LAST_ORBIT.get(key)
-    if orbit is None:
-        _LAST_ORBIT.clear()
-        orbit = _LAST_ORBIT[key] = _Orbit(period)
-    return orbit
+    if not (_LAST_ORBIT and _LAST_ORBIT[0] == key):
+        _LAST_ORBIT[:] = key, _Orbit(period)
+    return _LAST_ORBIT[1]
 
 
 def shuffle(p: PeriodMatrix) -> PeriodMatrix:

@@ -59,7 +59,6 @@ from __future__ import annotations
 
 import math
 import zlib
-from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
@@ -1068,7 +1067,9 @@ def _remainder_factors(q: Terms) -> Tuple[int, List[Tuple[Terms, int]]]:
     Three cases need no sympy factorizer: a monomial, whose coefficient is
     then 1; a q that `_certified_irreducible` proves irreducible; and
     A*x + B with B != 0 and gcd(A, B) = 1, where a factor free of x would
-    divide both A and B.  Any other q goes to sympy's `_factor_list`."""
+    divide both A and B.  That gcd is `_coprime_binomials`' when A and B
+    have two terms each and `_cofactors`' otherwise.  Any other q goes to
+    sympy's `_factor_list`."""
     if len(q) == 1:
         (e, k), = q.items()
         return k, [({tuple(int(i == j) for j in range(len(e))): 1}, d)
@@ -1080,9 +1081,38 @@ def _remainder_factors(q: Terms) -> Tuple[int, List[Tuple[Terms, int]]]:
         i = degrees.index(1)
         a = {e[:i] + (0,) + e[i + 1:]: k for e, k in q.items() if e[i]}
         b = {e: k for e, k in q.items() if not e[i]}
-        if b and _is_ground(_cofactors(a, b)[0]):
+        if b and (_coprime_binomials(a, b) if len(a) == len(b) == 2
+                  else _is_ground(_cofactors(a, b)[0])):
             return 1, [(q, 1)]
     return _factor_list(q)
+
+
+def _coprime_binomials(a: Terms, b: Terms) -> bool:
+    """gcd(a, b) = 1 for integer polynomials of two terms each.
+
+    Each is x^m times a binomial c1*x^u + c2*x^v with no monomial factor,
+    so the monomial contents x^m must share no variable.  Up to a monomial,
+    c1 + c2*x^(v-u) is a polynomial in y = x^g for the primitive vector g
+    along v - u, and a common factor of the binomials would make g of a
+    and of b parallel.  With v - u = s*g for a and t*g for b, the
+    orientation of b chosen to agree, the binomials share a root exactly
+    when y^s = -c1/c2 and y^t = -d1/d2 have a common solution, which is
+    when (-c1/c2)^(t/k) = (-d1/d2)^(s/k) for k = gcd(s, t).
+    """
+    (u, c1), (v, c2) = a.items()
+    (w, d1), (z, d2) = b.items()
+    if any(min(i, j) and min(k, l) for i, j, k, l in zip(u, v, w, z)):
+        return False
+    da = [j - i for i, j in zip(u, v)]
+    db = [l - k for k, l in zip(w, z)]
+    s, t = math.gcd(*da), math.gcd(*db)
+    ga, gb = [x // s for x in da], [x // t for x in db]
+    if gb != ga:
+        if gb != [-x for x in ga]:
+            return True
+        d1, d2 = d2, d1
+    k = math.gcd(s, t)
+    return Fraction(-c1, c2) ** (t // k) != Fraction(-d1, d2) ** (s // k)
 
 
 # the values given to every other variable, and the primes, that
@@ -1236,9 +1266,10 @@ class FactoredRF:
     def from_counts(*counts: Mapping[object, int]) -> "FactoredRF":
         """The product of the values with these `counts`; over a coprime
         base of the integer keys its coefficient needs no gcd."""
-        total = Counter()
+        total: Dict[object, int] = {}
         for c in counts:
-            total.update(c)
+            for x, e in c.items():
+                total[x] = total.get(x, 0) + e
         ints = {x: e for x, e in total.items() if isinstance(x, int)}
         sign = (-1) ** (ints.pop(-1, 0) % 2)
         base = _coprime_base(ints)

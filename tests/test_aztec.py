@@ -252,17 +252,18 @@ def _blocks(rows) -> set:
 
 def test_one_orbit_walk_bounds_the_cell_moves(monkeypatch):
     period = checkered_period()
-    # one walk of 35 steps with one cell move per distinct block of each
-    expected, p = 0, period
+    # one walk of 35 steps with one cell move per distinct block of the
+    # whole walk
+    seen, p = set(), period
     for _ in range(35):
-        expected, p = expected + len(_blocks(p.entries)), shuffle(p)
-    assert expected == 287
+        seen, p = seen | _blocks(p.entries), shuffle(p)
+    expected = len(seen)
+    assert expected == 229
     rng = random.Random(40)
     big = PeriodMatrix([[rng.randint(1, 5) for _ in range(40)]
                         for _ in range(40)])
     # a cold order-2 call walks two whole steps of the period
-    big_expected = len(_blocks(big.entries)) + len(_blocks(
-        shuffle(big).entries))
+    big_expected = len(_blocks(big.entries) | _blocks(shuffle(big).entries))
     calls = _count_cell_moves(monkeypatch)
     aztec._LAST_ORBIT.clear()
     for n in [*range(1, 16), *range(31, 36)]:
@@ -274,8 +275,9 @@ def test_one_orbit_walk_bounds_the_cell_moves(monkeypatch):
 
 
 def test_each_distinct_block_is_keyed_once(monkeypatch):
-    """A step reads a block factor's counts where its cell move succeeds,
-    not at every block position that repeats the block."""
+    """An orbit reads a block factor's counts once, where its cell move
+    succeeds, not at every block position or step that repeats the
+    block."""
     keyed, moved, counts = [], [], FactoredRF.counts
     cell = aztec.whole_cell
 
@@ -293,7 +295,70 @@ def test_each_distinct_block_is_keyed_once(monkeypatch):
     aztec._LAST_ORBIT.clear()
     for n in range(1, 36):
         evaluate(AztecInstance(n, checkered_period()))
-    assert len(keyed) <= len(moved) <= 287
+    # equal factors are one interned value, read once
+    assert len(set(keyed)) == len(keyed) < len(moved) == 229
+
+
+def test_equal_entries_move_as_one_object(monkeypatch):
+    """The checkered period builds q ** e per entry, so its equal entries
+    are distinct objects; its walk interns them and moves the cells of a
+    copy whose equal entries share one object."""
+    period = checkered_period()
+    shared = period.map(lambda e: e)
+    ids = [{id(e) for row in p.entries for e in row} for p in (period, shared)]
+    assert len(ids[1]) < len(ids[0])
+    calls = _count_cell_moves(monkeypatch)
+    runs = []
+    for p in (period, shared):
+        calls.clear()
+        aztec._LAST_ORBIT.clear()
+        runs.append((evaluate_factored(AztecInstance(35, p)), list(calls)))
+    assert runs[0] == runs[1]
+    assert len(runs[0][1]) == 229
+
+
+def test_packed_tables_match_the_naive_rectangle_sums():
+    """`_Orbit.factor` unpacks its four packed rectangle sums into the
+    counts the blocks give one at a time, at orders up to 10,000, with
+    denominator keys whose totals are negative.  In a constant period
+    every block has the same counts, so a whole step sums to the largest
+    total its field width must hold."""
+    rng = random.Random(34)
+    pool = [parse(e) for e in ("1/a", "a/(a+1)", "2", "1/3", "a+b",
+                               "b/(2*a)")]
+    random_period = PeriodMatrix([[rng.choice(pool) for _ in range(6)]
+                                  for _ in range(4)])
+    negative = 0
+    for period in (random_period, PeriodMatrix.constant(2, 4, 6),
+                   PeriodMatrix.constant(Fraction(1, 3), 4, 6)):
+        negative += _check_packed_tables(period, rng)
+    assert negative
+
+
+def _check_packed_tables(period, rng) -> int:
+    """Compare 4 steps of period's packed tables with the naive rectangle
+    sums; the number of reads with a negative total."""
+    orbit = aztec._Orbit(period)
+    kb, lb = orbit.kb, orbit.lb
+    negative = 0
+    for j in range(4):
+        orbit.step_factor(j)
+        factors, _ = _reference_step(orbit.periods[j])
+        counts = [[delta.counts() for delta in row] for row in factors]
+        for _ in range(25):
+            a, r = divmod(rng.randrange(10_001), kb)
+            b, c = divmod(rng.randrange(10_001), lb)
+            expected = {}
+            for i, row in enumerate(counts):
+                for i2, keys in enumerate(row):
+                    times = (a + (i < r)) * (b + (i2 < c))
+                    for key, e in keys.items():
+                        expected[key] = expected.get(key, 0) + times * e
+            got = orbit.factor(j, a, r, b, c)
+            assert {key: e for key, e in got.items() if e} == \
+                {key: e for key, e in expected.items() if e}
+            negative += any(e < 0 for e in got.values())
+    return negative
 
 
 def test_equal_blocks_make_one_cell_move_per_step(monkeypatch):
@@ -304,7 +369,8 @@ def test_equal_blocks_make_one_cell_move_per_step(monkeypatch):
     calls = _count_cell_moves(monkeypatch)
     aztec._LAST_ORBIT.clear()
     assert evaluate_factored(AztecInstance(6, tiled)) == expected
-    assert len(calls) == 6
+    # the orbit of a 2x2 period repeats after 2 steps
+    assert len(calls) == 2
     calls.clear()
     aztec._LAST_ORBIT.clear()
     succ = shuffle(tiled)
@@ -449,7 +515,7 @@ def test_detection_and_recurrence_read_the_walked_orbit(monkeypatch):
     aztec._LAST_ORBIT.clear()
     for n in [*range(1, 16), *range(31, 36)]:
         evaluate(AztecInstance(n, period))
-    assert len(calls) == 287
+    assert len(calls) == 229
     calls.clear()
     assert detect_q_shift(period).to_json() == q_shift
     assert calls == []

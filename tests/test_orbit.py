@@ -301,7 +301,7 @@ def test_detect_orbit_walks_the_orbit_once(monkeypatch):
     walked = []
     step = aztec._step
     monkeypatch.setattr(aztec, "_step",
-                        lambda rows: walked.append(1) or step(rows))
+                        lambda *tables: walked.append(1) or step(*tables))
     aztec._LAST_ORBIT.clear()
     rep = detect_orbit(checkered_period())
     # detect_proportional walks all 40 steps without a hit, and

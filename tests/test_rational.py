@@ -1120,13 +1120,18 @@ def test_cold_runs_leave_sympys_factorizer_nothing(monkeypatch, values):
 
 def test_cold_runs_build_no_sympy_polynomial(monkeypatch):
     """From cold caches, dungeon-D to order 7, checkered `evaluate` to
-    order 35 and the oracle on N at order 4 take every gcd with a one-term
-    polynomial and factor nothing in sympy: with the adapter to sympy's
-    ring refused, the values are those computed with it."""
+    order 35, the oracle on N at order 4 and M at order 2 take every gcd
+    with a one-term polynomial or of two binomials and factor nothing in
+    sympy: with the adapter to sympy's ring refused, the values are those
+    computed with it."""
     cases = [lambda: [families.family_value("dungeon-D", n) for n in range(8)],
              _checkered_values,
              lambda: oracle_mgf(to_graph(
-                 AztecInstance(4, dungeon_period_N())))]
+                 AztecInstance(4, dungeon_period_N()))),
+             # a*b*g*h + a*c*f*g + b*d*e*h + 2*c*d*e*f is linear in a, with
+             # coefficients of two terms each (`_coprime_binomials`)
+             lambda: evaluate_factored(AztecInstance(
+                 2, families.weighted_dungeon_period_M()))]
     expected = []
     for case in cases:
         _forget_everything()
@@ -1169,3 +1174,56 @@ def test_a_degree_past_the_certified_bound_is_not_tried(monkeypatch):
     assert poly_factor(p) == (1, ((p, 1),))
     assert len(calls) == 1
     assert tried == []
+
+
+@st.composite
+def binomial_pairs(draw):
+    """Two integer binomials over 2 or 3 variables whose exponent
+    differences are parallel, antiparallel or drawn freely, and whose
+    coefficients are small enough that shared roots occur."""
+    n = draw(st.integers(2, 3))
+    vectors = st.lists(st.integers(-2, 2), min_size=n, max_size=n).filter(any)
+    step = draw(vectors)
+    offsets = st.lists(st.sampled_from((0, 0, 0, 1, 2)), min_size=n,
+                       max_size=n)
+    signs = st.sampled_from((1, -1, 2, -2, 4, -4))
+
+    def binomial(multiple):
+        shift = [multiple * x for x in step]
+        base = [o + max(0, -x) for o, x in zip(draw(offsets), shift)]
+        return {tuple(base): draw(signs),
+                tuple(b + x for b, x in zip(base, shift)): draw(signs)}
+
+    kind = draw(st.sampled_from(("parallel", "antiparallel", "free")))
+    a = binomial(draw(st.integers(1, 4)))
+    if kind == "free":
+        step = draw(vectors)
+    b = binomial(draw(st.integers(1, 4)) * (-1 if kind == "antiparallel"
+                                           else 1))
+    return a, b
+
+
+def _binomial(text: str, variables: str = "xyz") -> dict:
+    """The integer terms of a polynomial over `variables`."""
+    return rational._reindex(parse(text).num, tuple(variables))
+
+
+@given(binomial_pairs())
+@example((_binomial("x^2-y^2"), _binomial("x-y")))
+@example((_binomial("x^2-y^2"), _binomial("y-x")))
+@example((_binomial("x^2+y^2"), _binomial("x+y")))
+@example((_binomial("x^4-4*y^2"), _binomial("x^2+2*y")))
+@example((_binomial("x^3*y+8*z"), _binomial("x*z^2+2*y*z^3")))
+@example((_binomial("x*y+x*z"), _binomial("x^2*y+x*z^2")))
+@example((_binomial("x*y+2*z"), _binomial("x^2*z+y*z^2")))
+@settings(max_examples=300, deadline=None)
+def test_binomial_coprimality_agrees_with_sympys_cofactors(pair):
+    """`_coprime_binomials` on two binomials, in either order and with
+    the terms of b listed either way round, which turns a parallel pair
+    antiparallel, is sympy's verdict that their gcd is a constant."""
+    a, b = pair
+    ring = sympy_ring("xyz"[:len(next(iter(a)))])
+    gcd = ring.from_dict(a).cofactors(ring.from_dict(b))[0]
+    for c in (b, dict(reversed(b.items()))):
+        assert rational._coprime_binomials(a, c) == gcd.is_ground
+        assert rational._coprime_binomials(c, a) == gcd.is_ground
