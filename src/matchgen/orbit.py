@@ -12,13 +12,12 @@ column scalings that leave the recurrence structure unchanged.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from itertools import chain
 from typing import List, Optional, Tuple
-
-from sympy import integer_nthroot
 
 from .aztec import PeriodMatrix, _kept_orbit, _read_part
 from .rational import FactoredRF, RationalFunction
@@ -162,9 +161,22 @@ def _sigma(e: FactoredRF, c: FactoredRF) -> Optional[Fraction]:
         return None
     i, j = (max(en), min(ed)) if max(en) != min(ed) else (min(en), max(ed))
     r = (cn[i] * ed[j] / (cd[j] * en[i])) ** (1 if i > j else -1)
-    (a, exact_a), (b, exact_b) = (integer_nthroot(abs(x), abs(i - j))
+    (a, exact_a), (b, exact_b) = (_integer_nthroot(abs(x), abs(i - j))
                                   for x in (r.numerator, r.denominator))
     return Fraction(a, b) if r > 0 and exact_a and exact_b else None
+
+
+def _integer_nthroot(x: int, n: int) -> Tuple[int, bool]:
+    """(floor of the n-th root of x >= 0, whether it is exact), in integers:
+    `math.isqrt` for n = 2, 0 and 1, otherwise Newton steps down from a
+    power of 2 at or above the root, which stop at the floor."""
+    if n == 2 or x < 2:
+        r = math.isqrt(x)
+    else:
+        r = 1 << -(-x.bit_length() // n)
+        while (s := ((n - 1) * r + x // r ** (n - 1)) // n) < r:
+            r = s
+    return r, r ** n == x
 
 
 def detect_orbit(a: PeriodMatrix,

@@ -45,11 +45,12 @@ The arithmetic contract:
   `size` read ints reduced by gcd(k, b) (`_coefficients`), in graded-lex
   order (`_grlex`), digits go through `Decimal`, and `common_denominator`
   puts the oracle's weights over one D.
-- Constants.  A value with no variable stays a number: two constant
-  RationalFunctions add, multiply, divide and raise as Fractions over the
-  one shared denominator `_ONE`, with no polynomial gcd, and
-  `common_denominator` writes all-constant weights as ints over the lcm
-  of their denominators.
+- Constants.  A value with no variable stays a number: an operation on two
+  constants (ints, Fractions, or RationalFunctions over the one shared
+  denominator `_ONE`) is one Fraction operation into one object (`_const`),
+  before any operand is wrapped, with no polynomial gcd; so is one on two
+  FactoredRFs without factors (`_factored`).  `common_denominator` writes
+  all-constant weights as ints over the lcm of their denominators.
 - Hashing.  Equal values hash alike across the two types: a
   RationalFunction hashes as its FactoredRF, and a constant of either
   type hashes as its Fraction.
@@ -630,8 +631,10 @@ class RationalFunction:
     The normalization (cancel the polynomial gcd, then divide both parts by
     the denominator's leading coefficient) is a canonical form: two
     RationalFunctions are equal as functions iff they are structurally equal.
-    A constant's denominator is 1, so two constants are added, multiplied
-    and divided as Fractions, with no polynomial gcd.
+    A constant's denominator is 1.  When both operands are constants (int,
+    Fraction or a RationalFunction with no variable, `_value`), an operation
+    is one Fraction operation and one object (`_const`), taken before any
+    operand is wrapped or any polynomial gcd.
     """
 
     __slots__ = ("num", "den")
@@ -659,7 +662,7 @@ class RationalFunction:
 
     @staticmethod
     def const(c) -> "RationalFunction":
-        return RationalFunction(MultiPoly.const(c), _ONE, _normalized=True)
+        return _const(_as_fraction(c))
 
     @staticmethod
     def var(name: str) -> "RationalFunction":
@@ -720,6 +723,9 @@ class RationalFunction:
         return out
 
     def __add__(self, other):
+        a, b = _value(self), _value(other)
+        if a is not None and b is not None:
+            return _const(a + b)
         other = self._operand(other)
         if other is None:
             return NotImplemented
@@ -727,8 +733,6 @@ class RationalFunction:
             return other
         if other.is_zero():
             return self
-        if self.is_const() and other.is_const():
-            return RationalFunction.const(self.num.content + other.num.content)
         _, da, db = poly_cofactors(self.den, other.den)
         return RationalFunction(self.num * db + other.num * da,
                                 da * other.den)
@@ -736,11 +740,13 @@ class RationalFunction:
     __radd__ = __add__
 
     def __neg__(self):
+        a = _value(self)
+        if a is not None:
+            return _const(-a)
         return RationalFunction(-self.num, self.den, _normalized=True)
 
     def __sub__(self, other):
-        other = self._operand(other)
-        if other is None:
+        if not isinstance(other, (RationalFunction, int, Fraction)):
             return NotImplemented
         return self + (-other)
 
@@ -751,13 +757,14 @@ class RationalFunction:
         return other + (-self)
 
     def __mul__(self, other):
+        a, b = _value(self), _value(other)
+        if a is not None and b is not None:
+            return _const(a * b)
         other = self._operand(other)
         if other is None:
             return NotImplemented
         if self.is_zero() or other.is_zero():
-            return RationalFunction.const(0)
-        if self.is_const() and other.is_const():
-            return RationalFunction.const(self.num.content * other.num.content)
+            return _const(Fraction(0))
         _, n1, d2 = poly_cofactors(self.num, other.den)
         _, n2, d1 = poly_cofactors(other.num, self.den)
         # monic denominators divided by monic gcds: the product is monic
@@ -766,34 +773,40 @@ class RationalFunction:
     __rmul__ = __mul__
 
     def inverse(self) -> "RationalFunction":
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero")
-        if self.is_const():
-            return RationalFunction.const(1 / self.num.content)
+        a = _value(self)
+        if a is not None:
+            return _quotient(1, a)
         # num/den are already coprime: only the new denominator is made monic
         inv = 1 / self.num.leading_coeff()
         return RationalFunction(self.den.scale(inv), self.num.scale(inv),
                                 _normalized=True)
 
     def __truediv__(self, other):
+        a, b = _value(self), _value(other)
+        if a is not None and b is not None:
+            return _quotient(a, b)
         other = self._operand(other)
         if other is None:
             return NotImplemented
         return self * other.inverse()
 
     def __rtruediv__(self, other):
+        a, b = _value(other), _value(self)
+        if a is not None and b is not None:
+            return _quotient(a, b)
         other = self._operand(other)
         if other is None:
             return NotImplemented
         return other * self.inverse()
 
     def __pow__(self, n: int):
+        a = _value(self)
+        if a is not None:
+            return _quotient(1, a ** -n) if n < 0 else _const(a ** n)
         if n == 0:
-            return RationalFunction.const(1)
+            return _const(Fraction(1))
         if n < 0:
             return self.inverse() ** (-n)
-        if self.is_const():
-            return RationalFunction.const(self.num.content ** n)
         # num/den already coprime, so no cancellation can appear, and a
         # power of a monic denominator is monic
         return RationalFunction(self.num ** n, self.den ** n,
@@ -821,6 +834,31 @@ class RationalFunction:
 
     def __repr__(self) -> str:
         return f"RationalFunction({self})"
+
+
+def _const(c: Fraction) -> RationalFunction:
+    """The constant c, a Fraction, as a RationalFunction built with no
+    checks."""
+    out = object.__new__(RationalFunction)
+    object.__setattr__(out, "num", _make((), _ONE.prim if c else {}, c))
+    object.__setattr__(out, "den", _ONE)
+    return out
+
+
+def _value(x):
+    """x as a number when it is a constant: an int or a Fraction as it is, a
+    RationalFunction with no variable as its Fraction; otherwise None."""
+    if isinstance(x, RationalFunction):
+        return None if x.num.variables or x.den.variables else x.num.content
+    return x if isinstance(x, (int, Fraction)) else None
+
+
+def _quotient(a, b) -> RationalFunction:
+    """The constant a / b, one of a and b a Fraction; b = 0 raises as the
+    inverse of zero."""
+    if not b:
+        raise ZeroDivisionError("inverse of zero")
+    return _const(a / b)
 
 
 def _poly_substitute(p: MultiPoly, bindings) -> "RationalFunction":
@@ -851,7 +889,7 @@ def _poly_substitute(p: MultiPoly, bindings) -> "RationalFunction":
             for i, row in ints:
                 c *= row[e[i]]
             total += c
-        return RationalFunction.const(content * total)
+        return _const(content * total)
     den, tables = _ONE, {}
     for i, r in zip(slots, values):
         if not r.is_const():
@@ -919,7 +957,7 @@ def common_denominator(weights: Iterable[RationalFunction], k: int):
             return sum(w * s for w, s in pairs)
 
         def quotient(total: int) -> RationalFunction:
-            return RationalFunction.const(Fraction(total, b ** k))
+            return _const(Fraction(total, b ** k))
 
         return numerator, 1, dot, quotient
     # the distinct values, each weight object compared once; `numerator`
@@ -1187,7 +1225,10 @@ class FactoredRF:
     arithmetic blows up.  coeff == 0 encodes the zero function (factors
     empty).  The representation is canonical, so == between two factored
     values is structural; against a RationalFunction, == expands this value
-    and never factors the other.
+    and never factors the other.  Two values without factors (constants,
+    and ints, Fractions or constant RationalFunctions, `_coerce`) multiply,
+    divide and add as one Fraction operation into one object (`_factored`),
+    with no dict copied.
     """
 
     __slots__ = ("coeff", "factors", "_hash")
@@ -1222,7 +1263,7 @@ class FactoredRF:
         form: no irreducible is on both sides and the denominator is
         monic."""
         if not self.factors:
-            return RationalFunction.const(self.coeff)
+            return _const(self.coeff)
         num = [(f, e) for f, e in self.factors.items() if e > 0]
         den = [(f, -e) for f, e in self.factors.items() if e < 0]
         return RationalFunction(_expand(num, self.coeff),
@@ -1296,14 +1337,17 @@ class FactoredRF:
     def _coerce(x) -> "FactoredRF":
         if isinstance(x, FactoredRF):
             return x
+        c = _value(x)
+        if c is not None:
+            return _factored(_as_fraction(c), {})
         if isinstance(x, RationalFunction):
             return FactoredRF.from_rf(x)
-        if isinstance(x, (int, Fraction)):
-            return FactoredRF(x)
         raise TypeError(f"cannot coerce {type(x).__name__}")
 
     def __mul__(self, other):
         other = self._coerce(other)
+        if not self.factors and not other.factors:
+            return _factored(self.coeff * other.coeff, {})
         if self.is_zero() or other.is_zero():
             return FactoredRF.zero()
         return self._merged(other, 1)
@@ -1314,6 +1358,8 @@ class FactoredRF:
         other = self._coerce(other)
         if other.is_zero():
             raise ZeroDivisionError("division by zero")
+        if not self.factors and not other.factors:
+            return _factored(self.coeff / other.coeff, {})
         if self.is_zero():
             return self
         return self._merged(other, -1)
@@ -1358,7 +1404,7 @@ class FactoredRF:
     def __add__(self, other):
         other = self._coerce(other)
         if not self.factors and not other.factors:
-            return FactoredRF(self.coeff + other.coeff)
+            return _factored(self.coeff + other.coeff, {})
         if self.is_zero():
             return other
         if other.is_zero():
@@ -1410,9 +1456,9 @@ class FactoredRF:
 def _factored(coeff: Fraction, factors: Dict[MultiPoly, int]) -> FactoredRF:
     """A FactoredRF from parts already in canonical form, taken uncopied.
 
-    coeff is a nonzero Fraction and factors maps monic irreducibles to
-    nonzero exponents.  No FactoredRF changes its factors dict, so the
-    dict may be one another value holds.
+    coeff is a Fraction, zero only with no factors, and factors maps monic
+    irreducibles to nonzero exponents.  No FactoredRF changes its factors
+    dict, so the dict may be one another value holds.
     """
     out = object.__new__(FactoredRF)
     object.__setattr__(out, "coeff", coeff)

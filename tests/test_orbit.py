@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from sympy import integer_nthroot
 
 from matchgen.aztec import (AztecInstance, PeriodMatrix, ZeroCellFactor,
                             evaluate, evaluate_factored, to_graph)
@@ -87,6 +88,21 @@ def test_q_shift_reads_sigma_off_the_period(q, expected):
     rep = detect_q_shift(period)
     assert (rep.kind, rep.period_length, rep.sigma) == expected
     assert len(rep.per_step_factors) == (rep.period_length or 40)
+
+
+def test_integer_nthroot_agrees_with_sympy():
+    """The root `_sigma` takes, against sympy's `integer_nthroot`: random x
+    below 2^4000, perfect n-th powers and their neighbours, 0 and 1."""
+    rng = random.Random(35)
+    for n in range(1, 13):
+        xs = [0, 1, 2, 2 ** 4000 - 1]
+        for _ in range(40):
+            xs.append(rng.getrandbits(rng.randint(1, 4000)))
+            b = rng.getrandbits(rng.randint(1, 4000 // n))
+            xs += [b ** n - 1, b ** n, b ** n + 1]
+        for x in filter(lambda x: x >= 0, xs):
+            root, exact = integer_nthroot(x, n)
+            assert orbit._integer_nthroot(x, n) == (int(root), bool(exact))
 
 
 REFERENCE_SIGMAS = sorted({Fraction(a, b) for a in range(1, 13)

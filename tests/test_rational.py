@@ -140,6 +140,20 @@ _non_constants = [RF(mp("x", {(1,): 1}), MultiPoly.const(1)),
                   RF(MultiPoly.const(1), mp("x", {(1,): 1})),
                   RF(mp("x", {(1,): 1, (0,): 1}), mp("y", {(1,): 2}))]
 
+fractions_with_zero = st.one_of(st.just(Fraction(0)),
+                                st.fractions(max_denominator=12))
+
+
+def constant_forms(c):
+    """c as an int (when whole), a Fraction and a constant RationalFunction."""
+    return [c.numerator] * (c.denominator == 1) + [c, RF.const(c)]
+
+
+def const_parts(r):
+    """A RationalFunction's structure, with the type of its content."""
+    return (type(r), r.num.variables, type(r.num.content), r.num.content,
+            r.num.prim, r.den)
+
 
 class TestMultiPoly:
     def test_zero_and_const(self):
@@ -472,6 +486,68 @@ class TestRationalFunction:
             assert ((r / y).num, (r / y).den) == normalized(
                 r.num, r.den.scale(b))
 
+    @given(fractions_with_zero, fractions_with_zero, st.integers(-3, 3))
+    @example(Fraction(0), Fraction(0), -1)
+    @example(Fraction(-3, 4), Fraction(0), 0)
+    @settings(max_examples=100, deadline=None)
+    def test_constant_operands_equal_the_checked_constant(self, a, b, n):
+        """Every operator on two constants, each an int, a Fraction or a
+        constant RationalFunction on either side, gives the constant that
+        the normalizing constructor gives for the Fraction result; a zero
+        divisor raises as the inverse of zero."""
+        def expect(out, c):
+            checked = RF(MultiPoly.const(c.numerator),
+                         MultiPoly.const(c.denominator))
+            assert const_parts(out) == const_parts(RF.const(c)) \
+                == const_parts(checked)
+            assert hash(out) == hash(c)
+
+        for x in constant_forms(a):
+            for y in constant_forms(b):
+                if not (isinstance(x, RF) or isinstance(y, RF)):
+                    continue
+                expect(x + y, a + b)
+                expect(x - y, a - b)
+                expect(x * y, a * b)
+                if b:
+                    expect(x / y, a / b)
+                else:
+                    with pytest.raises(ZeroDivisionError,
+                                       match="^inverse of zero$"):
+                        x / y
+        r = RF.const(a)
+        expect(-r, -a)
+        if a:
+            expect(r.inverse(), 1 / a)
+        else:
+            with pytest.raises(ZeroDivisionError, match="^inverse of zero$"):
+                r.inverse()
+        if a or n >= 0:
+            expect(r ** n, a ** n)
+        else:
+            with pytest.raises(ZeroDivisionError, match="^inverse of zero$"):
+                r ** n
+
+    def test_mixed_constant_and_symbolic_results(self):
+        """A constant against a non-constant takes the general path, to
+        these values."""
+        x, one = parse("x"), MultiPoly.const(1)
+        cases = [((x + 1) / 2, mp("x", {(1,): Fraction(1, 2),
+                                        (0,): Fraction(1, 2)}), one,
+                  "1/2*x+1/2"),
+                 (2 / (x + 1), MultiPoly.const(2), mp("x", {(1,): 1, (0,): 1}),
+                  "(2)/(x+1)"),
+                 (0 * x, MultiPoly.const(0), one, "0"),
+                 (x * RF.const(0), MultiPoly.const(0), one, "0")]
+        for out, num, den, text in cases:
+            assert const_parts(out) == (RF, num.variables, Fraction,
+                                        num.content, num.prim, den)
+            assert str(out) == text
+        for s in (FactoredRF(3) + x, x + FactoredRF(3)):
+            assert (type(s), s.coeff, s.factors) == (
+                FactoredRF, 1, {mp("x", {(1,): 1, (0,): 3}): 1})
+            assert str(s) == "x+3"
+
     @given(rationals(), rationals())
     @settings(max_examples=60, deadline=None)
     def test_field_ops(self, a, b):
@@ -520,6 +596,40 @@ class TestFactoredForms:
                             calls.append(p) or factor(p))
         assert [FactoredRF(a) + FactoredRF(b) for a, b in pairs] == expected
         assert calls == []
+
+    @given(fractions_with_zero, fractions_with_zero)
+    @example(Fraction(0), Fraction(0))
+    @example(Fraction(5, 3), Fraction(0))
+    @settings(max_examples=100, deadline=None)
+    def test_constant_factored_operands_equal_the_checked_constant(self, a,
+                                                                   b):
+        """Sums, differences, products and quotients of two constants, one
+        of them a FactoredRF and the other an int, a Fraction, a constant
+        RationalFunction or a FactoredRF, on either side, and `_coerce` of
+        each, give the constant FactoredRF of the Fraction result; a zero
+        divisor raises as a division by zero."""
+        def expect(out, c):
+            assert (type(out), type(out.coeff), out.coeff, out.factors) == (
+                FactoredRF, Fraction, c, {})
+            assert out == FactoredRF(c) and hash(out) == hash(c)
+
+        def forms(c):
+            return [*constant_forms(c), FactoredRF(c)]
+
+        for x in forms(a):
+            expect(FactoredRF._coerce(x), a)
+            for y in forms(b):
+                if FactoredRF not in (type(x), type(y)):
+                    continue
+                expect(x + y, a + b)
+                expect(x - y, a - b)
+                expect(x * y, a * b)
+                if b:
+                    expect(x / y, a / b)
+                else:
+                    with pytest.raises(ZeroDivisionError,
+                                       match="^division by zero$"):
+                        x / y
 
     @pytest.mark.parametrize("c", [3, Fraction(-1, 2), 0])
     def test_equal_constants_hash_equal(self, c):
